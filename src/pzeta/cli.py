@@ -22,12 +22,7 @@ import json
 import os
 import sys
 
-from .dirichlet import (
-    DirichletPolynomial,
-    RationalSeries,
-    divide_exact,
-    truncated_product,
-)
+from .dirichlet import DirichletPolynomial, divide_exact, truncated_product
 from .errors import (
     BudgetExceeded,
     EmptyInput,
@@ -66,6 +61,17 @@ EXIT_HYPOTHESIS = 5
 EXIT_NOT_DIVISIBLE = 6
 
 
+def _non_negative(kind):
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pzeta",
@@ -73,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
         "subgroup-lattice Moebius data, and Dirichlet polynomial tools.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget-order", type=int, default=None,
+    parser.add_argument("--budget-order", type=_non_negative(int), default=None,
                         help="max group order for lattice work")
-    parser.add_argument("--budget-subgroups", type=int, default=None,
-                        help="max number of subgroups stored")
-    parser.add_argument("--time-hint", type=float, default=None,
+    parser.add_argument("--budget-subgroups", type=_non_negative(int), default=None,
+                        help="max number of subgroups stored (0 refuses every lattice)")
+    parser.add_argument("--time-hint", type=_non_negative(float), default=None,
                         help="soft wall-clock limit in seconds")
     parser.add_argument("--truncate", type=int, default=64,
                         help="default truncation bound for series output")
@@ -139,11 +145,10 @@ def _budget(args) -> Budget:
         order = int(env)
     if args.budget_order is not None:
         order = args.budget_order
-    return Budget(
-        max_order=order,
-        max_subgroups=args.budget_subgroups or default.max_subgroups,
-        time_hint_s=args.time_hint,
-    )
+    subgroups = default.max_subgroups
+    if args.budget_subgroups is not None:
+        subgroups = args.budget_subgroups
+    return Budget(max_order=order, max_subgroups=subgroups, time_hint_s=args.time_hint)
 
 
 def _load_group(args) -> PermGroup:

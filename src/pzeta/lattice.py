@@ -141,7 +141,7 @@ def _enumerate(
             members.append(nid)
             arr = np.asarray(cur, dtype=np.int64)
             for g in g_gens:
-                conj = tuple(sorted(engine.conj_set(arr, g)))
+                conj = tuple(np.sort(engine.conj_set(arr, g)).tolist())
                 fs = frozenset(conj)
                 if fs not in seen:
                     seen.add(fs)
@@ -192,10 +192,9 @@ def _enumerate(
             res = engine.closure(kgens + (e,), bail_half=True)
             if res is None:
                 continue  # generated the whole group; top is preseeded
-            fs = frozenset(int(x) for x in res)
-            if fs in node_ids:
+            new_rep = tuple(res.tolist())
+            if frozenset(new_rep) in node_ids:
                 continue
-            new_rep = tuple(int(x) for x in res)
             new_gens = _reduce_gens(engine, kgens + (e,), res)
             ncid = register(new_rep, new_gens)
             heapq.heappush(heap, (len(new_rep), ncid))
@@ -574,7 +573,7 @@ def factor_group(lat: SubgroupLattice, upper: int, lower: int) -> PermGroup:
         raise ValueError("lower node is not contained in upper node")
     sub = lat.subgroup_group(upper)
     eng = lat.engine
-    lower_in_sub = [sub.index_of(eng.permutation(x)) for x in lat.node_elements(lower)]
+    lower_in_sub = sub.engine.indices_of_rows(eng.rows[list(lat.node_elements(lower))])
     degree, gen_rows, _ = sub.engine.quotient_action(lower_in_sub)
     return PermGroup(
         degree,
@@ -654,23 +653,11 @@ def centralizer_quotient(lat: SubgroupLattice, upper: int, lower: int) -> PermGr
     if not (lat.is_normal(upper) and lat.is_normal(lower)):
         raise NotNormal("chief factor bounds must be normal nodes")
     eng = lat.engine
-    lower_set = frozenset(lat.node_elements(lower))
+    in_lower = np.zeros(eng.order, dtype=bool)
+    in_lower[list(lat.node_elements(lower))] = True
     mask = np.ones(eng.order, dtype=bool)
-    idx = eng.index
-    inv_rows = eng.rows[eng.inv]
     for ngen in lat.node_generators(upper):
-        n_row = eng.rows[ngen]
-        inv_n = eng.rows[eng.inv[ngen]]
-        # rows of [n, x] = n^-1 * (x^-1 n x), batched over all x
-        c1 = n_row[inv_rows]                                # x^-1 then n
-        c2 = np.take_along_axis(eng.rows, c1.astype(np.intp), axis=1)  # then x
-        rows = c2[:, inv_n]                                 # n^-1 first
-        ok = np.fromiter(
-            (idx[r.tobytes()] in lower_set for r in np.ascontiguousarray(rows)),
-            dtype=bool,
-            count=eng.order,
-        )
-        mask &= ok
+        mask &= in_lower[eng.commutators_with(ngen)]
     cent = [int(x) for x in np.flatnonzero(mask)]
     degree, gen_rows, _ = eng.quotient_action(cent)
     return PermGroup(

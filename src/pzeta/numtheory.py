@@ -8,6 +8,7 @@ may silently overflow: everything is plain Python int arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -72,18 +73,29 @@ def padic_valuation(n: int, q: int) -> int:
 def integer_nth_root(n: int, r: int) -> int | None:
     """Exact r-th root of n, or None if n is not a perfect r-th power.
 
-    Works on arbitrarily large ints (Newton iteration, then verify).
+    Works on arbitrarily large ints: ``math.isqrt`` for square roots,
+    otherwise integer Newton iteration.  The seed is a float root of the
+    leading 53 bits only, so it cannot overflow; one Newton step from
+    any positive seed lands at or above the floor root, and the
+    iteration then decreases to it.
     """
     if n < 1 or r < 1:
         raise ValueError("integer_nth_root needs n >= 1, r >= 1")
     if r == 1 or n == 1:
         return n if r == 1 else 1
-    x = int(round(n ** (1.0 / r)))
-    # float seed can be off for big n; walk to the exact floor root
-    while x > 1 and x**r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
+    if r == 2:
+        x = isqrt(n)
+    elif r >= n.bit_length():
+        return None  # 1 < n < 2**r, so the root lies strictly between 1 and 2
+    else:
+        shift, rem = divmod(max(n.bit_length() - 53, 0), r)
+        x = int((n >> (shift * r + rem)) ** (1.0 / r) * 2.0 ** (rem / r) + 1) << shift
+        x = ((r - 1) * x + n // x ** (r - 1)) // r
+        while True:
+            y = ((r - 1) * x + n // x ** (r - 1)) // r
+            if y >= x:
+                break
+            x = y
     return x if x**r == n else None
 
 

@@ -4,10 +4,14 @@ The public surface is :class:`Permutation`, :class:`PermGroup`,
 :class:`AlmostSimpleSpec` and the builtin constructors.  Internally a
 :class:`PermGroup` materializes (lazily, and only below a hard order
 bound) an indexed element table: a ``(order, degree)`` array of image
-rows sorted lexicographically, plus a bytes -> index dictionary.  All
-heavy group operations (closure, conjugation, coset actions) are then
-batched gathers on that table, which is what makes subgroup-lattice
-work for groups with a few thousand elements practical in Python.
+rows sorted lexicographically.  An element is found from its images of
+a base (points whose images determine the element, as in Schreier-Sims)
+read off the sorted table: the images form an integer key, and keys are
+looked up in bulk with a dense table or by bisection.  Products and
+conjugates by a fixed element are cached as columns of element indices,
+so closure, conjugation and coset actions are batched gathers on
+integer arrays, which is what makes subgroup-lattice work for groups
+with a few thousand elements practical in Python.
 
 Composition convention: ``(p * q)(x) == q(p(x))``, i.e. products act
 left to right (apply p first).
@@ -22,9 +26,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, NotNormal, OrderBoundExceeded
-from .numtheory import is_prime, is_prime_power, prime_factors
+from .numtheory import is_prime, prime_factors
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
+# Bytes of cached multiplication and conjugation columns one engine keeps.
+COLUMN_CACHE_BYTES = 16 << 20
+# A dense key -> index table is used when it needs at most this many
+# slots per element; larger key spaces are searched by bisection.
+_DENSE_SLOTS_PER_ELEMENT = 16
+# Largest int64 key space; beyond it keys are compared as byte strings.
+_INT_KEY_LIMIT = 1 << 62
 
 
 class Permutation:
@@ -149,71 +160,156 @@ def _dtype_for(degree: int):
     return np.uint32
 
 
+def _stabilizer_base(rows: np.ndarray) -> tuple[int, ...]:
+    """Base of the group whose elements are the lexicographically sorted
+    ``rows``: b_j is the smallest point moved by the pointwise stabilizer
+    of b_0..b_{j-1}.  Two elements that agree on b_0..b_{j-1} agree on
+    every point below b_j, so the first point where two neighbouring
+    rows differ is a base point, and every base point occurs as one."""
+    first_diff = (rows[1:] != rows[:-1]).argmax(axis=1)
+    counts = np.bincount(first_diff, minlength=rows.shape[1])
+    return tuple(np.flatnonzero(counts).tolist())
+
+
 class _Engine:
     """Indexed element table of a finite permutation group.
 
-    Elements are rows of ``self.rows`` (lexicographically sorted, so
-    element indexing is deterministic across runs); ``self.index`` maps
-    ``row.tobytes()`` back to the index.
+    Elements are the rows of ``self.rows``, sorted lexicographically so
+    that element indexing is deterministic across runs.  The base
+    ``self.base`` lists b_0 < b_1 < ..., where b_j is the smallest point
+    moved by the pointwise stabilizer of b_0..b_{j-1}; an element is
+    determined by its images of the base, and its key is those images
+    read as digits in radix ``degree``.  Since two elements first differ
+    at a base point, keys increase with the row order: the key array in
+    table order is sorted, and the position of a key is the element
+    index.  Keys are looked up in a dense key -> index table when it
+    needs at most ``_DENSE_SLOTS_PER_ELEMENT`` slots per element, else by
+    bisection; key spaces past ``_INT_KEY_LIMIT`` are compared as byte
+    strings.
+
+    ``closure`` and the conjugation methods read int32 columns:
+    ``mul`` column g holds the index of i*g for every element i, and
+    ``conj`` column g that of g^-1*i*g.  Columns are built on first
+    use; one engine keeps at most ``COLUMN_CACHE_BYTES`` of them and
+    drops the oldest first.
     """
 
     def __init__(self, degree: int, gen_images: Sequence[Sequence[int]], max_order: int):
         self.degree = degree
         dt = _dtype_for(degree)
         ident = np.arange(degree, dtype=dt)
-        rows = [ident]
-        index = {ident.tobytes(): 0}
+        width = ident.nbytes
+        # breadth-first search over byte strings of image rows
+        elems = [ident.tobytes()]
+        seen = set(elems)
         gens = [np.asarray(g, dtype=dt) for g in gen_images]
-        frontier = [0]
+        frontier = [elems[0]]
         while frontier:
-            batch = np.stack([rows[i] for i in frontier])
-            new: list[int] = []
+            batch = np.frombuffer(b"".join(frontier), dtype=dt).reshape(-1, degree)
+            new: list[bytes] = []
             for g in gens:
-                prod = g[batch]
-                for row in prod:
-                    key = row.tobytes()
-                    if key not in index:
-                        if len(rows) >= max_order:
+                buf = g[batch].tobytes()
+                for pos in range(0, len(buf), width):
+                    key = buf[pos : pos + width]
+                    if key not in seen:
+                        if len(elems) >= max_order:
                             raise OrderBoundExceeded(
                                 f"group order exceeds bound {max_order}"
                             )
-                        index[key] = len(rows)
-                        rows.append(row.copy())
-                        new.append(len(rows) - 1)
+                        seen.add(key)
+                        elems.append(key)
+                        new.append(key)
             frontier = new
-        table = np.stack(rows)
-        order = np.lexsort(table.T[::-1])
-        self.rows = np.ascontiguousarray(table[order])
-        self.index = {r.tobytes(): i for i, r in enumerate(self.rows)}
+        del seen
+        table = np.frombuffer(b"".join(elems), dtype=dt).reshape(-1, degree)
+        self.rows = table[np.lexsort(table.T[::-1])]
         self.order = len(self.rows)
-        self.id_idx = self.index[ident.tobytes()]
-        inv_rows = np.argsort(self.rows, axis=1).astype(dt)
-        self.inv = np.fromiter(
-            (self.index[r.tobytes()] for r in np.ascontiguousarray(inv_rows)),
-            dtype=np.int64,
-            count=self.order,
+        self.base = _stabilizer_base(self.rows)
+        self._base_pts = np.asarray(self.base, dtype=np.intp)
+        self._base_rows = self.rows[:, self._base_pts].astype(np.intp)
+        span = degree ** len(self.base)
+        self._radix = (
+            degree ** np.arange(len(self.base) - 1, -1, -1, dtype=np.int64)
+            if span <= _INT_KEY_LIMIT
+            else None
         )
+        self._keys = self._key(self._base_rows)
+        self._dense = None
+        if self._radix is not None and span <= _DENSE_SLOTS_PER_ELEMENT * self.order:
+            self._dense = np.full(span, -1, dtype=np.int32)
+            self._dense[self._keys] = np.arange(self.order, dtype=np.int32)
+        # the identity is the lexicographically smallest permutation
+        self.id_idx = 0
+        inv_rows = np.empty_like(self.rows)
+        inv_rows[np.arange(self.order)[:, None], self.rows] = ident
+        self.inv = self._lookup(inv_rows[:, self._base_pts]).astype(np.int64)
+        gen_rows = np.asarray(gen_images, dtype=dt).reshape(len(gen_images), degree)
         self.gen_indices = tuple(
             dict.fromkeys(
-                self.index[np.asarray(g, dtype=dt).tobytes()]
-                for g in gen_images
-                if self.index[np.asarray(g, dtype=dt).tobytes()] != self.id_idx
+                i for i in self._lookup(gen_rows[:, self._base_pts]).tolist()
+                if i != self.id_idx
             )
         )
+        self._columns: dict[tuple[str, int], np.ndarray] = {}
+        self._column_bytes = 0
         self._orders: np.ndarray | None = None
         self._pp_reps: tuple[int, ...] | None = None
+
+    # -- element lookup ---------------------------------------------------
+
+    def _key(self, imgs: np.ndarray) -> np.ndarray:
+        """Keys of base-image tuples (last axis): int64 mixed radix, or
+        big-endian byte strings when that would overflow."""
+        if self._radix is not None:
+            return imgs @ self._radix
+        packed = np.ascontiguousarray(imgs, dtype=">u4")
+        return packed.view(f"V{4 * len(self.base)}")[..., 0]
+
+    def _lookup(self, imgs: np.ndarray) -> np.ndarray:
+        """Element indices of group elements given by their base images."""
+        key = self._key(imgs)
+        if self._dense is not None:
+            return self._dense[key]
+        return np.searchsorted(self._keys, key)
+
+    def indices_of_rows(self, rows) -> np.ndarray:
+        """Element index of each image row (a sequence of points of this
+        degree), or -1 for a row that is not an element of the group."""
+        rows = np.asarray(rows).reshape(-1, self.degree)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.degree):
+            raise ValueError(f"image rows must hold points 0..{self.degree - 1}")
+        idx = self._lookup(rows[:, self._base_pts]).astype(np.int64)
+        idx[(idx < 0) | (idx >= self.order)] = 0
+        found = (self.rows[idx] == rows).all(axis=1)
+        return np.where(found, idx, -1)
+
+    def _column(self, kind: str, g: int) -> np.ndarray:
+        col = self._columns.get((kind, g))
+        if col is not None:
+            return col
+        row = self.rows[g].astype(np.intp)
+        if kind == "mul":
+            imgs = row[self._base_rows]
+        else:
+            imgs = row[self.rows[:, self.rows[self.inv[g]][self._base_pts]]]
+        col = self._lookup(imgs).astype(np.int32, copy=False)
+        if col.nbytes <= COLUMN_CACHE_BYTES:
+            while self._column_bytes + col.nbytes > COLUMN_CACHE_BYTES:
+                oldest = self._columns.pop(next(iter(self._columns)))
+                self._column_bytes -= oldest.nbytes
+            self._columns[(kind, g)] = col
+            self._column_bytes += col.nbytes
+        return col
 
     # -- single element ops -------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
         """Index of "apply i, then j"."""
-        row = self.rows[j][self.rows[i]]
-        return self.index[row.tobytes()]
+        return int(self._lookup(self.rows[j][self._base_rows[i]]))
 
     def conj_elem(self, x: int, g: int) -> int:
         """Index of g^-1 * x * g."""
-        row = self.rows[g][self.rows[x][self.rows[self.inv[g]]]]
-        return self.index[row.tobytes()]
+        return int(self._column("conj", g)[x])
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv[a], self.inv[b]), self.mul(a, b))
@@ -223,16 +319,20 @@ class _Engine:
 
     # -- batched ops ----------------------------------------------------
 
-    def _indices_of(self, prod: np.ndarray) -> list[int]:
-        index = self.index
-        return [index[row.tobytes()] for row in np.ascontiguousarray(prod)]
+    def mul_batch(self, ids: np.ndarray, g: int) -> np.ndarray:
+        """Indices of "apply i, then g" for each i in ids."""
+        return self._lookup(self.rows[g][self._base_rows[ids]])
 
-    def mul_batch(self, ids: np.ndarray, g: int) -> list[int]:
-        return self._indices_of(self.rows[g][self.rows[ids]])
+    def conj_set(self, ids: np.ndarray, g: int) -> np.ndarray:
+        """Indices of g^-1 * i * g for each i in ids."""
+        return self._column("conj", g)[ids]
 
-    def conj_set(self, ids: np.ndarray, g: int) -> list[int]:
-        inner = self.rows[ids][:, self.rows[self.inv[g]]]
-        return self._indices_of(self.rows[g][inner])
+    def commutators_with(self, n: int) -> np.ndarray:
+        """Index of the commutator [n, x] = n^-1 * x^-1 * n * x for every
+        element x."""
+        pts = self.rows[self.inv[n]][self._base_pts]
+        imgs = self.rows[n][self.rows[self.inv[:, None], pts]]
+        return self._lookup(np.take_along_axis(self.rows, imgs.astype(np.intp), axis=1))
 
     def closure(self, gen_idx: Iterable[int], bail_half: bool = False):
         """Sorted element indices of the subgroup generated by gen_idx.
@@ -242,59 +342,74 @@ class _Engine:
         which is the common case during lattice extension.
         """
         gens = [int(g) for g in dict.fromkeys(gen_idx) if g != self.id_idx]
-        member = np.zeros(self.order, dtype=bool)
-        member[self.id_idx] = True
         if not gens:
             return np.asarray([self.id_idx], dtype=np.int64)
+        cols = [self._column("mul", g) for g in gens]
+        member = np.zeros(self.order, dtype=bool)
+        member[self.id_idx] = True
         count = 1
         half = self.order // 2
-        frontier = [self.id_idx]
-        while frontier:
-            farr = np.asarray(frontier, dtype=np.int64)
-            frows = self.rows[farr]
-            new: list[int] = []
-            for g in gens:
-                for ix in self._indices_of(self.rows[g][frows]):
-                    if not member[ix]:
-                        member[ix] = True
-                        count += 1
-                        new.append(ix)
+        frontier = np.asarray([self.id_idx])
+        while frontier.size:
+            new = []
+            for col in cols:
+                # right multiplication is a bijection and member is
+                # updated per generator, so ix holds no duplicates
+                ix = col[frontier].astype(np.intp)
+                ix = ix[~member[ix]]
+                member[ix] = True
+                count += ix.size
+                new.append(ix)
                 if bail_half and count > half:
                     return None
-            frontier = new
+            frontier = np.concatenate(new)
         return np.flatnonzero(member)
 
     # -- element statistics ---------------------------------------------
 
+    def _base_powers(self, ids: np.ndarray):
+        """Yield (m, base images of i^m for each i in ids), m = 1, 2, ..."""
+        pts = self._base_rows[ids]
+        col = np.asarray(ids)[:, None]
+        m = 1
+        while True:
+            yield m, pts
+            pts = self.rows[col, pts]
+            m += 1
+
+    def _cyclic_structure(self) -> None:
+        """Element orders, and one generator per cyclic subgroup of
+        prime-power order, from one walk over the powers of every element.
+
+        The generators of <i> are its powers i^m with gcd(m, |i|) = 1.
+        When |i| is a power of p, those are the i^m with p not dividing m
+        over any |i| consecutive exponents, so a running minimum per
+        prime p finds the smallest index among them; that element
+        represents the subgroup."""
+        ids = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        primes = prime_factors(self.order)
+        low = {p: ids.copy() for p in primes}
+        for m, pts in self._base_powers(ids):
+            idx = self._lookup(pts)
+            orders[(orders == 0) & (idx == self.id_idx)] = m
+            if orders.all():
+                break
+            for p in primes:
+                if m % p:
+                    np.minimum(low[p], idx, out=low[p])
+        reps = np.zeros(self.order, dtype=bool)
+        for p in primes:
+            p_power = np.zeros(int(orders.max()) + 1, dtype=bool)
+            p_power[[o for o in set(orders.tolist()) if prime_factors(o) == (p,)]] = True
+            reps |= p_power[orders] & (low[p] == ids)
+        self._orders = orders
+        self._pp_reps = tuple(np.flatnonzero(reps).tolist())
+
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            out = np.empty(self.order, dtype=np.int64)
-            for i in range(self.order):
-                row = self.rows[i]
-                o = 1
-                seen = np.zeros(self.degree, dtype=bool)
-                for start in range(self.degree):
-                    if seen[start]:
-                        continue
-                    ln = 1
-                    seen[start] = True
-                    x = int(row[start])
-                    while x != start:
-                        seen[x] = True
-                        x = int(row[x])
-                        ln += 1
-                    o = o * ln // gcd(o, ln)
-                out[i] = o
-            self._orders = out
+            self._cyclic_structure()
         return self._orders
-
-    def cyclic_subgroup(self, i: int) -> tuple[int, ...]:
-        cur = i
-        out = [self.id_idx]
-        while cur != self.id_idx:
-            out.append(cur)
-            cur = self.mul(cur, i)
-        return tuple(sorted(out))
 
     def pp_cyclic_generator_reps(self) -> tuple[int, ...]:
         """One generator per distinct cyclic subgroup of prime-power
@@ -303,38 +418,23 @@ class _Engine:
         group is generated by a maximal subgroup together with one
         element of prime-power order."""
         if self._pp_reps is None:
-            orders = self.element_orders()
-            reps: list[int] = []
-            claimed: set[int] = set()
-            for i in range(self.order):
-                if i == self.id_idx or i in claimed:
-                    continue
-                o = int(orders[i])
-                if not is_prime_power(o):
-                    continue
-                cyc = self.cyclic_subgroup(i)
-                reps.append(i)
-                for x in cyc:
-                    if int(orders[x]) == o:
-                        claimed.add(x)
-            self._pp_reps = tuple(reps)
+            self._cyclic_structure()
         return self._pp_reps
 
     # -- structural helpers ----------------------------------------------
 
     def is_subgroup_normal(self, ids: Sequence[int]) -> bool:
-        sset = frozenset(int(x) for x in ids)
-        arr = np.asarray(sorted(sset), dtype=np.int64)
-        return all(
-            frozenset(self.conj_set(arr, g)) == sset for g in self.gen_indices
-        )
+        arr = np.unique(np.asarray(ids, dtype=np.int64))
+        member = np.zeros(self.order, dtype=bool)
+        member[arr] = True
+        return all(member[self.conj_set(arr, g)].all() for g in self.gen_indices)
 
     def normal_closure(self, seeds: Iterable[int]) -> np.ndarray:
         gens = [int(x) for x in dict.fromkeys(seeds) if x != self.id_idx]
         if not gens:
             return np.asarray([self.id_idx], dtype=np.int64)
         closed = self.closure(gens)
-        member = set(int(x) for x in closed)
+        member = set(closed.tolist())
         while True:
             extra = []
             for g in gens:
@@ -346,7 +446,7 @@ class _Engine:
                 return closed
             gens.extend(dict.fromkeys(extra))
             closed = self.closure(gens)
-            member = set(int(x) for x in closed)
+            member = set(closed.tolist())
 
     def derived_subgroup(self, ids: Sequence[int], gens: Sequence[int]) -> np.ndarray:
         """Derived subgroup of the subgroup with the given elements and
@@ -356,7 +456,7 @@ class _Engine:
         seeds = [s for s in dict.fromkeys(seeds) if s != self.id_idx]
         if not seeds:
             return np.asarray([self.id_idx], dtype=np.int64)
-        member = set(int(x) for x in self.closure(seeds))
+        member = set(self.closure(seeds).tolist())
         work = list(seeds)
         while True:
             extra = []
@@ -368,7 +468,7 @@ class _Engine:
             if not extra:
                 return np.asarray(sorted(member), dtype=np.int64)
             work = list(dict.fromkeys(work + extra))
-            member = set(int(x) for x in self.closure(work))
+            member = set(self.closure(work).tolist())
 
     def sylow2(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A Sylow 2-subgroup: (sorted element indices, generators).
@@ -393,21 +493,21 @@ class _Engine:
         best = max(int(orders[i]) for i in two_elems)
         seed = next(i for i in two_elems if int(orders[i]) == best)
         gens = [seed]
-        current = set(int(x) for x in self.closure(gens))
-        while len(current) < target:
-            arr = np.asarray(sorted(current), dtype=np.int64)
+        arr = self.closure(gens)
+        while len(arr) < target:
+            member = np.zeros(self.order, dtype=bool)
+            member[arr] = True
             for g in two_elems:
-                if g in current:
+                if member[g]:
                     continue
-                if frozenset(self.conj_set(arr, g)) == frozenset(current):
+                if member[self.conj_set(arr, g)].all():
                     gens.append(g)
-                    grown = self.closure(gens)
-                    current = set(int(x) for x in grown)
+                    arr = self.closure(gens)
                     break
             else:
                 raise RuntimeError("Sylow 2-subgroup growth stalled")
-        assert len(current) == target
-        return tuple(sorted(current)), tuple(gens)
+        assert len(arr) == target
+        return tuple(arr.tolist()), tuple(gens)
 
     def quotient_action(self, normal_ids: Sequence[int]):
         """Coset action of the group on the right cosets of a normal
@@ -423,13 +523,12 @@ class _Engine:
                 continue
             cid = len(reps)
             reps.append(x)
-            for ix in self.mul_batch(narr, x):
-                coset[ix] = cid
+            coset[self.mul_batch(narr, x)] = cid
         degree = len(reps)
         reps_arr = np.asarray(reps, dtype=np.int64)
 
         def image_of(e: int) -> list[int]:
-            return [int(coset[i]) for i in self.mul_batch(reps_arr, e)]
+            return coset[self.mul_batch(reps_arr, e)].tolist()
 
         gen_rows = [image_of(g) for g in self.gen_indices]
         if not gen_rows:
@@ -490,17 +589,16 @@ class PermGroup:
         return self.engine.permutation(index)
 
     def index_of(self, perm: Permutation) -> int:
-        eng = self.engine
-        key = np.asarray(perm.images, dtype=eng.rows.dtype).tobytes()
-        if key not in eng.index:
-            raise KeyError(f"{perm!r} is not an element of {self.name}")
-        return eng.index[key]
+        if perm.degree == self.degree:
+            i = int(self.engine.indices_of_rows(perm.images)[0])
+            if i >= 0:
+                return i
+        raise KeyError(f"{perm!r} is not an element of {self.name}")
 
     def __contains__(self, perm: Permutation) -> bool:
         if not isinstance(perm, Permutation) or perm.degree != self.degree:
             return False
-        eng = self.engine
-        return np.asarray(perm.images, dtype=eng.rows.dtype).tobytes() in eng.index
+        return int(self.engine.indices_of_rows(perm.images)[0]) >= 0
 
     @property
     def identity(self) -> Permutation:
@@ -551,7 +649,7 @@ class AlmostSimpleSpec:
         except KeyError as exc:
             raise InvalidParameter(f"socle generators not inside {group.name}") from exc
         closed = eng.closure(socle_gen_ids)
-        self._socle_ids = frozenset(int(x) for x in closed)
+        self._socle_ids = frozenset(closed.tolist())
         if len(self._socle_ids) != socle.order:
             raise InvalidParameter("socle closure does not match socle order")
         if not eng.is_subgroup_normal(sorted(self._socle_ids)):

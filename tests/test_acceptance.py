@@ -3,7 +3,7 @@ line (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
 
 Criteria:
   1. minimal-odd-index table reproduction for PSL/PGL(2,q), q <= 13
-     (exact integers; q in {17, 19} as slow-tagged extended rows),
+     (exact integers; q in {17, 19, 23} as slow-tagged extended rows),
   2. zeta evaluation equals the independent generation-probability
      oracle on the whole small-group corpus (exact rationals),
   3. chief factorization multiplies back to the zeta polynomial exactly,
@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from pzeta import (
+    Budget,
     DirichletPolynomial,
     FactorKind,
     chief_factorization,
@@ -89,6 +90,17 @@ def test_criterion_1_extended_w_table_slow():
         for row in rows
     )
     _report("1-extended (w-table, q in {17,19}, slow)", ok)
+    assert ok, [r.to_json_dict() for r in rows]
+
+
+@pytest.mark.slow
+def test_criterion_1_w_table_q23_slow():
+    # orders 6072 and 12144 exceed the default lattice budget
+    rows = minimal_odd_index_table([23], budget=Budget(max_order=30000))
+    ok = len(rows) == 2 and all(
+        row.status == "MATCH" and row.computed == row.predicted == 253 for row in rows
+    )
+    _report("1-extended (w-table, q = 23, both variants, slow)", ok)
     assert ok, [r.to_json_dict() for r in rows]
 
 

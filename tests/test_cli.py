@@ -73,6 +73,21 @@ class TestPg:
         code, _, err = run(capsys, "--budget-order", "30", "pg", "--builtin", "A5")
         assert code == 3 and "budget" in err
 
+    def test_zero_subgroup_budget_refuses(self, capsys):
+        code, _, err = run(capsys, "--budget-subgroups", "0", "pg", "--builtin", "S4")
+        assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--budget-order", "-1"), ("--budget-subgroups", "-1"),
+         ("--time-hint", "-0.5"), ("--time-hint", "nan")],
+    )
+    def test_negative_budget_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([flag, value, "pg", "--builtin", "S3"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PZETA_BUDGET_ORDER", "30")
         code, _, _ = run(capsys, "pg", "--builtin", "A5")
@@ -179,6 +194,20 @@ class TestReplay:
         path = self._write_factors(tmp_path, factors)
         code, _, err = run(capsys, "replay", path)
         assert code == 5 and "hypothesis" in err
+
+    @pytest.mark.parametrize(
+        "n,code",
+        [((10**40 + 1) ** 2, 0),  # an exact square outside the window of q = 7
+         (7**400, 5)],            # a square, but with 7-adic valuation 400, not 2
+        ids=["square-outside-window", "valuation-400"],
+    )
+    def test_huge_index_ends_with_documented_code(self, capsys, tmp_path, n, code):
+        factors = [
+            {"id": 0, "kind": {"psl2": {"q": 7, "variant": "pgl"}}, "r": 2,
+             "coeffs": [{"n": n, "b": "-1"}]},
+        ]
+        path = self._write_factors(tmp_path, factors)
+        assert run(capsys, "replay", path)[0] == code
 
     def test_malformed_descriptor_exits_2(self, capsys, tmp_path):
         factors = [

@@ -1,6 +1,10 @@
 """The exact integer helpers backing index arithmetic."""
 
+from datetime import timedelta
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pzeta.numtheory import (
     integer_nth_root,
@@ -37,6 +41,25 @@ def test_integer_nth_root_near_float_boundary():
     for base in (10**6 + 3, 2**40 - 1):
         for r in (2, 3, 5):
             assert integer_nth_root(base**r, r) == base
+
+
+def test_integer_nth_root_past_float_range():
+    # a float seed overflows on the first and walks for hours on the second
+    assert integer_nth_root(7**400, 2) == 7**200
+    assert integer_nth_root(7**400, 3) is None
+    assert integer_nth_root((10**40 + 1) ** 2, 2) == 10**40 + 1
+    assert integer_nth_root((10**40 + 1) ** 2 + 1, 2) is None
+    assert integer_nth_root(2**64, 64) == 2
+    assert integer_nth_root(2**64, 65) is None
+
+
+@settings(max_examples=200, deadline=timedelta(milliseconds=500))
+@given(st.integers(2, 10**300), st.integers(2, 40))
+def test_integer_nth_root_exact_on_powers_and_neighbours(root, r):
+    n = root**r
+    assert integer_nth_root(n, r) == root
+    assert integer_nth_root(n - 1, r) is None
+    assert integer_nth_root(n + 1, r) is None
 
 
 def test_prime_power_detection():

@@ -473,3 +473,142 @@ class TestDirectProduct:
 
     def test_klein_four(self):
         assert klein_four().order == 4 and klein_four().is_abelian
+
+
+# -- the element index: base-keyed lookup and cached columns -------------------
+
+
+def _relabelled(group: PermGroup, seed: int) -> PermGroup:
+    """The same group acting on points renamed by a random permutation."""
+    import random
+
+    sigma = list(range(group.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in group.generators:
+        images = [0] * group.degree
+        for x, y in enumerate(g.images):
+            images[sigma[x]] = sigma[y]
+        gens.append(Permutation(images))
+    return PermGroup(group.degree, gens, name=f"{group.name}~{seed}")
+
+
+INDEX_GROUPS = {
+    "C1": lambda: cyclic(1),                      # empty base
+    "S4": lambda: symmetric(4),                   # base of length n - 1
+    "S6": lambda: symmetric(6),
+    "Q8": quaternion8,                            # regular action, base of length 1
+    "A5xC2": lambda: builtin_group("A5xC2"),
+    "PGL(2,7)~": lambda: _relabelled(make_psl2(7, "pgl").group, 11),
+    "C300": lambda: cyclic(300),                  # degree > 255: uint16 rows
+}
+
+# the three ways a key is looked up: a dense table, bisection on int64
+# keys, and bisection on byte-string keys (for key spaces past int64;
+# the one-slot key space of an empty base always fits)
+LOOKUP_MODES = {
+    "dense": {},
+    "bisect": {"_DENSE_SLOTS_PER_ELEMENT": 0},
+    "bytes": {"_INT_KEY_LIMIT": 1},
+}
+
+
+def _reference_closure(gens: list[Permutation], degree: int) -> set[Permutation]:
+    ident = Permutation.identity(degree)
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+@pytest.fixture(params=sorted(LOOKUP_MODES))
+def lookup_mode(request, monkeypatch):
+    from pzeta import permgroup
+
+    for name, value in LOOKUP_MODES[request.param].items():
+        monkeypatch.setattr(permgroup, name, value)
+    return request.param
+
+
+class TestElementIndex:
+    @pytest.fixture(params=sorted(INDEX_GROUPS))
+    def grp(self, request, lookup_mode):
+        return INDEX_GROUPS[request.param]()
+
+    def test_index_of_round_trips_and_rejects_outsiders(self, grp):
+        eng = grp.engine
+        assert all(grp.index_of(eng.permutation(i)) == i for i in range(eng.order))
+        outsider = Permutation.from_cycles(grp.degree, [(0, 1)] if grp.degree > 1 else [])
+        assert (outsider in grp) == (outsider in set(grp.elements()))
+        with pytest.raises(KeyError):
+            grp.index_of(Permutation.identity(grp.degree + 1))
+        assert eng.id_idx == grp.index_of(grp.identity)
+
+    def test_products_inverses_and_conjugates(self, grp):
+        import random
+
+        eng = grp.engine
+        rng = random.Random(5)
+        perm = [eng.permutation(i) for i in range(eng.order)]
+        pairs = [(rng.randrange(eng.order), rng.randrange(eng.order)) for _ in range(60)]
+        for i, j in pairs:
+            assert perm[eng.mul(i, j)] == perm[i] * perm[j]
+            assert perm[eng.conj_elem(i, j)] == perm[j].inverse() * perm[i] * perm[j]
+            assert perm[int(eng.inv[i])] == perm[i].inverse()
+        ids = np.asarray(sorted({i for i, _ in pairs}))
+        for g in {j for _, j in pairs[:8]}:
+            assert [perm[x] for x in eng.mul_batch(ids, g)] == [perm[i] * perm[g] for i in ids]
+            assert [perm[x] for x in eng.conj_set(ids, g)] == [
+                perm[g].inverse() * perm[i] * perm[g] for i in ids
+            ]
+        assert list(eng.element_orders()) == [p.order() for p in perm]
+
+    def test_closure_matches_reference(self, grp):
+        import random
+
+        eng = grp.engine
+        rng = random.Random(7)
+        for _ in range(12):
+            gens = [rng.randrange(eng.order) for _ in range(rng.randint(1, 2))]
+            expected = sorted(
+                grp.index_of(p)
+                for p in _reference_closure([eng.permutation(g) for g in gens], grp.degree)
+            )
+            assert eng.closure(gens).tolist() == expected
+            if any(g != eng.id_idx for g in gens):
+                bailed = eng.closure(gens, bail_half=True)
+                assert (bailed is None) == (len(expected) == eng.order)
+
+
+class TestColumnCache:
+    def _work(self, eng):
+        """Closures and conjugations touching many distinct columns."""
+        out = []
+        for g in range(1, eng.order, 97):
+            out.append(eng.closure([g, eng.gen_indices[0]], bail_half=True))
+            out.append(eng.conj_set(np.arange(0, eng.order, 5), g))
+        return [None if x is None else x.tolist() for x in out]
+
+    def test_cache_stays_within_cap_and_changes_no_result(self, monkeypatch):
+        from pzeta import permgroup
+
+        cap = 6 * 4 * 4896  # room for six columns of PGL(2,17)
+        monkeypatch.setattr(permgroup, "COLUMN_CACHE_BYTES", cap)
+        cached = make_psl2(17, "pgl").group.engine
+        assert cached.order == 4896
+        first = self._work(cached)
+        assert len(cached._columns) == 6
+        assert cached._column_bytes == sum(c.nbytes for c in cached._columns.values()) <= cap
+        assert self._work(cached) == first  # a full cache gives the same results
+
+        monkeypatch.setattr(permgroup, "COLUMN_CACHE_BYTES", 0)
+        uncached = make_psl2(17, "pgl").group.engine
+        assert self._work(uncached) == first
+        assert uncached._column_bytes == 0 and not uncached._columns
