@@ -1,8 +1,9 @@
 """Factoring P_G(s) along a chief series.
 
 Each step contributes the exact polynomial quotient of consecutive
-quotient zetas; Frattini factors contribute 1, abelian factors
-contribute 1 - c/(p^r)^s with c the number of complements.
+quotient zetas, each read off G's own subgroup lattice as an interval
+[N, G]; Frattini factors contribute 1, abelian factors contribute
+1 - c/(p^r)^s with c the number of complements.
 
 Run:  python demos/03_chief_factorization.py
 """

@@ -79,8 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
         "subgroup-lattice Moebius data, and Dirichlet polynomial tools.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget-order", type=_non_negative(int), default=None,
-                        help="max group order for lattice work")
+    # a string default goes through ``type`` too, so the environment
+    # value is validated exactly like the flag
+    parser.add_argument("--budget-order", type=_non_negative(int),
+                        default=os.environ.get("PZETA_BUDGET_ORDER"),
+                        help="max group order for lattice work "
+                        "(default: $PZETA_BUDGET_ORDER, else 10000)")
     parser.add_argument("--budget-subgroups", type=_non_negative(int), default=None,
                         help="max number of subgroups stored (0 refuses every lattice)")
     parser.add_argument("--time-hint", type=_non_negative(float), default=None,
@@ -140,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _budget(args) -> Budget:
     default = Budget()
     order = default.max_order
-    env = os.environ.get("PZETA_BUDGET_ORDER")
-    if env is not None:
-        order = int(env)
     if args.budget_order is not None:
         order = args.budget_order
     subgroups = default.max_subgroups

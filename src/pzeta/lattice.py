@@ -10,11 +10,17 @@ prime-power elements).  Each new class is immediately expanded into
 its full conjugacy orbit, so the final node list contains every
 subgroup exactly once.
 
-The same machinery, seeded with a Sylow 2-subgroup instead of the
-trivial subgroup, enumerates exactly the subgroups of odd index (up to
-listing every conjugate), which is what the minimal-odd-index
-computations need; groups of order a few thousand stay tractable that
-way even when their full lattice would not be.
+The walk starts from a seed subgroup and lists every conjugate of
+every overgroup of the seed.  Seeded with the trivial subgroup it is
+the full lattice; seeded with a Sylow 2-subgroup it is exactly the
+subgroups of odd index (up to listing every conjugate), which is what
+the minimal-odd-index computations need; groups of order a few
+thousand stay tractable that way even when their full lattice would
+not be.
+
+Quotients are not enumerated separately: for a normal subgroup N the
+lattice of G/N is the interval [N, G] of G's own lattice, with the same
+Moebius values.
 """
 
 from __future__ import annotations
@@ -45,6 +51,13 @@ class Budget:
     max_order: int = 10_000
     max_subgroups: int = 20_000
     time_hint_s: float | None = None
+
+    def check_order(self, order: int) -> None:
+        """Refuse, before any enumeration, a group above ``max_order``."""
+        if order > self.max_order:
+            raise OrderBoundExceeded(
+                f"order {order} exceeds lattice budget {self.max_order}"
+            )
 
 
 DEFAULT_BUDGET = Budget()
@@ -102,16 +115,17 @@ def _reduce_gens(engine: _Engine, gens: tuple[int, ...], elements: np.ndarray) -
 def _enumerate(
     engine: _Engine,
     budget: Budget,
-    seed: Sequence[int] | None = None,
-    seed_gens: Sequence[int] = (),
+    seed: Sequence[int],
+    seed_gens: Sequence[int],
 ):
     """Core enumeration.  Returns canonical, parallel lists:
     nodes (sorted element-index tuples), node_gens, node_class, classes.
 
-    With ``seed=None`` every subgroup of the group is listed.  With a
-    seed subgroup, every conjugate of every overgroup of the seed is
-    listed (the seed's class first grows upward, orbits fill sideways).
+    Every conjugate of every overgroup of the seed subgroup is listed
+    (the seed's class first grows upward, orbits fill sideways); the
+    trivial seed lists every subgroup of the group.
     """
+    budget.check_order(engine.order)
     order = engine.order
     tracker = _Tracker(budget)
 
@@ -152,13 +166,8 @@ def _enumerate(
         tracker.classes = len(classes)
         return cid
 
-    heap: list[tuple[int, int]] = []
-    if seed is None:
-        cid = register((engine.id_idx,), ())
-    else:
-        base = tuple(sorted(int(x) for x in seed))
-        cid = register(base, tuple(seed_gens))
-    heapq.heappush(heap, (len(nodes[classes[cid][0]]), cid))
+    cid = register(tuple(sorted(int(x) for x in seed)), tuple(seed_gens))
+    heap = [(len(nodes[classes[cid][0]]), cid)]
 
     top = tuple(range(order))
     if frozenset(top) not in node_ids:
@@ -223,11 +232,9 @@ class SubgroupLattice:
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
         self.engine = group.engine
-        if self.engine.order > budget.max_order:
-            raise OrderBoundExceeded(
-                f"order {self.engine.order} exceeds lattice budget {budget.max_order}"
-            )
-        nodes, gens, class_of, classes, stats = _enumerate(self.engine, budget)
+        nodes, gens, class_of, classes, stats = _enumerate(
+            self.engine, budget, (self.engine.id_idx,), ()
+        )
         self._nodes = nodes
         self._gens = gens
         self._class_of = class_of
@@ -463,13 +470,8 @@ def overgroups_of_seed(
     seed_gens: Sequence[int],
     budget: Budget | None = None,
 ) -> OvergroupFamily:
-    budget = budget or DEFAULT_BUDGET
-    if engine.order > budget.max_order:
-        raise OrderBoundExceeded(
-            f"order {engine.order} exceeds lattice budget {budget.max_order}"
-        )
     nodes, _gens, class_of, classes, stats = _enumerate(
-        engine, budget, seed=seed, seed_gens=seed_gens
+        engine, budget or DEFAULT_BUDGET, seed, seed_gens
     )
     seed_fs = frozenset(int(x) for x in seed)
     literal = [i for i, n in enumerate(nodes) if seed_fs <= frozenset(n)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .dirichlet import DirichletPolynomial, divide_exact, power_shift, prime_projection
-from .errors import BudgetExceeded, InvalidParameter, OrderBoundExceeded
+from .errors import BudgetExceeded, InvalidParameter, NotNormal, OrderBoundExceeded
 from .lattice import (
     DEFAULT_BUDGET,
     Budget,
@@ -42,16 +42,27 @@ from .permgroup import AlmostSimpleSpec, PermGroup, make_psl2
 # ---------------------------------------------------------------------------
 
 
-def zeta_from_lattice(lat: SubgroupLattice) -> DirichletPolynomial:
-    """``sum_H mu(H) / |G:H|^s`` aggregated over all subgroups."""
+def interval_zeta(lat: SubgroupLattice, lower: int) -> DirichletPolynomial:
+    """``sum_{H >= N} mu_G(H) / |G:H|^s`` over the interval [N, G].
+
+    For a normal node N this is ``P_{G/N}(s)``: the subgroup lattice of
+    G/N is the interval [N, G], Moebius values carry over, and
+    ``|G/N : H/N| = |G:H|`` (P. Hall, "The Eulerian functions of a
+    group", 1936).
+    """
     order = lat.engine.order
     acc: dict[int, int] = {}
     for i in range(lat.node_count):
         mu = lat.moebius(i)
-        if mu:
+        if mu and lat.contains(lower, i):
             n = order // lat.node_order(i)
             acc[n] = acc.get(n, 0) + mu
     return DirichletPolynomial(acc)
+
+
+def zeta_from_lattice(lat: SubgroupLattice) -> DirichletPolynomial:
+    """``P_G(s)``: the interval zeta of [1, G], i.e. all subgroups."""
+    return interval_zeta(lat, lat.trivial_id)
 
 
 def probabilistic_zeta(group: PermGroup, budget: Budget | None = None) -> DirichletPolynomial:
@@ -145,12 +156,16 @@ def generating_probability_bruteforce(group: PermGroup, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _is_supplement(h: frozenset[int], spec: AlmostSimpleSpec) -> bool:
+    """``H S = X``, i.e. ``|H| |S| = |X| |H n S|``."""
+    socle = spec.socle_indices
+    return len(h) * len(socle) == spec.group.order * len(h & socle)
+
+
 def supplement_zeta(spec: AlmostSimpleSpec, budget: Budget | None = None) -> DirichletPolynomial:
     """``sum mu_X(H) / |X:H|^s`` over the subgroups H with H*socle = X."""
     lat = spec.group.subgroup_lattice(budget)
     order = lat.engine.order
-    socle = spec.socle_indices
-    s_order = len(socle)
     acc: dict[int, int] = {}
     for members in lat.conjugacy_classes:
         rep = members[0]
@@ -158,8 +173,8 @@ def supplement_zeta(spec: AlmostSimpleSpec, budget: Budget | None = None) -> Dir
         if not mu:
             continue
         h = frozenset(lat.node_elements(rep))
-        if len(h) * s_order != order * len(h & socle):
-            continue  # not a supplement: |H S| < |X|
+        if not _is_supplement(h, spec):
+            continue
         n = order // len(h)
         acc[n] = acc.get(n, 0) + mu * len(members)
     return DirichletPolynomial(acc)
@@ -217,21 +232,15 @@ def odd_supplement_indices(
     conditions are conjugation-invariant, so it suffices to inspect the
     overgroups of one fixed Sylow 2-subgroup; that keeps groups with a
     few thousand elements cheap.  ``include_even=True`` is a non-table
-    extension that walks the full lattice instead.
+    extension that seeds the same overgroup walk with the trivial
+    subgroup, i.e. inspects every subgroup.
     """
     budget = budget or DEFAULT_BUDGET
-    if include_even:
-        return _supplement_indices_full(spec, budget)
     eng = spec.group.engine
-    if eng.order > budget.max_order:
-        raise OrderBoundExceeded(
-            f"order {eng.order} exceeds lattice budget {budget.max_order}"
-        )
-    seed, seed_gens = eng.sylow2()
+    budget.check_order(eng.order)  # refuse before paying for sylow2()
+    seed, seed_gens = ((eng.id_idx,), ()) if include_even else eng.sylow2()
     fam = overgroups_of_seed(eng, seed, seed_gens, budget)
     order = eng.order
-    socle = spec.socle_indices
-    s_order = len(socle)
     literal = fam.literal_ids
     fs = {i: frozenset(fam.nodes[i]) for i in literal}
     sizes = {i: len(fam.nodes[i]) for i in literal}
@@ -249,12 +258,12 @@ def odd_supplement_indices(
 
     by_index: dict[int, list[int]] = {}
     for i in literal:
-        if sizes[i] * s_order == order * len(fs[i] & socle):
+        if _is_supplement(fs[i], spec):
             by_index.setdefault(order // sizes[i], []).append(i)
     details = []
     omega = []
     for m in sorted(by_index):
-        assert m % 2 == 1, "overgroups of a Sylow 2-subgroup have odd index"
+        assert include_even or m % 2 == 1, "overgroups of a Sylow 2-subgroup have odd index"
         ok = all(is_maximal(i) for i in by_index[m])
         classes = len({fam.class_of[i] for i in by_index[m]})
         details.append(OddIndexDetail(m, classes, ok))
@@ -262,40 +271,11 @@ def odd_supplement_indices(
             omega.append(m)
     return OddSupplementReport(
         group=spec.name,
-        socle_order=s_order,
+        socle_order=len(spec.socle_indices),
         indices=tuple(omega),
         minimum=omega[0] if omega else None,
         details=tuple(details),
-        include_even=False,
-    )
-
-
-def _supplement_indices_full(spec: AlmostSimpleSpec, budget: Budget) -> OddSupplementReport:
-    lat = spec.group.subgroup_lattice(budget)
-    order = lat.engine.order
-    socle = spec.socle_indices
-    s_order = len(socle)
-    maximal = set(lat.maximal_node_ids())
-    by_index: dict[int, list[int]] = {}
-    for i in range(lat.node_count):
-        h = frozenset(lat.node_elements(i))
-        if len(h) * s_order == order * len(h & socle):
-            by_index.setdefault(lat.node_index(i), []).append(i)
-    details = []
-    omega = []
-    for m in sorted(by_index):
-        ok = all(i in maximal for i in by_index[m])
-        classes = len({lat.class_of(i) for i in by_index[m]})
-        details.append(OddIndexDetail(m, classes, ok))
-        if ok:
-            omega.append(m)
-    return OddSupplementReport(
-        group=spec.name,
-        socle_order=s_order,
-        indices=tuple(omega),
-        minimum=omega[0] if omega else None,
-        details=tuple(details),
-        include_even=True,
+        include_even=include_even,
     )
 
 
@@ -365,13 +345,8 @@ def minimal_odd_index_table(
             v = variant.lower()
             predicted = predicted_minimal_odd_index(q, v)
             order = q * (q * q - 1) // (2 if v == "psl" else 1)
-            if order > budget.max_order:
-                rows.append(
-                    WTableRow(q, v, None, predicted, "SKIPPED",
-                              f"order {order} exceeds budget {budget.max_order}")
-                )
-                continue
             try:
+                budget.check_order(order)  # before building the group
                 spec = make_psl2(q, v)
                 rep = odd_supplement_indices(spec, budget)
             except (BudgetExceeded, OrderBoundExceeded) as exc:
@@ -430,53 +405,43 @@ class ChiefFactorization:
         }
 
 
-def _complement_count(qgroup: PermGroup, normal_ids: frozenset[int], budget: Budget) -> int:
-    """Number of complements of the normal subgroup (given by element
-    indices of ``qgroup``) inside ``qgroup``."""
-    qlat = qgroup.subgroup_lattice(budget)
-    target = qgroup.order // len(normal_ids)
-    count = 0
-    for i in range(qlat.node_count):
-        if qlat.node_order(i) != target:
-            continue
-        if len(frozenset(qlat.node_elements(i)) & normal_ids) == 1:
-            count += 1
-    return count
-
-
 def chief_factorization(
     group: PermGroup,
     budget: Budget | None = None,
     chain: list[int] | None = None,
 ) -> ChiefFactorization:
-    """Factor P_G(s) along a chief series: for consecutive quotients the
-    polynomial of the step is the exact quotient
-    ``P_{G/N_{i+1}} / P_{G/N_i}`` in the polynomial ring.
+    """Factor P_G(s) along a chief series G = N_0 > N_1 > ... > 1.
 
-    Frattini steps are flagged and must contribute the factor 1; for
-    abelian factors the polynomial is cross-checked against
-    ``1 - c / (p^r)^s`` with c the independently counted number of
-    complements.
+    Everything is read off G's own lattice, with no quotient groups:
+    ``P_{G/N}`` is the interval zeta of [N, G], and the polynomial of
+    the step N_i > N_{i+1} is the exact quotient
+    ``P_{G/N_{i+1}} / P_{G/N_i}`` in the polynomial ring (Detomi and
+    Lucchini, "Crowns and factorization of the probabilistic zeta
+    function of a finite group", 2003).
+
+    A step is Frattini when N_i lies in every maximal subgroup of G
+    containing N_{i+1} (these are the maximal subgroups of G/N_{i+1});
+    it must contribute the factor 1.  For abelian factors the
+    polynomial is cross-checked against ``1 - c / |N_i/N_{i+1}|^s``,
+    with c the independently counted number of complements: subgroups
+    K >= N_{i+1} of order ``|G| |N_{i+1}| / |N_i|`` with
+    ``K n N_i = N_{i+1}``.
     """
     budget = budget or DEFAULT_BUDGET
     lat = group.subgroup_lattice(budget)
     chain = list(chain) if chain is not None else chief_series_ids(lat)
+    if not all(lat.is_normal(nid) for nid in chain):
+        raise NotNormal(f"chief series of {group.name} must consist of normal nodes")
     steps = chief_steps(lat, chain)
-    quotients = [lat.quotient_with_hom(nid) for nid in chain]
-    qzetas = [probabilistic_zeta(q, budget) for q, _ in quotients]
+    qzetas = [interval_zeta(lat, nid) for nid in chain]
+    zeta = zeta_from_lattice(lat)
+    maximal = lat.maximal_node_ids()
 
     records = []
     for i, step in enumerate(steps):
+        upper, lower = step.upper, step.lower
         poly = divide_exact(qzetas[i + 1], qzetas[i])
-        qgroup, hom = quotients[i + 1]
-        img_gen_ids = [
-            qgroup.index_of(hom(x)) for x in lat.node_generators(step.upper)
-        ]
-        image = qgroup.engine.closure(img_gen_ids)
-        image_fs = frozenset(int(x) for x in image)
-        qlat = qgroup.subgroup_lattice(budget)
-        frat_fs = frozenset(qlat.node_elements(qlat.frattini_node_id()))
-        frattini = image_fs <= frat_fs
+        frattini = all(lat.contains(upper, m) for m in maximal if lat.contains(lower, m))
         if frattini and not poly.is_one():
             raise RuntimeError(
                 f"Frattini chief factor produced a nontrivial polynomial: {poly}"
@@ -484,7 +449,15 @@ def chief_factorization(
         complement_count = None
         abelian_ok = None
         if step.abelian:
-            complement_count = _complement_count(qgroup, image_fs, budget)
+            target = group.order // step.factor_order
+            upper_fs = frozenset(lat.node_elements(upper))
+            complement_count = sum(
+                1
+                for k in range(lat.node_count)
+                if lat.node_order(k) == target
+                and lat.contains(lower, k)
+                and len(upper_fs.intersection(lat.node_elements(k))) == lat.node_order(lower)
+            )
             expected = DirichletPolynomial(
                 {1: 1, step.factor_order: -complement_count}
             )
@@ -506,9 +479,9 @@ def chief_factorization(
         total = total * rec.polynomial
     return ChiefFactorization(
         group=group.name,
-        zeta=qzetas[-1],
+        zeta=zeta,
         factors=tuple(records),
-        product_ok=total == qzetas[-1],
+        product_ok=total == zeta,
         chain=tuple(chain),
     )
 

@@ -31,6 +31,10 @@ GOLDEN_COMMANDS = {
     "pxs_PGL2_7.json": ("pxs", "--q", "7", "--variant", "pgl"),
     "omega_PSL2_7.json": ("omega", "--q", "7", "--variant", "psl"),
     "omega_PGL2_7.json": ("omega", "--q", "7", "--variant", "pgl"),
+    "omega_PGL2_7_even.json": ("omega", "--q", "7", "--variant", "pgl", "--include-even"),
+    "factorize_S4.json": ("factorize", "--builtin", "S4"),
+    "factorize_Q8.json": ("factorize", "--builtin", "Q8"),
+    "factorize_PGL2_7.json": ("factorize", "--builtin", "PGL(2,7)"),
 }
 
 
@@ -96,6 +100,14 @@ class TestPg:
         code, _, _ = run(capsys, "--budget-order", "100", "pg", "--builtin", "A5")
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["-5", "nan", "ten"])
+    def test_invalid_env_budget_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PZETA_BUDGET_ORDER", value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pg", "--builtin", "S3"])
+        assert exc.value.code == 2
+        assert "--budget-order" in capsys.readouterr().err
+
 
 class TestWTable:
     def test_rows_match(self, capsys):
@@ -122,6 +134,10 @@ class TestWTable:
     def test_skipped_rows_under_small_budget(self, capsys):
         data = run_json(capsys, "--budget-order", "100", "wtable", "--qs", "29")
         assert all(r["status"] == "SKIPPED" for r in data["rows"])
+        assert [r["note"] for r in data["rows"]] == [
+            "order 12180 exceeds lattice budget 100",
+            "order 24360 exceeds lattice budget 100",
+        ]
 
     def test_q29_skipped_under_default_budget(self, capsys):
         data = run_json(capsys, "wtable", "--qs", "29")

@@ -21,7 +21,11 @@ from pzeta import (
     verify_shift_coefficients,
     zeta_report,
 )
+from pzeta.errors import NotNormal, OrderBoundExceeded
+from pzeta.lattice import all_chief_series_ids
+from pzeta.permgroup import _Engine
 from pzeta.rationality import check_sml_conditions
+from pzeta.zeta import interval_zeta
 from helpers import group, psl2
 
 D = DirichletPolynomial
@@ -142,6 +146,25 @@ class TestOddSupplementIndices:
         full = odd_supplement_indices(spec, include_even=True)
         assert tuple(m for m in full.indices if m % 2 == 1) == fast.indices
 
+    @pytest.mark.parametrize(
+        "q,variant",
+        [(5, "psl"), (5, "pgl"), (7, "psl"), (7, "pgl"), (11, "psl"), (11, "pgl")],
+    )
+    def test_trivial_seed_odd_rows_match_sylow_seed(self, q, variant):
+        spec = psl2(q, variant)
+        odd = odd_supplement_indices(spec)
+        full = odd_supplement_indices(spec, include_even=True)
+        assert tuple(d for d in full.details if d.index % 2 == 1) == odd.details
+        assert full.include_even and not odd.include_even
+
+    def test_order_gate_runs_before_sylow(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("sylow2 called on a refused group")
+
+        monkeypatch.setattr(_Engine, "sylow2", fail)
+        with pytest.raises(OrderBoundExceeded, match="exceeds lattice budget 100"):
+            odd_supplement_indices(psl2(7, "pgl"), Budget(max_order=100))
+
     def test_even_extension_sees_even_indices(self):
         full = odd_supplement_indices(psl2(5, "psl"), include_even=True)
         assert 6 in full.indices  # the six dihedral D10 are all maximal
@@ -176,6 +199,10 @@ class TestWTable:
         rows = minimal_odd_index_table([29], budget=Budget(max_order=1000))
         assert all(r.status == "SKIPPED" for r in rows)
         assert all(r.computed is None for r in rows)
+        assert [r.note for r in rows] == [
+            "order 12180 exceeds lattice budget 1000",
+            "order 24360 exceeds lattice budget 1000",
+        ]
 
 
 class TestChiefFactorization:
@@ -215,12 +242,72 @@ class TestChiefFactorization:
             fac = chief_factorization(group(name))
             assert fac.product_ok, name
 
+    def test_chain_of_non_normal_nodes_rejected(self):
+        # S4 > A4 > V4 > C2 > 1 is a composition series, not a chief
+        # series: each term is normal in the previous one, C2 is not
+        # normal in S4
+        g = group("S4")
+        lat = g.subgroup_lattice()
+        a4, v4 = (
+            next(i for i in lat.normal_node_ids() if lat.node_order(i) == k) for k in (12, 4)
+        )
+        c2 = next(i for i in lat.strict_subgroups(v4) if lat.node_order(i) == 2)
+        with pytest.raises(NotNormal):
+            chief_factorization(g, chain=[lat.top_id, a4, v4, c2, lat.trivial_id])
+
     def test_multiset_independent_of_series(self):
         from pzeta.zeta import chief_factor_multiset
 
         multisets = chief_factor_multiset(group("A5xC2"))
         assert len(multisets) == 2
         assert multisets[0] == multisets[1]
+
+
+def _quotient_step_oracle(lat, upper, lower):
+    """Frattini flag and complement count of the chief factor
+    N_upper / N_lower, computed on the quotient group G / N_lower with
+    its own subgroup lattice (independent of the interval path)."""
+    qgroup, hom = lat.quotient_with_hom(lower)
+    image = qgroup.engine.closure(
+        [qgroup.index_of(hom(x)) for x in lat.node_generators(upper)]
+    )
+    image_fs = frozenset(int(x) for x in image)
+    qlat = qgroup.subgroup_lattice()
+    frattini = image_fs <= frozenset(qlat.node_elements(qlat.frattini_node_id()))
+    target = qgroup.order // len(image_fs)
+    complements = sum(
+        1
+        for i in range(qlat.node_count)
+        if qlat.node_order(i) == target
+        and len(frozenset(qlat.node_elements(i)) & image_fs) == 1
+    )
+    return frattini, complements
+
+
+class TestIntervalOracles:
+    """Quotient quantities read off G's lattice as intervals [N, G],
+    checked against the quotient groups' own lattices."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["S4", "D8", "Q8", "A4", "S5", "A5xC2", "S4xS3", "C2xC2xC2", "PGL(2,7)"],
+    )
+    def test_interval_zeta_is_quotient_zeta(self, name):
+        lat = group(name).subgroup_lattice()
+        for n in lat.normal_node_ids():
+            assert interval_zeta(lat, n) == probabilistic_zeta(lat.quotient_group(n)), (name, n)
+
+    @pytest.mark.parametrize("name", ["S4", "Q8", "D8", "A4xC2", "S4xS3", "C4xC2"])
+    def test_frattini_and_complements_match_quotient_lattice(self, name):
+        g = group(name)
+        lat = g.subgroup_lattice()
+        for chain in all_chief_series_ids(lat):
+            fac = chief_factorization(g, chain=chain)
+            for upper, lower, rec in zip(chain, chain[1:], fac.factors):
+                frattini, complements = _quotient_step_oracle(lat, upper, lower)
+                assert rec.frattini == frattini, (name, chain, upper)
+                if rec.complement_count is not None:
+                    assert rec.complement_count == complements, (name, chain, upper)
 
 
 class TestShiftCoefficientConsistency:
