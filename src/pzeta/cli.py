@@ -357,7 +357,10 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (BudgetExceeded, OrderBoundExceeded) as exc:
-        print(f"budget: {exc}", file=sys.stderr)
+        # how far a refused computation got, when the error carries it
+        stats = getattr(exc, "stats", None)
+        got = f" ({', '.join(f'{k}={v}' for k, v in stats.items())})" if stats else ""
+        print(f"budget: {exc}{got}", file=sys.stderr)
         return EXIT_BUDGET
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)

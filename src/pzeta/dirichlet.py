@@ -463,24 +463,13 @@ class RationalSeries:
         )
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
     """Integer-coefficient expansion of A/B, exact up to ``bound``.
 
     Back-substitution by ascending index: with u = B(1)-coefficient
     (+-1), the n-th coefficient is
-    ``u * (A_n - sum_{d|n, d>1} B_d * t_{n/d})``.
+    ``u * (A_n - sum_{d|n, d>1} B_d * t_{n/d})``, where d runs over the
+    sparse support of B only: O(bound * |support of B|).
     """
     if not isinstance(bound, int) or bound < 1:
         raise ValueError("bound must be an int >= 1")
@@ -488,14 +477,15 @@ def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
     u = den.coefficient(1)
     if u not in (1, -1):
         raise NonUnitDenominator("denominator constant coefficient is not a unit")
+    rest = [(d, b) for d, b in den.items() if d > 1]  # ascending
     out: dict[int, int] = {}
     for n in range(1, bound + 1):
         acc = num.coefficient(n)
-        for d in _divisors(n):
-            if d > 1:
-                b = den.coefficient(d)
-                if b:
-                    acc -= b * out.get(n // d, 0)
+        for d, b in rest:
+            if d > n:
+                break
+            if n % d == 0:
+                acc -= b * out.get(n // d, 0)
         if acc:
             out[n] = acc * u
     return TruncatedSeries(bound, out)

@@ -21,13 +21,18 @@ not be.
 Quotients are not enumerated separately: for a normal subgroup N the
 lattice of G/N is the interval [N, G] of G's own lattice, with the same
 Moebius values.
+
+Node ids ascend by subgroup order.  Every poset query (Moebius values,
+maximality, Hasse covers, intervals) reads one cached row per node, the
+ascending ids of its proper overgroups (``_NodePoset._overgroups``).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -224,10 +229,41 @@ def _enumerate(
     return nodes2, gens2, class_of, [tuple(m) for m in ordered_classes], tracker.stats()
 
 
-class SubgroupLattice:
+class _NodePoset:
+    """Subgroups as element sets in the canonical node order (ids ascend
+    by subgroup order, the whole group last), with the one containment
+    scan that every poset query reads."""
+
+    def __init__(self, nodes: Sequence[tuple[int, ...]]):
+        self._fs = [frozenset(n) for n in nodes]
+        self._sizes = [len(n) for n in nodes]
+        self._rows: list[list[int] | None] = [None] * len(nodes)
+        self.top_id = len(nodes) - 1
+
+    def _overgroups(self, i: int) -> list[int]:
+        """Ids of the nodes strictly containing node i, ascending; each
+        row is computed once.  A proper overgroup has larger order, a
+        multiple of |node i|, so the candidates start at the first node
+        of larger order."""
+        row = self._rows[i]
+        if row is None:
+            fs, sizes, size = self._fs, self._sizes, self._sizes[i]
+            node = fs[i]
+            row = self._rows[i] = [
+                j
+                for j in range(bisect_right(sizes, size), len(fs))
+                if sizes[j] % size == 0 and node <= fs[j]
+            ]
+        return row
+
+
+class SubgroupLattice(_NodePoset):
     """Every subgroup of a finite permutation group, with inclusion
     order, conjugacy classes and the Moebius function mu(H) defined by
-    mu(G) = 1 and mu(H) = -sum_{H < K <= G} mu(K)."""
+    mu(G) = 1 and mu(H) = -sum_{H < K <= G} mu(K).
+
+    Node ids ascend by subgroup order (ties by element tuple): the
+    trivial subgroup is node 0, the whole group the last node."""
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
@@ -235,17 +271,15 @@ class SubgroupLattice:
         nodes, gens, class_of, classes, stats = _enumerate(
             self.engine, budget, (self.engine.id_idx,), ()
         )
+        super().__init__(nodes)
         self._nodes = nodes
         self._gens = gens
         self._class_of = class_of
         self._classes = classes
         self.stats = stats
-        self._fs = [frozenset(n) for n in nodes]
         self._ids = {fs: i for i, fs in enumerate(self._fs)}
         self.trivial_id = 0
-        self.top_id = len(nodes) - 1
         assert len(self._nodes[self.top_id]) == self.engine.order
-        self._overgroups: list[list[int]] | None = None
         self._subgroups_strict: list[list[int]] | None = None
         self._mu = self._compute_moebius()
 
@@ -300,27 +334,14 @@ class SubgroupLattice:
     # -- Moebius -----------------------------------------------------------
 
     def _compute_moebius(self) -> list[int]:
-        n = self.node_count
-        mu = [0] * n
-        mu[self.top_id] = 1
-        sizes = [len(x) for x in self._nodes]
-        ids_desc = sorted(range(n), key=lambda i: -sizes[i])
-        reps_done: dict[int, int] = {self._class_of[self.top_id]: 1}
-        for i in ids_desc:
-            cid = self._class_of[i]
-            if cid in reps_done:
-                mu[i] = reps_done[cid]
-                continue
-            acc = 0
-            fs_i, sz_i = self._fs[i], sizes[i]
-            for j in ids_desc:
-                sz_j = sizes[j]
-                if sz_j <= sz_i:
-                    break
-                if sz_j % sz_i == 0 and fs_i <= self._fs[j]:
-                    acc += mu[j]
-            mu[i] = -acc
-            reps_done[cid] = mu[i]
+        # classes are ordered by their smallest id, so in reverse every
+        # proper overgroup of a representative is already done
+        mu = [0] * self.node_count
+        for members in reversed(self._classes):
+            rep = members[0]
+            value = 1 if rep == self.top_id else -sum(mu[j] for j in self._overgroups(rep))
+            for i in members:
+                mu[i] = value
         return mu
 
     def moebius(self, i: int) -> int:
@@ -332,38 +353,27 @@ class SubgroupLattice:
 
     # -- containment-derived structure -------------------------------------
 
-    def _containment(self) -> list[list[int]]:
-        if self._overgroups is None:
-            n = self.node_count
-            sizes = [len(x) for x in self._nodes]
-            over: list[list[int]] = [[] for _ in range(n)]
-            by_size = sorted(range(n), key=lambda i: sizes[i])
-            for ai, i in enumerate(by_size):
-                fs_i, sz_i = self._fs[i], sizes[i]
-                for j in by_size[ai + 1 :]:
-                    if sizes[j] > sz_i and sizes[j] % sz_i == 0 and fs_i <= self._fs[j]:
-                        over[i].append(j)
-            self._overgroups = over
-        return self._overgroups
-
     def strict_overgroups(self, i: int) -> list[int]:
-        return list(self._containment()[i])
+        return list(self._overgroups(i))
 
     def strict_subgroups(self, i: int) -> list[int]:
         if self._subgroups_strict is None:
             subs: list[list[int]] = [[] for _ in range(self.node_count)]
-            for lo, ups in enumerate(self._containment()):
-                for hi in ups:
+            for lo in range(self.node_count):
+                for hi in self._overgroups(lo):
                     subs[hi].append(lo)
             self._subgroups_strict = subs
         return list(self._subgroups_strict[i])
 
     def maximal_node_ids(self) -> list[int]:
-        return [
+        """Maximal subgroups, ascending.  Maximality is a class
+        property, so only representatives' rows are read."""
+        return sorted(
             i
-            for i in range(self.node_count)
-            if i != self.top_id and self._containment()[i] == [self.top_id]
-        ]
+            for members in self._classes
+            if self._overgroups(members[0]) == [self.top_id]
+            for i in members
+        )
 
     def frattini_node_id(self) -> int:
         """Intersection of all maximal subgroups (the whole group if
@@ -380,9 +390,8 @@ class SubgroupLattice:
         """Covering pairs (i, j): i < j with nothing strictly between."""
         edges = []
         for i in range(self.node_count):
-            ups = sorted(self._containment()[i], key=lambda j: len(self._nodes[j]))
             covers: list[int] = []
-            for j in ups:
+            for j in self._overgroups(i):  # ascending: any k between comes first
                 if not any(self._fs[k] < self._fs[j] for k in covers):
                     covers.append(j)
                     edges.append((i, j))
@@ -448,20 +457,26 @@ def subgroup_lattice(group: PermGroup, budget: Budget | None = None) -> Subgroup
 
 
 @dataclass
-class OvergroupFamily:
-    """All overgroups of a seed subgroup, closed under conjugacy.
+class OvergroupFamily(_NodePoset):
+    """All overgroups of a seed subgroup, closed under conjugacy, in the
+    canonical node order (the seed's class first, the group last).
 
-    ``literal_ids`` are the nodes that actually contain the seed; the
-    node list additionally carries every conjugate of each of them, so
-    poset queries among the literal nodes see every intermediate
-    subgroup they could meet."""
+    ``literal_ids`` are the nodes that actually contain the seed: the
+    seed node and its overgroup row.  The family is upward closed, so
+    the row of a literal node lists every subgroup above it, and the
+    node is maximal exactly when that row is ``[top_id]``."""
 
     nodes: list[tuple[int, ...]]
     class_of: list[int]
     classes: list[tuple[int, ...]]
-    literal_ids: list[int]
     seed: tuple[int, ...]
     stats: dict
+    literal_ids: list[int] = field(init=False)
+
+    def __post_init__(self):
+        _NodePoset.__init__(self, self.nodes)
+        seed_id = self.nodes.index(self.seed)
+        self.literal_ids = [seed_id, *self._overgroups(seed_id)]
 
 
 def overgroups_of_seed(
@@ -473,9 +488,7 @@ def overgroups_of_seed(
     nodes, _gens, class_of, classes, stats = _enumerate(
         engine, budget or DEFAULT_BUDGET, seed, seed_gens
     )
-    seed_fs = frozenset(int(x) for x in seed)
-    literal = [i for i, n in enumerate(nodes) if seed_fs <= frozenset(n)]
-    return OvergroupFamily(nodes, class_of, classes, literal, tuple(sorted(seed)), stats)
+    return OvergroupFamily(nodes, class_of, classes, tuple(sorted(int(x) for x in seed)), stats)
 
 
 # ---------------------------------------------------------------------------

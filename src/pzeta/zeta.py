@@ -52,9 +52,9 @@ def interval_zeta(lat: SubgroupLattice, lower: int) -> DirichletPolynomial:
     """
     order = lat.engine.order
     acc: dict[int, int] = {}
-    for i in range(lat.node_count):
+    for i in (lower, *lat._overgroups(lower)):
         mu = lat.moebius(i)
-        if mu and lat.contains(lower, i):
+        if mu:
             n = order // lat.node_order(i)
             acc[n] = acc.get(n, 0) + mu
     return DirichletPolynomial(acc)
@@ -156,10 +156,10 @@ def generating_probability_bruteforce(group: PermGroup, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _is_supplement(h: frozenset[int], spec: AlmostSimpleSpec) -> bool:
-    """``H S = X``, i.e. ``|H| |S| = |X| |H n S|``."""
+def _is_supplement(h: tuple[int, ...], spec: AlmostSimpleSpec) -> bool:
+    """``H S = X``, i.e. ``|H| |S| = |X| |H n S|``, for the elements of H."""
     socle = spec.socle_indices
-    return len(h) * len(socle) == spec.group.order * len(h & socle)
+    return len(h) * len(socle) == spec.group.order * len(socle.intersection(h))
 
 
 def supplement_zeta(spec: AlmostSimpleSpec, budget: Budget | None = None) -> DirichletPolynomial:
@@ -172,7 +172,7 @@ def supplement_zeta(spec: AlmostSimpleSpec, budget: Budget | None = None) -> Dir
         mu = lat.moebius(rep)
         if not mu:
             continue
-        h = frozenset(lat.node_elements(rep))
+        h = lat.node_elements(rep)
         if not _is_supplement(h, spec):
             continue
         n = order // len(h)
@@ -241,30 +241,17 @@ def odd_supplement_indices(
     seed, seed_gens = ((eng.id_idx,), ()) if include_even else eng.sylow2()
     fam = overgroups_of_seed(eng, seed, seed_gens, budget)
     order = eng.order
-    literal = fam.literal_ids
-    fs = {i: frozenset(fam.nodes[i]) for i in literal}
-    sizes = {i: len(fam.nodes[i]) for i in literal}
-
-    def is_maximal(i: int) -> bool:
-        if sizes[i] == order:
-            return False
-        return not any(
-            sizes[j] > sizes[i]
-            and sizes[j] < order
-            and sizes[j] % sizes[i] == 0
-            and fs[i] < fs[j]
-            for j in literal
-        )
-
     by_index: dict[int, list[int]] = {}
-    for i in literal:
-        if _is_supplement(fs[i], spec):
-            by_index.setdefault(order // sizes[i], []).append(i)
+    for i in fam.literal_ids:
+        h = fam.nodes[i]
+        if _is_supplement(h, spec):
+            by_index.setdefault(order // len(h), []).append(i)
     details = []
     omega = []
     for m in sorted(by_index):
         assert include_even or m % 2 == 1, "overgroups of a Sylow 2-subgroup have odd index"
-        ok = all(is_maximal(i) for i in by_index[m])
+        # the family is upward closed: maximal iff the only overgroup is the top
+        ok = all(fam._overgroups(i) == [fam.top_id] for i in by_index[m])
         classes = len({fam.class_of[i] for i in by_index[m]})
         details.append(OddIndexDetail(m, classes, ok))
         if ok:
@@ -453,9 +440,8 @@ def chief_factorization(
             upper_fs = frozenset(lat.node_elements(upper))
             complement_count = sum(
                 1
-                for k in range(lat.node_count)
+                for k in (lower, *lat._overgroups(lower))
                 if lat.node_order(k) == target
-                and lat.contains(lower, k)
                 and len(upper_fs.intersection(lat.node_elements(k))) == lat.node_order(lower)
             )
             expected = DirichletPolynomial(

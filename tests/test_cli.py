@@ -35,6 +35,8 @@ GOLDEN_COMMANDS = {
     "factorize_S4.json": ("factorize", "--builtin", "S4"),
     "factorize_Q8.json": ("factorize", "--builtin", "Q8"),
     "factorize_PGL2_7.json": ("factorize", "--builtin", "PGL(2,7)"),
+    "moebius_S4.json": ("moebius", "--builtin", "S4"),
+    "moebius_A4xC2.json": ("moebius", "--builtin", "A4xC2"),
 }
 
 
@@ -80,6 +82,15 @@ class TestPg:
     def test_zero_subgroup_budget_refuses(self, capsys):
         code, _, err = run(capsys, "--budget-subgroups", "0", "pg", "--builtin", "S4")
         assert code == 3 and "budget" in err
+
+    def test_budget_refusal_reports_progress(self, capsys):
+        code, _, err = run(capsys, "--budget-subgroups", "5", "pg", "--builtin", "S4")
+        assert code == 3
+        assert err.startswith("budget: more than 5 subgroups (") and "subgroups=6" in err
+
+    def test_order_refusal_message_unchanged(self, capsys):
+        code, _, err = run(capsys, "--budget-order", "5", "pg", "--builtin", "S4")
+        assert code == 3 and err == "budget: order 24 exceeds lattice budget 5\n"
 
     @pytest.mark.parametrize(
         "flag,value",

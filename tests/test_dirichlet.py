@@ -307,6 +307,36 @@ def test_power_shift_is_ring_homomorphism(p, q, r):
     assert power_shift(p + q, r) == power_shift(p, r) + power_shift(q, r)
 
 
+def _expand_by_trial_division(f: RationalSeries, bound: int) -> TruncatedSeries:
+    """Reference: back-substitution trying every divisor d of every n."""
+    num, den = f.numerator, f.denominator
+    u = den.coefficient(1)
+    out = {}
+    for n in range(1, bound + 1):
+        acc = num.coefficient(n)
+        for d in range(2, n + 1):
+            if n % d == 0:
+                acc -= den.coefficient(d) * out.get(n // d, 0)
+        if acc:
+            out[n] = acc * u
+    return TruncatedSeries(bound, out)
+
+
+unit_den_st = st.builds(
+    lambda u, pairs: D([(1, u)] + [(n, a) for n, a in pairs if n > 1]),
+    st.sampled_from([1, -1]),
+    # indices up to 80 put part of the support beyond most bounds
+    st.lists(st.tuples(st.integers(2, 80), st.integers(-9, 9)), max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_st, unit_den_st, st.integers(1, 60))
+def test_expand_rational_matches_trial_division(num, den, bound):
+    f = RationalSeries(num, den)
+    assert expand_rational(f, bound) == _expand_by_trial_division(f, bound)
+
+
 def test_divide_after_mul_round_trip_seeded():
     rng = random.Random(11)
     for _ in range(300):

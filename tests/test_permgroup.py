@@ -30,6 +30,7 @@ from pzeta import (
     subgroup_lattice,
     symmetric,
 )
+from pzeta.lattice import overgroups_of_seed
 from pzeta.permgroup import format_group_file
 from helpers import group, psl2
 
@@ -336,6 +337,60 @@ class TestFrattini:
             assert lat.is_normal(frat)
             for m in lat.maximal_node_ids():
                 assert lat.contains(frat, m)
+
+
+def _brute_poset(lat):
+    """Independent oracle: every poset query rebuilt from the raw element
+    sets by testing all pairs of nodes."""
+    n = lat.node_count
+    sets = [frozenset(lat.node_elements(i)) for i in range(n)]
+    whole = sets[lat.top_id]
+    over = [[j for j in range(n) if sets[i] < sets[j]] for i in range(n)]
+    under = [[j for j in range(n) if sets[j] < sets[i]] for i in range(n)]
+    maximal = [
+        i for i in range(n)
+        if sets[i] < whole and not any(sets[i] < s < whole for s in sets)
+    ]
+    edges = [
+        (i, j) for i in range(n) for j in over[i] if not set(over[i]) & set(under[j])
+    ]
+    frattini = frozenset.intersection(*(sets[m] for m in maximal)) if maximal else whole
+    return over, under, maximal, edges, sets.index(frattini)
+
+
+class TestPosetQueries:
+    @pytest.mark.parametrize(
+        "name", ["S3", "S4", "A4", "D8", "Q8", "C12", "A5", "A5xC2", "PGL(2,7)", "S4xS3"]
+    )
+    def test_match_brute_force_relation(self, name):
+        lat = group(name).subgroup_lattice()
+        over, under, maximal, edges, frattini = _brute_poset(lat)
+        n = lat.node_count
+        assert [lat.strict_overgroups(i) for i in range(n)] == over
+        assert [sorted(lat.strict_subgroups(i)) for i in range(n)] == under
+        assert lat.maximal_node_ids() == maximal
+        assert lat.hasse_edges() == edges
+        assert lat.frattini_node_id() == frattini
+
+    @pytest.mark.parametrize(
+        "q,variant",
+        [(5, "psl"), (5, "pgl"), (7, "psl"), (7, "pgl"), (11, "psl"), (11, "pgl")],
+    )
+    def test_sylow_family_matches_full_lattice(self, q, variant):
+        spec = psl2(q, variant)
+        eng = spec.group.engine
+        seed, seed_gens = eng.sylow2()
+        fam = overgroups_of_seed(eng, seed, seed_gens)
+        lat = spec.group.subgroup_lattice()
+        seed_set = frozenset(int(x) for x in seed)
+        in_lat = [lat.node_id_of(fam.nodes[i]) for i in fam.literal_ids]
+        assert in_lat == [
+            i for i in range(lat.node_count) if seed_set <= frozenset(lat.node_elements(i))
+        ]
+        maximal = set(lat.maximal_node_ids())
+        assert [fam._overgroups(i) == [fam.top_id] for i in fam.literal_ids] == [
+            i in maximal for i in in_lat
+        ]
 
 
 class TestChiefSeries:
