@@ -130,7 +130,6 @@ def _enumerate(
     (the seed's class first grows upward, orbits fill sideways); the
     trivial seed lists every subgroup of the group.
     """
-    budget.check_order(engine.order)
     order = engine.order
     tracker = _Tracker(budget)
 
@@ -267,6 +266,7 @@ class SubgroupLattice(_NodePoset):
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
+        budget.check_order(group.order)  # the order comes without the table
         self.engine = group.engine
         nodes, gens, class_of, classes, stats = _enumerate(
             self.engine, budget, (self.engine.id_idx,), ()
@@ -485,9 +485,9 @@ def overgroups_of_seed(
     seed_gens: Sequence[int],
     budget: Budget | None = None,
 ) -> OvergroupFamily:
-    nodes, _gens, class_of, classes, stats = _enumerate(
-        engine, budget or DEFAULT_BUDGET, seed, seed_gens
-    )
+    budget = budget or DEFAULT_BUDGET
+    budget.check_order(engine.order)
+    nodes, _gens, class_of, classes, stats = _enumerate(engine, budget, seed, seed_gens)
     return OvergroupFamily(nodes, class_of, classes, tuple(sorted(int(x) for x in seed)), stats)
 
 

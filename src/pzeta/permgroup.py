@@ -1,17 +1,23 @@
 """Finite permutation groups on points ``{0, ..., degree-1}``.
 
 The public surface is :class:`Permutation`, :class:`PermGroup`,
-:class:`AlmostSimpleSpec` and the builtin constructors.  Internally a
-:class:`PermGroup` materializes (lazily, and only below a hard order
-bound) an indexed element table: a ``(order, degree)`` array of image
+:class:`StabilizerChain`, :class:`AlmostSimpleSpec` and the builtin
+constructors.
+
+A :class:`PermGroup` first computes, once, a stabilizer chain by
+deterministic Schreier-Sims: a base (points whose images determine an
+element) and one transversal per base point.  The group order is the
+product of the transversal sizes, so order bounds and lattice budgets
+are checked before any element is listed.  Only then, lazily and below
+a hard order bound, the group materializes an indexed element table:
+the product of the transversals, a ``(order, degree)`` array of image
 rows sorted lexicographically.  An element is found from its images of
-a base (points whose images determine the element, as in Schreier-Sims)
-read off the sorted table: the images form an integer key, and keys are
-looked up in bulk with a dense table or by bisection.  Products and
-conjugates by a fixed element are cached as columns of element indices,
-so closure, conjugation and coset actions are batched gathers on
-integer arrays, which is what makes subgroup-lattice work for groups
-with a few thousand elements practical in Python.
+the base: the images form an integer key, and keys are looked up in
+bulk with a dense table or by bisection.  Products and conjugates by a
+fixed element are cached as columns of element indices, so closure,
+conjugation and coset actions are batched gathers on integer arrays,
+which is what makes subgroup-lattice work for groups with a few
+thousand elements practical in Python.
 
 Composition convention: ``(p * q)(x) == q(p(x))``, i.e. products act
 left to right (apply p first).
@@ -20,8 +26,8 @@ left to right (apply p first).
 from __future__ import annotations
 
 import re
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, prod
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,32 +166,141 @@ def _dtype_for(degree: int):
     return np.uint32
 
 
-def _stabilizer_base(rows: np.ndarray) -> tuple[int, ...]:
-    """Base of the group whose elements are the lexicographically sorted
-    ``rows``: b_j is the smallest point moved by the pointwise stabilizer
-    of b_0..b_{j-1}.  Two elements that agree on b_0..b_{j-1} agree on
-    every point below b_j, so the first point where two neighbouring
-    rows differ is a base point, and every base point occurs as one."""
-    first_diff = (rows[1:] != rows[:-1]).argmax(axis=1)
-    counts = np.bincount(first_diff, minlength=rows.shape[1])
-    return tuple(np.flatnonzero(counts).tolist())
+class StabilizerChain(NamedTuple):
+    """A base and strong generating set in its plain form: ``base``
+    lists b_0 < b_1 < ..., where b_j is the smallest point moved by the
+    pointwise stabilizer G_j of b_0..b_{j-1}, and ``transversals[j]``
+    holds one image row u of G_j for each point of the orbit of b_j,
+    with u(b_j) running over that orbit.  Every element is uniquely a
+    product u_{k-1} * ... * u_1 * u_0 with u_j in ``transversals[j]``,
+    so ``order`` is the product of the transversal sizes."""
+
+    base: tuple[int, ...]
+    transversals: tuple[tuple[tuple[int, ...], ...], ...]
+    order: int
+
+
+def _schreier_sims(
+    degree: int, gen_images: Iterable[Sequence[int]], max_order: int
+) -> StabilizerChain:
+    """Deterministic Schreier-Sims (Butler 1991, Seress 2003) over every
+    moved point in ascending order.  That sequence is a base, and the
+    points whose level has a nontrivial orbit are exactly the b_j above.
+
+    Levels are completed from the bottom up: level l is complete when
+    every Schreier generator u_beta * s * u_{s(beta)}^-1 (beta in the
+    orbit, s a strong generator fixing the points before b_l) sifts
+    through the levels below it.  A residue that does not sift becomes
+    a strong generator of the levels down to where it stopped, and work
+    resumes there.  Each pair (beta, s) is met once, when the orbit or
+    the generators grow: a tree edge gives the row u_{s(beta)} = u_beta
+    * s, a pair with u_beta * s = u_{s(beta)} gives the identity, and
+    only the other pairs are queued for sifting.  Orbits only grow and
+    keep their rows, so a Schreier generator that sifted once is never
+    sifted again.
+
+    The product of the orbit sizes never exceeds the group order, so
+    the routine raises ``OrderBoundExceeded`` as soon as it passes
+    ``max_order``, before any further work."""
+    ident = tuple(range(degree))
+    gens = list(dict.fromkeys(g for g in map(tuple, gen_images) if g != ident))
+    points = sorted({x for g in gens for x, y in enumerate(g) if x != y})
+    depth = len(points)
+    strong: list[list[tuple[int, ...]]] = [[] for _ in points]
+    trans = [{b: ident} for b in points]
+    inv = [{b: ident} for b in points]  # filled on first use
+    # Schreier generators not yet known to sift, as (u_beta * s, s(beta)):
+    # the generator is u_beta * s * u_{s(beta)}^-1
+    pending: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in points]
+
+    def inverse(lev: int, beta: int) -> tuple[int, ...]:
+        w = inv[lev].get(beta)
+        if w is None:
+            # the points sorted by their images: x lands at position u(x)
+            w = inv[lev][beta] = tuple(sorted(ident, key=trans[lev][beta].__getitem__))
+        return w
+
+    def add_generator(h: tuple[int, ...], first: int, last: int) -> None:
+        """Make h a strong generator of levels first..last and extend
+        their orbits; h fixes the base points before ``first``."""
+        for lev in range(first, last + 1):
+            gens_l, u, todo = strong[lev], trans[lev], pending[lev]
+            gens_l.append(h)
+            # h on the old points, then every generator on the new ones
+            pairs = [(beta, h) for beta in u]
+            for beta, s in pairs:
+                gamma = s[beta]
+                us = tuple(map(s.__getitem__, u[beta]))
+                if gamma not in u:
+                    u[gamma] = us
+                    pairs += [(gamma, t) for t in gens_l]
+                elif us != u[gamma]:
+                    todo.append((us, gamma))
+        if prod(map(len, trans)) > max_order:
+            raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
+
+    def sift(g: tuple[int, ...], first: int) -> tuple[tuple[int, ...], int] | None:
+        """Strip g (which fixes the base points before b_first) through
+        the levels from ``first``; the residue and its level, or None."""
+        for lev in range(first, depth):
+            b = points[lev]
+            beta = g[b]
+            if beta != b:
+                if beta not in trans[lev]:
+                    return g, lev
+                g = tuple(map(inverse(lev, beta).__getitem__, g))
+        return None
+
+    def residue(lev: int) -> tuple[tuple[int, ...], int] | None:
+        """The first pending Schreier generator of level ``lev`` that
+        does not sift, stripped as far as it goes, or None."""
+        todo = pending[lev]
+        while todo:
+            us, gamma = todo[-1]
+            left = sift(tuple(map(inverse(lev, gamma).__getitem__, us)), lev + 1)
+            if left is not None:
+                return left
+            todo.pop()
+        return None
+
+    for g in gens:
+        add_generator(g, 0, next(lev for lev, b in enumerate(points) if g[b] != b))
+    lev = depth - 1
+    while lev >= 0:
+        left = residue(lev)
+        if left is None:
+            lev -= 1
+        else:
+            h, stop = left
+            add_generator(h, lev + 1, stop)
+            lev = stop
+    levels = [lev for lev, u in enumerate(trans) if len(u) > 1]
+    return StabilizerChain(
+        tuple(points[lev] for lev in levels),
+        tuple(tuple(trans[lev].values()) for lev in levels),
+        prod(len(trans[lev]) for lev in levels),
+    )
 
 
 class _Engine:
-    """Indexed element table of a finite permutation group.
+    """Indexed element table of a finite permutation group, built from
+    its stabilizer chain.
 
-    Elements are the rows of ``self.rows``, sorted lexicographically so
-    that element indexing is deterministic across runs.  The base
-    ``self.base`` lists b_0 < b_1 < ..., where b_j is the smallest point
-    moved by the pointwise stabilizer of b_0..b_{j-1}; an element is
-    determined by its images of the base, and its key is those images
-    read as digits in radix ``degree``.  Since two elements first differ
-    at a base point, keys increase with the row order: the key array in
-    table order is sorted, and the position of a key is the element
-    index.  Keys are looked up in a dense key -> index table when it
-    needs at most ``_DENSE_SLOTS_PER_ELEMENT`` slots per element, else by
-    bisection; key spaces past ``_INT_KEY_LIMIT`` are compared as byte
-    strings.
+    Every element is a product u_{k-1} * ... * u_0 of one row from each
+    transversal of the chain; the table is those products, made level
+    by level with one gather each.  Its rows, ``self.rows``, are then
+    sorted lexicographically so that element indexing is deterministic
+    across runs and independent of the chain's internals.  The base
+    ``self.base`` is the chain's, b_0 < b_1 < ..., where b_j is the
+    smallest point moved by the pointwise stabilizer of b_0..b_{j-1}.
+    An element is determined by its images of the base, and its key is
+    those images read as digits in radix ``degree``.  Since two
+    elements first differ at a base point, sorting by the base images
+    sorts the rows, keys increase with the row order, and the position
+    of a key is the element index.  Keys are looked up in a dense key ->
+    index table when it needs at most ``_DENSE_SLOTS_PER_ELEMENT`` slots
+    per element, else by bisection; key spaces past ``_INT_KEY_LIMIT``
+    are compared as byte strings.
 
     ``closure`` and the conjugation methods read int32 columns:
     ``mul`` column g holds the index of i*g for every element i, and
@@ -194,39 +309,23 @@ class _Engine:
     drops the oldest first.
     """
 
-    def __init__(self, degree: int, gen_images: Sequence[Sequence[int]], max_order: int):
+    def __init__(
+        self, degree: int, gen_images: Sequence[Sequence[int]], chain: StabilizerChain
+    ):
         self.degree = degree
         dt = _dtype_for(degree)
         ident = np.arange(degree, dtype=dt)
-        width = ident.nbytes
-        # breadth-first search over byte strings of image rows
-        elems = [ident.tobytes()]
-        seen = set(elems)
-        gens = [np.asarray(g, dtype=dt) for g in gen_images]
-        frontier = [elems[0]]
-        while frontier:
-            batch = np.frombuffer(b"".join(frontier), dtype=dt).reshape(-1, degree)
-            new: list[bytes] = []
-            for g in gens:
-                buf = g[batch].tobytes()
-                for pos in range(0, len(buf), width):
-                    key = buf[pos : pos + width]
-                    if key not in seen:
-                        if len(elems) >= max_order:
-                            raise OrderBoundExceeded(
-                                f"group order exceeds bound {max_order}"
-                            )
-                        seen.add(key)
-                        elems.append(key)
-                        new.append(key)
-            frontier = new
-        del seen
-        table = np.frombuffer(b"".join(elems), dtype=dt).reshape(-1, degree)
-        self.rows = table[np.lexsort(table.T[::-1])]
-        self.order = len(self.rows)
-        self.base = _stabilizer_base(self.rows)
+        # one gather per level: each transversal row after each row so far
+        table = ident[None, :]
+        for trans in reversed(chain.transversals):
+            table = np.asarray(trans, dtype=dt)[:, table].reshape(-1, degree)
+        self.base = chain.base
         self._base_pts = np.asarray(self.base, dtype=np.intp)
-        self._base_rows = self.rows[:, self._base_pts].astype(np.intp)
+        base_rows = table[:, self._base_pts]
+        perm = np.lexsort(base_rows.T[::-1]) if self.base else [0]
+        self.rows = table[perm]
+        self.order = len(self.rows)
+        self._base_rows = base_rows[perm].astype(np.intp)
         span = degree ** len(self.base)
         self._radix = (
             degree ** np.arange(len(self.base) - 1, -1, -1, dtype=np.int64)
@@ -531,16 +630,15 @@ class _Engine:
             return coset[self.mul_batch(reps_arr, e)].tolist()
 
         gen_rows = [image_of(g) for g in self.gen_indices]
-        if not gen_rows:
-            gen_rows = []
         return degree, gen_rows, image_of
 
 
 class PermGroup:
     """A finite permutation group given by generators.
 
-    The full element set is materialized lazily, and only if the order
-    stays below ``max_order`` (default one million elements).
+    The order comes from a stabilizer chain, without listing elements.
+    The element table is materialized lazily, from the chain, and only
+    if the order stays below ``max_order`` (default one million).
     """
 
     def __init__(
@@ -564,22 +662,33 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name or f"G<{degree}>"
         self.max_order = max_order
+        self._chain: StabilizerChain | None = None
         self._eng: _Engine | None = None
         self._lattice = None
 
     # -- element access --------------------------------------------------
 
     @property
+    def stabilizer_chain(self) -> StabilizerChain:
+        """Base and transversals, computed once; raises
+        ``OrderBoundExceeded`` for a group above ``max_order``."""
+        if self._chain is None:
+            self._chain = _schreier_sims(
+                self.degree, (g.images for g in self.generators), self.max_order
+            )
+        return self._chain
+
+    @property
     def engine(self) -> _Engine:
         if self._eng is None:
             self._eng = _Engine(
-                self.degree, [g.images for g in self.generators], self.max_order
+                self.degree, [g.images for g in self.generators], self.stabilizer_chain
             )
         return self._eng
 
     @property
     def order(self) -> int:
-        return self.engine.order
+        return self.stabilizer_chain.order
 
     def elements(self) -> list[Permutation]:
         eng = self.engine
@@ -857,7 +966,8 @@ def builtin_group(name: str, p: int | None = None) -> PermGroup:
 def parse_group_file(text: str) -> PermGroup:
     """Parse the text group format: a ``degree <d>`` line followed by
     one generator per line in disjoint-cycle notation over 0-based
-    points.  Lines starting with ``#`` are comments."""
+    points.  Lines starting with ``#`` are comments.  A degree above
+    ``DEFAULT_MAX_GROUP_ORDER`` is rejected before any row is built."""
     degree = None
     gens: list[Permutation] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -871,6 +981,11 @@ def parse_group_file(text: str) -> PermGroup:
             degree = int(m.group(1))
             if degree < 1:
                 raise ValueError(f"line {ln}: degree must be >= 1")
+            # every generator is a row of this many points
+            if degree > DEFAULT_MAX_GROUP_ORDER:
+                raise ValueError(
+                    f"line {ln}: degree {degree} exceeds {DEFAULT_MAX_GROUP_ORDER}"
+                )
             continue
         gens.append(Permutation.parse(line, degree))
     if degree is None:

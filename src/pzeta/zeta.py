@@ -236,8 +236,8 @@ def odd_supplement_indices(
     subgroup, i.e. inspects every subgroup.
     """
     budget = budget or DEFAULT_BUDGET
+    budget.check_order(spec.group.order)  # refuse before the table and sylow2()
     eng = spec.group.engine
-    budget.check_order(eng.order)  # refuse before paying for sylow2()
     seed, seed_gens = ((eng.id_idx,), ()) if include_even else eng.sylow2()
     fam = overgroups_of_seed(eng, seed, seed_gens, budget)
     order = eng.order

@@ -3,7 +3,7 @@ line (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
 
 Criteria:
   1. minimal-odd-index table reproduction for PSL/PGL(2,q), q <= 13
-     (exact integers; q in {17, 19, 23} as slow-tagged extended rows),
+     (exact integers; q in {17, 19, 23, 29, 31} as slow-tagged extended rows),
   2. zeta evaluation equals the independent generation-probability
      oracle on the whole small-group corpus (exact rationals),
   3. chief factorization multiplies back to the zeta polynomial exactly,
@@ -101,6 +101,27 @@ def test_criterion_1_w_table_q23_slow():
         row.status == "MATCH" and row.computed == row.predicted == 253 for row in rows
     )
     _report("1-extended (w-table, q = 23, both variants, slow)", ok)
+    assert ok, [r.to_json_dict() for r in rows]
+
+
+EXPECTED_W_29_31 = {
+    (29, "psl"): 203,  # exceptional row 29*7
+    (29, "pgl"): 435,  # q = 1 mod 4: q(q+1)/2
+    (31, "psl"): 465,  # q = 3 mod 4: q(q-1)/2
+    (31, "pgl"): 465,
+}
+
+
+@pytest.mark.slow
+def test_criterion_1_w_table_q29_q31_slow():
+    # orders 12180 to 29760 exceed the default lattice budget
+    rows = minimal_odd_index_table([29, 31], budget=Budget(max_order=30000))
+    ok = len(rows) == 4 and all(
+        row.status == "MATCH"
+        and row.computed == row.predicted == EXPECTED_W_29_31[(row.q, row.variant)]
+        for row in rows
+    )
+    _report("1-extended (w-table, q in {29,31}, both variants, slow)", ok)
     assert ok, [r.to_json_dict() for r in rows]
 
 

@@ -1,6 +1,7 @@
 """Command line surface: output schemas, golden files, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,24 @@ class TestPg:
     def test_unknown_builtin_exits_2(self, capsys):
         code, _, err = run(capsys, "pg", "--builtin", "nonsense")
         assert code == 2 and "input error" in err
+
+    def test_huge_file_degree_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.grp"
+        path.write_text("degree 1000000000000\n(0 1)\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "pg", "--file", str(path))
+        assert code == 2 and "degree 1000000000000 exceeds" in err
+        assert time.perf_counter() - start < 2.0
+
+    def test_refusal_comes_before_the_element_table(self, capsys):
+        # S9 passes the group bound and fails the lattice budget; S10
+        # fails the group bound; neither lists its elements
+        for name, message in (("S9", "order 362880 exceeds lattice budget 10000"),
+                              ("S10", "group order exceeds bound 1000000")):
+            start = time.perf_counter()
+            code, _, err = run(capsys, "pg", "--builtin", name)
+            assert code == 3 and err == f"budget: {message}\n"
+            assert time.perf_counter() - start < 2.0
 
     def test_unreadable_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "pg", "--file", "/does/not/exist.grp")

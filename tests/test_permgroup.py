@@ -1,8 +1,13 @@
 """Permutation engine, lattice enumeration, Moebius values, normal
 structure, quotients and the projective-line constructions."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pzeta import (
     AlmostSimpleSpec,
@@ -31,7 +36,7 @@ from pzeta import (
     symmetric,
 )
 from pzeta.lattice import overgroups_of_seed
-from pzeta.permgroup import format_group_file
+from pzeta.permgroup import DEFAULT_MAX_GROUP_ORDER, format_group_file
 from helpers import group, psl2
 
 
@@ -148,6 +153,14 @@ class TestGroupFile:
     def test_missing_degree(self):
         with pytest.raises(ValueError):
             parse_group_file("(0 1 2)\n")
+
+    def test_degree_above_order_bound_rejected(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="degree 1000000000000 exceeds"):
+            parse_group_file("degree 1000000000000\n(0 1)\n")
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_group_file(f"degree {DEFAULT_MAX_GROUP_ORDER + 1}\n")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLattice:
@@ -667,3 +680,127 @@ class TestColumnCache:
         uncached = make_psl2(17, "pgl").group.engine
         assert self._work(uncached) == first
         assert uncached._column_bytes == 0 and not uncached._columns
+
+
+# ---------------------------------------------------------------------------
+# stabilizer chain: order and element table against a breadth-first search
+# ---------------------------------------------------------------------------
+
+
+def _bfs_table(degree: int, gen_images, max_order: int) -> np.ndarray:
+    """Reference element table, independent of the stabilizer chain: a
+    breadth-first search over image rows kept as byte strings, the rows
+    sorted lexicographically.  Raises ``OrderBoundExceeded`` as soon as
+    more than ``max_order`` elements are found."""
+    from pzeta.permgroup import _dtype_for
+
+    dt = _dtype_for(degree)
+    ident = np.arange(degree, dtype=dt)
+    width = ident.nbytes
+    elems = [ident.tobytes()]
+    seen = set(elems)
+    gens = [np.asarray(g, dtype=dt) for g in gen_images]
+    frontier = [elems[0]]
+    while frontier:
+        batch = np.frombuffer(b"".join(frontier), dtype=dt).reshape(-1, degree)
+        new = []
+        for g in gens:
+            buf = g[batch].tobytes()
+            for pos in range(0, len(buf), width):
+                key = buf[pos : pos + width]
+                if key not in seen:
+                    if len(elems) >= max_order:
+                        raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
+                    seen.add(key)
+                    elems.append(key)
+                    new.append(key)
+        frontier = new
+    table = np.frombuffer(b"".join(elems), dtype=dt).reshape(-1, degree)
+    return table[np.lexsort(table.T[::-1])]
+
+
+def _reference_base(rows: np.ndarray) -> tuple[int, ...]:
+    """The points where two neighbouring sorted rows first differ."""
+    first_diff = (rows[1:] != rows[:-1]).argmax(axis=1)
+    return tuple(np.flatnonzero(np.bincount(first_diff, minlength=rows.shape[1])).tolist())
+
+
+def _check_against_bfs(grp: PermGroup, ref: np.ndarray) -> None:
+    chain = grp.stabilizer_chain
+    assert grp.order == chain.order == len(ref)
+    eng = grp.engine
+    assert eng.rows.dtype == ref.dtype and np.array_equal(eng.rows, ref)
+    assert eng.base == chain.base == _reference_base(ref)
+    for j, (b, trans) in enumerate(zip(chain.base, chain.transversals)):
+        assert len({u[b] for u in trans}) == len(trans) > 1
+        assert all(u[c] == c for u in trans for c in chain.base[:j])
+
+
+CHAIN_GROUPS = {
+    **INDEX_GROUPS,
+    "C2": lambda: cyclic(2),
+    "PSL(2,13)": lambda: make_psl2(13, "psl").group,
+}
+
+
+class TestStabilizerChain:
+    @pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))
+    def test_table_matches_bfs(self, name):
+        grp = CHAIN_GROUPS[name]()
+        gens = [g.images for g in grp.generators]
+        _check_against_bfs(grp, _bfs_table(grp.degree, gens, DEFAULT_MAX_GROUP_ORDER))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda d: st.tuples(
+                st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+            )
+        )
+    )
+    def test_random_generating_sets(self, data):
+        degree, gens = data
+        cap = 5040  # orders above it are refused by both, cheaply
+        grp = PermGroup(degree, gens, max_order=cap)
+        try:
+            ref = _bfs_table(degree, gens, cap)
+        except OrderBoundExceeded:
+            with pytest.raises(OrderBoundExceeded, match=f"group order exceeds bound {cap}"):
+                _ = grp.order
+            with pytest.raises(OrderBoundExceeded):
+                _ = grp.engine
+            assert grp._eng is None
+            return
+        _check_against_bfs(grp, ref)
+
+
+class TestOrderBeforeTable:
+    @pytest.mark.parametrize(
+        "n,message",
+        [(9, "order 362880 exceeds lattice budget 10000"),
+         (10, f"group order exceeds bound {DEFAULT_MAX_GROUP_ORDER}")],
+    )
+    def test_lattice_refusal_builds_no_table(self, n, message):
+        g = symmetric(n)
+        with pytest.raises(OrderBoundExceeded, match=message):
+            g.subgroup_lattice()
+        assert g._eng is None
+
+    def test_order_above_max_order_raises_without_table(self):
+        g = symmetric(12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderBoundExceeded, match=f"exceeds bound {DEFAULT_MAX_GROUP_ORDER}"):
+                _ = g.order
+            with pytest.raises(OrderBoundExceeded):
+                _ = g.engine
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g._eng is None
+        assert peak < 1 << 20  # a table of 10^6 rows alone is 12 MB
+
+    def test_pgl_spec_builds_no_socle_table(self):
+        spec = make_psl2(13, "pgl")
+        assert spec.socle.order == 1092 and len(spec.socle_indices) == 1092
+        assert spec.socle._eng is None and spec.group._eng is not None
