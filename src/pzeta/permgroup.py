@@ -226,6 +226,7 @@ def _schreier_sims(
         for lev in range(first, last + 1):
             gens_l, u, todo = strong[lev], trans[lev], pending[lev]
             gens_l.append(h)
+            b = points[lev]
             # h on the old points, then every generator on the new ones
             pairs = [(beta, h) for beta in u]
             for beta, s in pairs:
@@ -234,7 +235,8 @@ def _schreier_sims(
                 if gamma not in u:
                     u[gamma] = us
                     pairs += [(gamma, t) for t in gens_l]
-                elif us != u[gamma]:
+                elif us != u[gamma] and not beta == gamma == b:
+                    # (s fixing b gives s itself, a generator of the next level)
                     todo.append((us, gamma))
         if prod(map(len, trans)) > max_order:
             raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
