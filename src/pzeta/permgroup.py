@@ -185,7 +185,8 @@ def _schreier_sims(
 ) -> StabilizerChain:
     """Deterministic Schreier-Sims (Butler 1991, Seress 2003) over every
     moved point in ascending order.  That sequence is a base, and the
-    points whose level has a nontrivial orbit are exactly the b_j above.
+    points whose level has a nontrivial orbit are exactly the b_j of
+    :class:`StabilizerChain`.
 
     Levels are completed from the bottom up: level l is complete when
     every Schreier generator u_beta * s * u_{s(beta)}^-1 (beta in the
@@ -194,10 +195,11 @@ def _schreier_sims(
     a strong generator of the levels down to where it stopped, and work
     resumes there.  Each pair (beta, s) is met once, when the orbit or
     the generators grow: a tree edge gives the row u_{s(beta)} = u_beta
-    * s, a pair with u_beta * s = u_{s(beta)} gives the identity, and
-    only the other pairs are queued for sifting.  Orbits only grow and
-    keep their rows, so a Schreier generator that sifted once is never
-    sifted again.
+    * s, a pair with u_beta * s = u_{s(beta)} gives the identity, the
+    pair (b_l, s) with s fixing b_l gives s, a strong generator of the
+    next level, and only the other pairs are queued for sifting.  Orbits
+    only grow and keep their rows, so a Schreier generator that sifted
+    once is never sifted again.
 
     The product of the orbit sizes never exceeds the group order, so
     the routine raises ``OrderBoundExceeded`` as soon as it passes
@@ -236,7 +238,6 @@ def _schreier_sims(
                     u[gamma] = us
                     pairs += [(gamma, t) for t in gens_l]
                 elif us != u[gamma] and not beta == gamma == b:
-                    # (s fixing b gives s itself, a generator of the next level)
                     todo.append((us, gamma))
         if prod(map(len, trans)) > max_order:
             raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
