@@ -357,9 +357,15 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (BudgetExceeded, OrderBoundExceeded) as exc:
-        # how far a refused computation got, when the error carries it
-        stats = getattr(exc, "stats", None)
-        got = f" ({', '.join(f'{k}={v}' for k, v in stats.items())})" if stats else ""
+        # how far a refused computation got, when the error carries it;
+        # a nested count such as closures prints as closures.candidate=...
+        items = []
+        for key, value in (getattr(exc, "stats", None) or {}).items():
+            if isinstance(value, dict):
+                items += [(f"{key}.{sub}", x) for sub, x in value.items()]
+            else:
+                items.append((key, value))
+        got = f" ({', '.join(f'{k}={v}' for k, v in items)})" if items else ""
         print(f"budget: {exc}{got}", file=sys.stderr)
         return EXIT_BUDGET
     except HypothesisViolated as exc:

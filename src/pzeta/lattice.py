@@ -1,14 +1,25 @@
 """Subgroup lattices of finite permutation groups.
 
-Enumeration strategy: grow the set of conjugacy-class representatives
-by extending each known subgroup K with one extra generator, where the
-extra generator ranges over one representative per K-conjugation orbit
-of the cyclic subgroups of prime-power order.  This is exhaustive:
-every subgroup H has a maximal subgroup K, and H is generated by K
-together with some element of prime-power order (H is generated by its
-prime-power elements).  Each new class is immediately expanded into
-its full conjugacy orbit, so the final node list contains every
-subgroup exactly once.
+Enumeration strategy (cyclic extension, Neubuser 1960, reduced modulo
+double cosets and normalizers as in Cannon, Cox & Holt, "Computing the
+subgroup lattice of a permutation group", J. Symbolic Comput. 2001):
+grow the set of conjugacy-class representatives by extending each known
+subgroup K with one extra element.  Every cover H of K (K maximal in H)
+is <K, e> for some e of prime-power order outside K, since H is
+generated by its prime-power elements, and any generator of <e> can
+stand for e.  Two candidates need not both be tried when one lies in
+the orbit of the other under the group generated by x -> k1*x*k2 (k1,
+k2 in K) and x -> n^-1*x*n (n in N_G(K)):
+
+* <K, k1*e*k2> = <K, e>;
+* <K, e^n> = <K, e>^n, a conjugate, and every new class is expanded
+  into its full conjugacy orbit when it is found.
+
+So K is extended by one prime-power cyclic generator per orbit that
+meets them outside K, the least one, and the final node list contains
+every subgroup exactly once.  K's normalizer costs nothing when K is
+normal (G's generators) or self-normalizing (K's own), since its order
+is |G| divided by the size of K's class.
 
 The walk starts from a seed subgroup and lists every conjugate of
 every overgroup of the seed.  Seeded with the trivial subgroup it is
@@ -74,11 +85,15 @@ class _Tracker:
         self.start = time.monotonic()
         self.subgroups = 0
         self.classes = 0
+        # closures by purpose: extending a class by a candidate, growing
+        # a normalizer, shortening a new class's generators
+        self.closures = {"candidate": 0, "normalizer": 0, "reduce_gens": 0}
 
     def stats(self) -> dict:
         return {
             "subgroups": self.subgroups,
             "classes": self.classes,
+            "closures": dict(self.closures),
             "elapsed_s": round(time.monotonic() - self.start, 3),
         }
 
@@ -92,7 +107,9 @@ class _Tracker:
             raise BudgetExceeded(f"time hint {hint}s exceeded", self.stats())
 
 
-def _reduce_gens(engine: _Engine, gens: tuple[int, ...], elements: np.ndarray) -> tuple[int, ...]:
+def _reduce_gens(
+    engine: _Engine, tracker: _Tracker, gens: tuple[int, ...], elements: np.ndarray
+) -> tuple[int, ...]:
     """Try to replace a long generating tuple by one or two elements."""
     gens = tuple(dict.fromkeys(g for g in gens if g != engine.id_idx))
     target = len(elements)
@@ -111,10 +128,48 @@ def _reduce_gens(engine: _Engine, gens: tuple[int, ...], elements: np.ndarray) -
         tries += 1
         if tries > 36:
             break
+        tracker.closures["reduce_gens"] += 1
         res = engine.closure((x, y))
         if res is not None and len(res) == target:
             return (x, y)
     return gens
+
+
+def _conjugators(
+    engine: _Engine,
+    tracker: _Tracker,
+    kgens: tuple[int, ...],
+    in_k: np.ndarray,
+    k_size: int,
+    n_size: int,
+) -> tuple[int, ...]:
+    """Elements whose conjugations, together with x -> x*k (k in K),
+    generate a group whose orbits are the N_G(K)-orbits of the double
+    cosets KxK; ``n_size`` = |N_G(K)| is read off the class size of K.
+
+    * K normal: KxK = xK, and conjugation by an element of K keeps each
+      coset, so G's generators outside K suffice.
+    * Otherwise K's own generators (conjugation by k, then x -> x*k, is
+      x -> k^-1*x), and, unless K is self-normalizing, generators of
+      N_G(K) = {g : [k, g] in K for every generator k}: picked
+      greedily, smallest index first, outside the closure so far (so
+      none lies in K), until that closure has the known order."""
+    if n_size == engine.order:
+        return tuple(g for g in engine.gen_indices if not in_k[g])
+    if n_size == k_size:
+        return kgens
+    gens, member = kgens, in_k
+    normalizes = np.ones(engine.order, dtype=bool)
+    for k in kgens:
+        normalizes &= in_k[engine.commutators_with(k)]
+    while True:
+        gens += (int(np.argmax(normalizes & ~member)),)
+        tracker.closures["normalizer"] += 1
+        closed = engine.closure(gens)
+        if len(closed) == n_size:
+            return gens
+        member = np.zeros(engine.order, dtype=bool)
+        member[closed] = True
 
 
 def _enumerate(
@@ -124,11 +179,20 @@ def _enumerate(
     seed_gens: Sequence[int],
 ):
     """Core enumeration.  Returns canonical, parallel lists:
-    nodes (sorted element-index tuples), node_gens, node_class, classes.
+    nodes (sorted element-index tuples), node_gens, node_class, classes,
+    and the tracker's stats.
 
     Every conjugate of every overgroup of the seed subgroup is listed
     (the seed's class first grows upward, orbits fill sideways); the
-    trivial seed lists every subgroup of the group.
+    trivial seed lists every subgroup of the group.  Classes are
+    extended smallest first.  A representative K is extended by the
+    least prime-power cyclic generator (``pp_cyclic_generator_reps``)
+    outside K in each orbit of the group generated by x -> x*k (k in K)
+    and conjugation by N_G(K) (which contains K, so the orbits are
+    unions of double cosets KxK): the elements of one orbit extend K to
+    conjugate subgroups, so one try per orbit reaches every cover of
+    every class.  A new subgroup is registered with its whole
+    conjugacy class.
     """
     order = engine.order
     tracker = _Tracker(budget)
@@ -177,7 +241,7 @@ def _enumerate(
     if frozenset(top) not in node_ids:
         register(top, tuple(g_gens))
 
-    candidates = engine.pp_cyclic_generator_reps()
+    candidates = np.asarray(engine.pp_cyclic_generator_reps(), dtype=np.int64)
 
     while heap:
         size, cid = heapq.heappop(heap)
@@ -185,30 +249,24 @@ def _enumerate(
             continue
         rep = nodes[classes[cid][0]]
         kgens = class_gens[cid]
-        covered = set(rep)
-        for e in candidates:
-            if e in covered:
-                continue
-            # one representative per K-conjugation orbit: <K, e^k> == <K, e>
-            orbit = [e]
-            covered.add(e)
-            qi = 0
-            while qi < len(orbit):
-                x = orbit[qi]
-                qi += 1
-                for kg in kgens:
-                    y = engine.conj_elem(x, kg)
-                    if y not in covered:
-                        covered.add(y)
-                        orbit.append(y)
+        in_k = np.zeros(order, dtype=bool)
+        in_k[list(rep)] = True
+        outside = candidates[~in_k[candidates]]
+        if len(outside) > 1:
+            n_size = order // len(classes[cid])
+            conj = _conjugators(engine, tracker, kgens, in_k, size, n_size)
+            # <K, y> is conjugate to <K, x> for every y in the orbit of x
+            outside = engine.orbit_minima(outside, kgens, conj)
+        for e in outside.tolist():
             tracker.check()
+            tracker.closures["candidate"] += 1
             res = engine.closure(kgens + (e,), bail_half=True)
             if res is None:
                 continue  # generated the whole group; top is preseeded
             new_rep = tuple(res.tolist())
             if frozenset(new_rep) in node_ids:
                 continue
-            new_gens = _reduce_gens(engine, kgens + (e,), res)
+            new_gens = _reduce_gens(engine, tracker, kgens + (e,), res)
             ncid = register(new_rep, new_gens)
             heapq.heappush(heap, (len(new_rep), ncid))
 
@@ -262,7 +320,10 @@ class SubgroupLattice(_NodePoset):
     mu(G) = 1 and mu(H) = -sum_{H < K <= G} mu(K).
 
     Node ids ascend by subgroup order (ties by element tuple): the
-    trivial subgroup is node 0, the whole group the last node."""
+    trivial subgroup is node 0, the whole group the last node.
+    ``stats`` holds the enumeration's counts: subgroups, classes,
+    closures by purpose (``candidate``, ``normalizer``,
+    ``reduce_gens``) and elapsed seconds."""
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group

@@ -467,6 +467,35 @@ class _Engine:
             frontier = np.concatenate(new)
         return np.flatnonzero(member)
 
+    def orbit_minima(
+        self, ids: np.ndarray, right: Sequence[int], conj: Sequence[int]
+    ) -> np.ndarray:
+        """The elements of ``ids`` (ascending indices) that are the least
+        of ``ids`` in their orbit under the group generated by the maps
+        x -> x*r (r in ``right``) and x -> c^-1*x*c (c in ``conj``).
+
+        Min-label propagation over ranks that put ``ids`` first: rank x
+        for x in ids, order + x for any other x.  Each label is the rank
+        of an element in the same orbit and never grows.  A pass takes,
+        along every map, the smaller of a label and the label of the
+        image, then jumps pointers once (each label becomes the label of
+        the element it ranks); a pass that changes nothing leaves the
+        least rank of every orbit on all of it, and x in ids is least of
+        ids in its orbit when its label is x."""
+        n = self.order
+        maps = [self._column("mul", r) for r in right]
+        maps += [self._column("conj", c) for c in conj]
+        labels = np.arange(n, 2 * n)
+        labels[ids] = ids
+        while True:
+            new = labels
+            for col in maps:
+                new = np.minimum(new, new.take(col))
+            new = new.take(new, mode="wrap")  # the element of rank r is r mod n
+            if (new == labels).all():
+                return ids[labels[ids] == ids]
+            labels = new
+
     # -- element statistics ---------------------------------------------
 
     def _base_powers(self, ids: np.ndarray):
@@ -515,10 +544,12 @@ class _Engine:
 
     def pp_cyclic_generator_reps(self) -> tuple[int, ...]:
         """One generator per distinct cyclic subgroup of prime-power
-        order, in a deterministic order.  These are exactly the
-        extension candidates needed to reach every subgroup: any finite
-        group is generated by a maximal subgroup together with one
-        element of prime-power order."""
+        order, ascending: the smallest index among the generators of
+        that subgroup.  Lattice enumeration draws its extension
+        candidates from these, since every cover H of a subgroup K is
+        generated by K and any generator of one of them (lattice.py
+        tries only one per orbit of K's double cosets under its
+        normalizer)."""
         if self._pp_reps is None:
             self._cyclic_structure()
         return self._pp_reps

@@ -3,7 +3,8 @@ line (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
 
 Criteria:
   1. minimal-odd-index table reproduction for PSL/PGL(2,q), q <= 13
-     (exact integers; q in {17, 19, 23, 29, 31} as slow-tagged extended rows),
+     (exact integers; q in {17, 19, 23, 29, 31, 37, 41, 43, 47} as slow-tagged
+     extended rows),
   2. zeta evaluation equals the independent generation-probability
      oracle on the whole small-group corpus (exact rationals),
   3. chief factorization multiplies back to the zeta polynomial exactly,
@@ -122,6 +123,31 @@ def test_criterion_1_w_table_q29_q31_slow():
         for row in rows
     )
     _report("1-extended (w-table, q in {29,31}, both variants, slow)", ok)
+    assert ok, [r.to_json_dict() for r in rows]
+
+
+EXPECTED_W_37_47 = {
+    (37, "psl"): 703,  # q = 1 mod 4: q(q+1)/2
+    (37, "pgl"): 703,
+    (41, "psl"): 861,
+    (41, "pgl"): 861,
+    (43, "psl"): 903,  # q = 3 mod 4: q(q-1)/2
+    (43, "pgl"): 903,
+    (47, "psl"): 1081,
+    (47, "pgl"): 1081,
+}
+
+
+@pytest.mark.slow
+def test_criterion_1_w_table_q37_to_q47_slow():
+    # orders 25308 to 103776
+    rows = minimal_odd_index_table([37, 41, 43, 47], budget=Budget(max_order=120000))
+    ok = len(rows) == 8 and all(
+        row.status == "MATCH"
+        and row.computed == row.predicted == EXPECTED_W_37_47[(row.q, row.variant)]
+        for row in rows
+    )
+    _report("1-extended (w-table, q in {37,41,43,47}, both variants, slow)", ok)
     assert ok, [r.to_json_dict() for r in rows]
 
 

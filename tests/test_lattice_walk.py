@@ -1,0 +1,165 @@
+"""The lattice walk against a reference walk, and its closure counts.
+
+``_reference_walk`` is the candidate loop the walk replaced: it extends
+each class representative K by one prime-power cyclic generator per
+K-conjugation orbit, with no normalizer and no double cosets.  Both
+walks must list the same subgroups in the same canonical order, with
+the same classes and Moebius values."""
+
+import heapq
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from pzeta import Budget, BudgetExceeded, PermGroup, symmetric
+from pzeta import cli
+from pzeta.lattice import overgroups_of_seed
+from helpers import group, psl2
+
+
+def _reference_walk(engine, seed, seed_gens):
+    """Canonical (nodes, classes, class_of) of every conjugate of every
+    overgroup of the seed, by the K-conjugation candidate loop."""
+    order = engine.order
+    nodes, node_class, classes, class_gens = [], [], [], []
+    seen_nodes = set()
+
+    def register(rep, gens):
+        cid = len(classes)
+        members, pending, seen = [], [rep], {rep}
+        while pending:
+            cur = pending.pop()
+            node_class.append(cid)
+            members.append(len(nodes))
+            nodes.append(cur)
+            seen_nodes.add(cur)
+            arr = np.asarray(sorted(cur))
+            for g in engine.gen_indices:
+                conj = frozenset(engine.conj_set(arr, g).tolist())
+                if conj not in seen:
+                    seen.add(conj)
+                    pending.append(conj)
+        classes.append(members)
+        class_gens.append(tuple(gens))
+        return cid
+
+    cid = register(frozenset(int(x) for x in seed), seed_gens)
+    heap = [(len(nodes[classes[cid][0]]), cid)]
+    if frozenset(range(order)) not in seen_nodes:
+        register(frozenset(range(order)), engine.gen_indices)
+    candidates = engine.pp_cyclic_generator_reps()
+    while heap:
+        size, cid = heapq.heappop(heap)
+        if size == order:
+            continue
+        kgens = class_gens[cid]
+        covered = set(nodes[classes[cid][0]])
+        for e in candidates:
+            if e in covered:
+                continue
+            orbit = [e]
+            covered.add(e)
+            for x in orbit:
+                for k in kgens:
+                    y = engine.conj_elem(x, k)
+                    if y not in covered:
+                        covered.add(y)
+                        orbit.append(y)
+            res = engine.closure(kgens + (e,), bail_half=True)
+            if res is None:
+                continue
+            new = frozenset(res.tolist())
+            if new not in seen_nodes:
+                ncid = register(new, kgens + (e,))
+                heapq.heappush(heap, (len(new), ncid))
+
+    perm = sorted(range(len(nodes)), key=lambda i: (len(nodes[i]), sorted(nodes[i])))
+    new_id = {old: new for new, old in enumerate(perm)}
+    ordered = sorted(
+        (sorted(new_id[i] for i in members) for members in classes), key=min
+    )
+    class_of = [0] * len(nodes)
+    for ci, members in enumerate(ordered):
+        for i in members:
+            class_of[i] = ci
+    canon = [tuple(sorted(nodes[i])) for i in perm]
+    return canon, [tuple(m) for m in ordered], class_of
+
+
+def _reference_moebius(nodes):
+    sets = [frozenset(n) for n in nodes]
+    mu = [0] * len(sets)
+    for i in reversed(range(len(sets))):
+        above = [mu[j] for j in range(i + 1, len(sets)) if sets[i] < sets[j]]
+        mu[i] = -sum(above) if i < len(sets) - 1 else 1
+    return mu
+
+
+def _check_full(grp):
+    lat = grp.subgroup_lattice()
+    eng = lat.engine
+    nodes, classes, class_of = _reference_walk(eng, (eng.id_idx,), ())
+    assert [lat.node_elements(i) for i in range(lat.node_count)] == nodes
+    assert lat.conjugacy_classes == classes
+    assert [lat.class_of(i) for i in range(lat.node_count)] == class_of
+    assert lat.moebius_values == _reference_moebius(nodes)
+
+
+def _check_sylow(eng):
+    seed, seed_gens = eng.sylow2()
+    fam = overgroups_of_seed(eng, seed, seed_gens)
+    nodes, classes, class_of = _reference_walk(eng, seed, seed_gens)
+    assert (fam.nodes, fam.classes, fam.class_of) == (nodes, classes, class_of)
+
+
+class TestAgainstReferenceWalk:
+    @pytest.mark.parametrize(
+        "name", ["C12", "Q8", "D12", "S4", "A4xC2", "S5", "A5xC2", "S4xS3", "PGL(2,7)"]
+    )
+    def test_full_lattice(self, name):
+        _check_full(group(name))
+
+    @pytest.mark.parametrize("variant", ["psl", "pgl"])
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_sylow_family(self, q, variant):
+        _check_sylow(psl2(q, variant).group.engine)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda d: st.tuples(
+                st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+            )
+        )
+    )
+    def test_random_generating_sets(self, data):
+        degree, gens = data
+        grp = PermGroup(degree, gens)
+        assume(grp.order <= 360)  # the reference walk takes seconds on larger lattices
+        _check_full(grp)
+        _check_sylow(grp.engine)
+
+
+class TestClosureCounts:
+    # Deterministic counts of the builtin groups (element indexing and
+    # the walk do not depend on the run): the walk makes 739 and 187
+    # closures, where the K-conjugation loop it replaced made 3568 and 934.
+    @pytest.mark.parametrize("name,ceiling", [("S6", 760), ("PGL(2,7)", 200)])
+    def test_builtin_lattices_stay_under_ceiling(self, name, ceiling):
+        stats = group(name).subgroup_lattice().stats
+        assert set(stats["closures"]) == {"candidate", "normalizer", "reduce_gens"}
+        assert sum(stats["closures"].values()) <= ceiling
+
+    def test_family_and_refusal_carry_closures(self, capsys):
+        eng = psl2(7, "pgl").group.engine
+        fam = overgroups_of_seed(eng, *eng.sylow2())
+        assert fam.stats["closures"]["candidate"] > 0
+        with pytest.raises(BudgetExceeded) as ei:
+            symmetric(4).subgroup_lattice(Budget(max_subgroups=5))
+        assert ei.value.stats["closures"]["candidate"] >= 1
+        assert cli.main(["--budget-subgroups", "5", "pg", "--builtin", "S4"]) == 3
+        assert "closures.candidate=" in capsys.readouterr().err
