@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import combinations
+from bisect import bisect_left, bisect_right
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,8 +85,8 @@ class _Tracker:
         self.subgroups = 0
         self.classes = 0
         # closures by purpose: extending a class by a candidate, growing
-        # a normalizer, shortening a new class's generators
-        self.closures = {"candidate": 0, "normalizer": 0, "reduce_gens": 0}
+        # a normalizer
+        self.closures = {"candidate": 0, "normalizer": 0}
 
     def stats(self) -> dict:
         return {
@@ -105,34 +104,6 @@ class _Tracker:
         hint = self.budget.time_hint_s
         if hint is not None and time.monotonic() - self.start > hint:
             raise BudgetExceeded(f"time hint {hint}s exceeded", self.stats())
-
-
-def _reduce_gens(
-    engine: _Engine, tracker: _Tracker, gens: tuple[int, ...], elements: np.ndarray
-) -> tuple[int, ...]:
-    """Try to replace a long generating tuple by one or two elements."""
-    gens = tuple(dict.fromkeys(g for g in gens if g != engine.id_idx))
-    target = len(elements)
-    if target <= 2 or len(gens) <= 2:
-        return gens
-    orders = engine.element_orders()
-    cand = sorted(
-        (int(x) for x in elements if x != engine.id_idx),
-        key=lambda i: (-int(orders[i]), i),
-    )[:10]
-    for x in cand:
-        if int(orders[x]) == target:
-            return (x,)
-    tries = 0
-    for x, y in combinations(cand, 2):
-        tries += 1
-        if tries > 36:
-            break
-        tracker.closures["reduce_gens"] += 1
-        res = engine.closure((x, y))
-        if res is not None and len(res) == target:
-            return (x, y)
-    return gens
 
 
 def _conjugators(
@@ -159,9 +130,7 @@ def _conjugators(
     if n_size == k_size:
         return kgens
     gens, member = kgens, in_k
-    normalizes = np.ones(engine.order, dtype=bool)
-    for k in kgens:
-        normalizes &= in_k[engine.commutators_with(k)]
+    normalizes = engine.commutes_into(kgens, in_k)
     while True:
         gens += (int(np.argmax(normalizes & ~member)),)
         tracker.closures["normalizer"] += 1
@@ -178,9 +147,11 @@ def _enumerate(
     seed: Sequence[int],
     seed_gens: Sequence[int],
 ):
-    """Core enumeration.  Returns canonical, parallel lists:
-    nodes (sorted element-index tuples), node_gens, node_class, classes,
-    and the tracker's stats.
+    """Core enumeration.  Returns, in the canonical node order (by
+    subgroup order, then by element tuple): the nodes as sorted
+    element-index tuples and as frozensets, each node's generators, each
+    node's class id, the classes (ascending node ids, ordered by their
+    smallest id), and the tracker's stats.
 
     Every conjugate of every overgroup of the seed subgroup is listed
     (the seed's class first grows upward, orbits fill sideways); the
@@ -199,38 +170,32 @@ def _enumerate(
 
     nodes: list[tuple[int, ...]] = []
     node_gens: list[tuple[int, ...]] = []
-    node_class: list[int] = []
-    node_ids: dict[frozenset, int] = {}
+    node_ids: dict[frozenset, int] = {}  # insertion order is node order
     classes: list[list[int]] = []
-    class_gens: list[tuple[int, ...]] = []
 
     g_gens = engine.gen_indices
 
+    def add(elements: tuple[int, ...], gens: tuple[int, ...], fs: frozenset):
+        tracker.subgroups += 1
+        tracker.check()
+        node_ids[fs] = len(nodes)
+        nodes.append(elements)
+        node_gens.append(gens)
+
     def register(rep: tuple[int, ...], gens: tuple[int, ...]) -> int:
+        """Add a new subgroup and all its conjugates as one class."""
         cid = len(classes)
-        members: list[int] = []
-        pending = [(rep, gens)]
-        seen = {frozenset(rep)}
-        while pending:
-            cur, cur_gens = pending.pop()
-            tracker.subgroups += 1
-            tracker.check()
-            nid = len(nodes)
-            nodes.append(cur)
-            node_gens.append(cur_gens)
-            node_class.append(cid)
-            node_ids[frozenset(cur)] = nid
-            members.append(nid)
-            arr = np.asarray(cur, dtype=np.int64)
+        members = [len(nodes)]
+        add(rep, gens, frozenset(rep))
+        for nid in members:  # grows while conjugates are found
+            arr = np.asarray(nodes[nid], dtype=np.int64)
             for g in g_gens:
                 conj = tuple(np.sort(engine.conj_set(arr, g)).tolist())
                 fs = frozenset(conj)
-                if fs not in seen:
-                    seen.add(fs)
-                    cgens = tuple(engine.conj_elem(x, g) for x in cur_gens)
-                    pending.append((conj, cgens))
+                if fs not in node_ids:
+                    members.append(len(nodes))
+                    add(conj, tuple(engine.conj_elem(x, g) for x in node_gens[nid]), fs)
         classes.append(members)
-        class_gens.append(gens)
         tracker.classes = len(classes)
         return cid
 
@@ -248,7 +213,7 @@ def _enumerate(
         if size == order:
             continue
         rep = nodes[classes[cid][0]]
-        kgens = class_gens[cid]
+        kgens = node_gens[classes[cid][0]]
         in_k = np.zeros(order, dtype=bool)
         in_k[list(rep)] = True
         outside = candidates[~in_k[candidates]]
@@ -266,24 +231,27 @@ def _enumerate(
             new_rep = tuple(res.tolist())
             if frozenset(new_rep) in node_ids:
                 continue
-            new_gens = _reduce_gens(engine, tracker, kgens + (e,), res)
-            ncid = register(new_rep, new_gens)
+            ncid = register(new_rep, kgens + (e,))
             heapq.heappush(heap, (len(new_rep), ncid))
 
-    # canonical ordering: by subgroup order, then by element tuple
+    # canonical ordering: by subgroup order, then by element tuple;
+    # classes by their smallest id
     perm = sorted(range(len(nodes)), key=lambda i: (len(nodes[i]), nodes[i]))
     inv = {old: new for new, old in enumerate(perm)}
-    nodes2 = [nodes[i] for i in perm]
-    gens2 = [node_gens[i] for i in perm]
-    cls_members: dict[int, list[int]] = {}
-    for old, cid in enumerate(node_class):
-        cls_members.setdefault(cid, []).append(inv[old])
-    ordered_classes = sorted((sorted(m) for m in cls_members.values()), key=min)
-    class_of = [0] * len(nodes2)
-    for ci, members in enumerate(ordered_classes):
+    fsets = list(node_ids)
+    classes2 = sorted(tuple(sorted(inv[old] for old in m)) for m in classes)
+    class_of = [0] * len(nodes)
+    for ci, members in enumerate(classes2):
         for nid in members:
             class_of[nid] = ci
-    return nodes2, gens2, class_of, [tuple(m) for m in ordered_classes], tracker.stats()
+    return (
+        [nodes[i] for i in perm],
+        [fsets[i] for i in perm],
+        [node_gens[i] for i in perm],
+        class_of,
+        classes2,
+        tracker.stats(),
+    )
 
 
 class _NodePoset:
@@ -291,11 +259,11 @@ class _NodePoset:
     by subgroup order, the whole group last), with the one containment
     scan that every poset query reads."""
 
-    def __init__(self, nodes: Sequence[tuple[int, ...]]):
-        self._fs = [frozenset(n) for n in nodes]
-        self._sizes = [len(n) for n in nodes]
-        self._rows: list[list[int] | None] = [None] * len(nodes)
-        self.top_id = len(nodes) - 1
+    def __init__(self, fsets: list[frozenset]):
+        self._fs = fsets
+        self._sizes = [len(fs) for fs in fsets]
+        self._rows: list[list[int] | None] = [None] * len(fsets)
+        self.top_id = len(fsets) - 1
 
     def _overgroups(self, i: int) -> list[int]:
         """Ids of the nodes strictly containing node i, ascending; each
@@ -322,23 +290,22 @@ class SubgroupLattice(_NodePoset):
     Node ids ascend by subgroup order (ties by element tuple): the
     trivial subgroup is node 0, the whole group the last node.
     ``stats`` holds the enumeration's counts: subgroups, classes,
-    closures by purpose (``candidate``, ``normalizer``,
-    ``reduce_gens``) and elapsed seconds."""
+    closures by purpose (``candidate`` extensions and ``normalizer``
+    growth) and elapsed seconds."""
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
         budget.check_order(group.order)  # the order comes without the table
         self.engine = group.engine
-        nodes, gens, class_of, classes, stats = _enumerate(
+        nodes, fsets, gens, class_of, classes, stats = _enumerate(
             self.engine, budget, (self.engine.id_idx,), ()
         )
-        super().__init__(nodes)
+        super().__init__(fsets)
         self._nodes = nodes
         self._gens = gens
         self._class_of = class_of
         self._classes = classes
         self.stats = stats
-        self._ids = {fs: i for i, fs in enumerate(self._fs)}
         self.trivial_id = 0
         assert len(self._nodes[self.top_id]) == self.engine.order
         self._subgroups_strict: list[list[int]] | None = None
@@ -370,10 +337,14 @@ class SubgroupLattice(_NodePoset):
         return [self.engine.permutation(x) for x in self._nodes[i]]
 
     def node_id_of(self, elements: Iterable[int]) -> int:
-        fs = frozenset(int(x) for x in elements)
-        if fs not in self._ids:
-            raise KeyError("no such subgroup in the lattice")
-        return self._ids[fs]
+        """Id of the node with exactly these elements (in any order,
+        repeats allowed), found by bisection in the canonical order."""
+        key = tuple(sorted({int(x) for x in elements}))
+        lo = bisect_left(self._sizes, len(key))
+        i = bisect_left(self._nodes, key, lo, bisect_right(self._sizes, len(key)))
+        if i < self.node_count and self._nodes[i] == key:
+            return i
+        raise KeyError("no such subgroup in the lattice")
 
     def contains(self, i: int, j: int) -> bool:
         """True when node i is a subgroup of node j."""
@@ -445,7 +416,7 @@ class SubgroupLattice(_NodePoset):
         acc = self._fs[maxima[0]]
         for i in maxima[1:]:
             acc = acc & self._fs[i]
-        return self._ids[acc]
+        return self.node_id_of(acc)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs (i, j): i < j with nothing strictly between."""
@@ -532,10 +503,11 @@ class OvergroupFamily(_NodePoset):
     classes: list[tuple[int, ...]]
     seed: tuple[int, ...]
     stats: dict
+    fsets: InitVar[list[frozenset]]
     literal_ids: list[int] = field(init=False)
 
-    def __post_init__(self):
-        _NodePoset.__init__(self, self.nodes)
+    def __post_init__(self, fsets: list[frozenset]):
+        _NodePoset.__init__(self, fsets)
         seed_id = self.nodes.index(self.seed)
         self.literal_ids = [seed_id, *self._overgroups(seed_id)]
 
@@ -548,8 +520,9 @@ def overgroups_of_seed(
 ) -> OvergroupFamily:
     budget = budget or DEFAULT_BUDGET
     budget.check_order(engine.order)
-    nodes, _gens, class_of, classes, stats = _enumerate(engine, budget, seed, seed_gens)
-    return OvergroupFamily(nodes, class_of, classes, tuple(sorted(int(x) for x in seed)), stats)
+    nodes, fsets, _gens, class_of, classes, stats = _enumerate(engine, budget, seed, seed_gens)
+    seed_elements = tuple(sorted(int(x) for x in seed))
+    return OvergroupFamily(nodes, class_of, classes, seed_elements, stats, fsets)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +704,7 @@ def centralizer_quotient(lat: SubgroupLattice, upper: int, lower: int) -> PermGr
     eng = lat.engine
     in_lower = np.zeros(eng.order, dtype=bool)
     in_lower[list(lat.node_elements(lower))] = True
-    mask = np.ones(eng.order, dtype=bool)
-    for ngen in lat.node_generators(upper):
-        mask &= in_lower[eng.commutators_with(ngen)]
+    mask = eng.commutes_into(lat.node_generators(upper), in_lower)
     cent = [int(x) for x in np.flatnonzero(mask)]
     degree, gen_rows, _ = eng.quotient_action(cent)
     return PermGroup(

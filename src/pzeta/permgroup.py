@@ -436,6 +436,14 @@ class _Engine:
         imgs = self.rows[n][self.rows[self.inv[:, None], pts]]
         return self._lookup(np.take_along_axis(self.rows, imgs.astype(np.intp), axis=1))
 
+    def commutes_into(self, gens: Iterable[int], member: np.ndarray) -> np.ndarray:
+        """Boolean mask of the elements x with [g, x] in ``member`` (a
+        boolean mask over the elements) for every g in ``gens``."""
+        mask = np.ones(self.order, dtype=bool)
+        for g in gens:
+            mask &= member[self.commutators_with(g)]
+        return mask
+
     def closure(self, gen_idx: Iterable[int], bail_half: bool = False):
         """Sorted element indices of the subgroup generated by gen_idx.
 
@@ -562,46 +570,44 @@ class _Engine:
         member[arr] = True
         return all(member[self.conj_set(arr, g)].all() for g in self.gen_indices)
 
-    def normal_closure(self, seeds: Iterable[int]) -> np.ndarray:
-        gens = [int(x) for x in dict.fromkeys(seeds) if x != self.id_idx]
-        if not gens:
-            return np.asarray([self.id_idx], dtype=np.int64)
-        closed = self.closure(gens)
-        member = set(closed.tolist())
-        while True:
-            extra = []
-            for g in gens:
-                for a in self.gen_indices:
-                    y = self.conj_elem(g, a)
-                    if y not in member:
-                        extra.append(y)
-            if not extra:
-                return closed
-            gens.extend(dict.fromkeys(extra))
-            closed = self.closure(gens)
-            member = set(closed.tolist())
+    def normal_closure(
+        self, seeds: Iterable[int], conjugators: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """Sorted element indices of the least subgroup that contains
+        ``seeds`` and is closed under conjugation by ``conjugators``
+        (by default the group's generators: the normal closure in G).
 
-    def derived_subgroup(self, ids: Sequence[int], gens: Sequence[int]) -> np.ndarray:
-        """Derived subgroup of the subgroup with the given elements and
-        generating set: normal closure (inside that subgroup) of the
-        generator commutators."""
-        seeds = [self.commutator(a, b) for a in gens for b in gens if a != b]
-        seeds = [s for s in dict.fromkeys(seeds) if s != self.id_idx]
-        if not seeds:
-            return np.asarray([self.id_idx], dtype=np.int64)
-        member = set(self.closure(seeds).tolist())
-        work = list(seeds)
+        A subgroup is closed once the conjugates of its generators lie
+        in it, and conjugates of the earlier generators already lie in
+        the earlier closure; so each round adds, as generators, the
+        conjugates of the last round's new generators that fall
+        outside, and closes again."""
+        if conjugators is None:
+            conjugators = self.gen_indices
+        gens = list(dict.fromkeys(int(x) for x in seeds))
+        new = np.asarray(gens, dtype=np.int64)
         while True:
-            extra = []
-            for g in work:
-                for a in gens:
-                    y = self.conj_elem(g, a)
-                    if y not in member:
-                        extra.append(y)
-            if not extra:
-                return np.asarray(sorted(member), dtype=np.int64)
-            work = list(dict.fromkeys(work + extra))
-            member = set(self.closure(work).tolist())
+            closed = self.closure(gens)
+            member = np.zeros(self.order, dtype=bool)
+            member[closed] = True
+            found = []
+            for c in conjugators:
+                # conjugation by c is a bijection: no duplicates within y
+                y = self.conj_set(new, c)
+                y = y[~member[y]]
+                member[y] = True
+                found.append(y)
+            new = np.concatenate(found) if found else new[:0]
+            if not new.size:
+                return closed
+            gens += new.tolist()
+
+    def derived_subgroup(self, gens: Sequence[int]) -> np.ndarray:
+        """Derived subgroup of the subgroup generated by ``gens``: the
+        normal closure, inside that subgroup, of the commutators of its
+        generators."""
+        seeds = [self.commutator(a, b) for i, a in enumerate(gens) for b in gens[:i]]
+        return self.normal_closure(seeds, gens)
 
     def sylow2(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A Sylow 2-subgroup: (sorted element indices, generators).
@@ -799,21 +805,11 @@ class AlmostSimpleSpec:
             raise InvalidParameter("socle is not normal in the group")
         if socle.is_abelian:
             raise InvalidParameter("socle must be nonabelian")
-        derived = eng.derived_subgroup(sorted(self._socle_ids), socle_gen_ids)
-        if frozenset(int(x) for x in derived) != self._socle_ids:
+        if len(eng.derived_subgroup(socle_gen_ids)) != socle.order:
             raise InvalidParameter("socle is not perfect")
-        if self._centralizer_size(eng, socle_gen_ids) != 1:
+        trivial = np.arange(eng.order) == eng.id_idx
+        if eng.commutes_into(socle_gen_ids, trivial).sum() != 1:
             raise InvalidParameter("socle has nontrivial centralizer")
-
-    @staticmethod
-    def _centralizer_size(eng: _Engine, socle_gen_ids: Sequence[int]) -> int:
-        mask = np.ones(eng.order, dtype=bool)
-        for s in socle_gen_ids:
-            srow = eng.rows[s]
-            left = srow[eng.rows]          # x then s
-            right = eng.rows[:, srow]      # s then x
-            mask &= (left == right).all(axis=1)
-        return int(mask.sum())
 
     @property
     def socle_indices(self) -> frozenset[int]:

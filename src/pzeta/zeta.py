@@ -437,7 +437,7 @@ def chief_factorization(
         abelian_ok = None
         if step.abelian:
             target = group.order // step.factor_order
-            upper_fs = frozenset(lat.node_elements(upper))
+            upper_fs = lat._fs[upper]
             complement_count = sum(
                 1
                 for k in (lower, *lat._overgroups(lower))

@@ -146,12 +146,15 @@ class TestAgainstReferenceWalk:
 
 class TestClosureCounts:
     # Deterministic counts of the builtin groups (element indexing and
-    # the walk do not depend on the run): the walk makes 739 and 187
-    # closures, where the K-conjugation loop it replaced made 3568 and 934.
-    @pytest.mark.parametrize("name,ceiling", [("S6", 760), ("PGL(2,7)", 200)])
+    # the walk do not depend on the run): the walk makes 622, 187 and
+    # 477 closures for S6, PGL(2,7) and S4xS3, where the K-conjugation
+    # loop it replaced made 3568, 934 and 1812.
+    @pytest.mark.parametrize(
+        "name,ceiling", [("S6", 640), ("PGL(2,7)", 200), ("S4xS3", 500)]
+    )
     def test_builtin_lattices_stay_under_ceiling(self, name, ceiling):
         stats = group(name).subgroup_lattice().stats
-        assert set(stats["closures"]) == {"candidate", "normalizer", "reduce_gens"}
+        assert set(stats["closures"]) == {"candidate", "normalizer"}
         assert sum(stats["closures"].values()) <= ceiling
 
     def test_family_and_refusal_carry_closures(self, capsys):

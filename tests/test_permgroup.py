@@ -804,3 +804,80 @@ class TestOrderBeforeTable:
         spec = make_psl2(13, "pgl")
         assert spec.socle.order == 1092 and len(spec.socle_indices) == 1092
         assert spec.socle._eng is None and spec.group._eng is not None
+
+
+# -- socle validation, conjugation closures and node lookup --------------------
+
+
+def _embedded(degree: int, sub: PermGroup, name: str) -> PermGroup:
+    """``sub`` acting on its own points, fixing the rest of ``degree``."""
+    gens = [list(g.images) + list(range(sub.degree, degree)) for g in sub.generators]
+    return PermGroup(degree, gens, name=name)
+
+
+class TestAlmostSimpleValidation:
+    @pytest.mark.parametrize(
+        "group_name,socle,message",
+        [
+            ("S5", lambda: _embedded(5, alternating(4), "A4"), "socle is not normal in the group"),
+            ("S4", lambda: symmetric(4), "socle is not perfect"),
+            ("A5xC2", lambda: _embedded(7, alternating(5), "A5"),
+             "socle has nontrivial centralizer"),
+        ],
+    )
+    def test_rejections(self, group_name, socle, message):
+        with pytest.raises(InvalidParameter, match=message):
+            AlmostSimpleSpec(builtin_group(group_name), socle())
+
+
+CLOSURE_GROUPS = ["S4", "A4", "Q8", "D12", "S5", "A5xC2"]
+
+
+def _conjugate_closure(eng, seeds, conjugators) -> list[int]:
+    """The subgroup generated by every conjugate of the seeds under the
+    group generated by ``conjugators``."""
+    by = eng.closure(conjugators)
+    conjugates = {int(eng.conj_elem(s, h)) for s in seeds for h in by.tolist()}
+    return eng.closure(sorted(conjugates)).tolist()
+
+
+class TestNormalClosure:
+    @pytest.mark.parametrize("name", CLOSURE_GROUPS)
+    def test_normal_closure_of_every_element(self, name):
+        eng = builtin_group(name).engine
+        everything = list(range(eng.order))
+        for x in everything:
+            assert eng.normal_closure([x]).tolist() == _conjugate_closure(eng, [x], everything)
+
+    @pytest.mark.parametrize("name", CLOSURE_GROUPS)
+    def test_closure_under_subgroup_conjugators(self, name):
+        lat = builtin_group(name).subgroup_lattice()
+        eng = lat.engine
+        for members in lat.conjugacy_classes:
+            gens = lat.node_generators(members[0])
+            for x in range(0, eng.order, 7):
+                assert eng.normal_closure([x], gens).tolist() == _conjugate_closure(eng, [x], gens)
+
+    @pytest.mark.parametrize("name", CLOSURE_GROUPS)
+    def test_derived_subgroup_of_every_class(self, name):
+        lat = builtin_group(name).subgroup_lattice()
+        eng = lat.engine
+        for members in lat.conjugacy_classes:
+            elems = np.asarray(lat.node_elements(members[0]))
+            commutators = {int(c) for a in elems for c in eng.commutators_with(a)[elems]}
+            expected = eng.closure(sorted(commutators)).tolist()
+            assert eng.derived_subgroup(lat.node_generators(members[0])).tolist() == expected
+
+
+class TestNodeIdOf:
+    @pytest.mark.parametrize("name", ["S4", "A5xC2", "PGL(2,7)"])
+    def test_round_trips_and_rejects(self, name):
+        lat = group(name).subgroup_lattice()
+        for i in range(lat.node_count):
+            elems = lat.node_elements(i)
+            assert lat.node_id_of(elems) == i
+            assert lat.node_id_of(list(reversed(elems)) + list(elems[:2])) == i
+        whole = lat.node_elements(lat.top_id)
+        for bad in ([], [1], whole[1:], np.asarray(whole[:-1])):
+            with pytest.raises(KeyError):
+                lat.node_id_of(bad)
