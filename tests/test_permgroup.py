@@ -1,6 +1,8 @@
 """Permutation engine, lattice enumeration, Moebius values, normal
 structure, quotients and the projective-line constructions."""
 
+import hashlib
+import json
 import time
 import tracemalloc
 
@@ -384,6 +386,21 @@ class TestPosetQueries:
         assert lat.maximal_node_ids() == maximal
         assert lat.hasse_edges() == edges
         assert lat.frattini_node_id() == frattini
+
+    # sha256 of the sorted-key JSON export, recorded from the frozenset
+    # scan of every node; pins node, Hasse-edge, class and Moebius order
+    # where a pretty-printed golden would run to hundreds of KB
+    EXPORT_DIGESTS = {
+        "S5": "427bfdfd5fa56a2bc90b10f600de070900b5b713e7971bcc5e4ebacb065ef77e",
+        "S4xS3": "f1af90361d156c988a4c746789e8987d046aa8eec553b19b3b66a2d7067b0a50",
+        "PGL(2,7)": "ad6ddd7a18441488b2b44df61f014b92ac70b5ed05fded43003200535369720b",
+        "A5xC2": "9132a537dbdf17e3a8a8d6f1e66264ab372c77b406dffef1705f4485cceddbca",
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+    def test_export_digest_matches_recorded(self, name):
+        export = json.dumps(group(name).subgroup_lattice().to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(export.encode()).hexdigest() == self.EXPORT_DIGESTS[name]
 
     @pytest.mark.parametrize(
         "q,variant",
