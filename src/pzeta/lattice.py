@@ -36,6 +36,9 @@ Moebius values.
 Node ids ascend by subgroup order.  Every poset query (Moebius values,
 maximality, Hasse covers, intervals) reads one cached row per node, the
 ascending ids of its proper overgroups (``_NodePoset._overgroups``).
+Conjugation by a group generator permutes the nodes and preserves
+inclusion, so rows and Hasse covers are computed once per class, for
+its representative, and relabelled to the other members.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def _enumerate(
     subgroup order, then by element tuple): the nodes as sorted
     element-index tuples and as frozensets, each node's generators, each
     node's class id, the classes (ascending node ids, ordered by their
-    smallest id), and the tracker's stats.
+    smallest id), one node permutation per group generator (the id of
+    each node's conjugate by it), and the tracker's stats.
 
     Every conjugate of every overgroup of the seed subgroup is listed
     (the seed's class first grows upward, orbits fill sideways); the
@@ -174,6 +178,8 @@ def _enumerate(
     classes: list[list[int]] = []
 
     g_gens = engine.gen_indices
+    # images[k][i]: the id of node i conjugated by g_gens[k]
+    images: list[list[int]] = [[] for _ in g_gens]
 
     def add(elements: tuple[int, ...], gens: tuple[int, ...], fs: frozenset):
         tracker.subgroups += 1
@@ -183,18 +189,22 @@ def _enumerate(
         node_gens.append(gens)
 
     def register(rep: tuple[int, ...], gens: tuple[int, ...]) -> int:
-        """Add a new subgroup and all its conjugates as one class."""
+        """Add a new subgroup and all its conjugates as one class, and
+        record each member's image under every generator."""
         cid = len(classes)
         members = [len(nodes)]
         add(rep, gens, frozenset(rep))
-        for nid in members:  # grows while conjugates are found
+        # grows while conjugates are found; over all classes, members
+        # are visited in id order, so each image list is indexed by id
+        for nid in members:
             arr = np.asarray(nodes[nid], dtype=np.int64)
-            for g in g_gens:
+            for g, image in zip(g_gens, images):
                 conj = tuple(np.sort(engine.conj_set(arr, g)).tolist())
                 fs = frozenset(conj)
                 if fs not in node_ids:
                     members.append(len(nodes))
                     add(conj, tuple(engine.conj_elem(x, g) for x in node_gens[nid]), fs)
+                image.append(node_ids[fs])
         classes.append(members)
         tracker.classes = len(classes)
         return cid
@@ -250,36 +260,90 @@ def _enumerate(
         [node_gens[i] for i in perm],
         class_of,
         classes2,
+        [[inv[image[old]] for old in perm] for image in images],
         tracker.stats(),
     )
 
 
 class _NodePoset:
     """Subgroups as element sets in the canonical node order (ids ascend
-    by subgroup order, the whole group last), with the one containment
-    scan that every poset query reads."""
+    by subgroup order, the whole group last), closed under conjugation,
+    with the cached containment rows that every poset query reads.
 
-    def __init__(self, fsets: list[frozenset]):
+    Conjugation by a group generator is an automorphism of the poset,
+    and ``node_perms[k]`` is its action on node ids.  So a row is
+    scanned only for a class representative (the class's smallest id).
+    Every other node has a parent (p, k), found by breadth-first search
+    from the representative, with node = node p conjugated by generator
+    k, and its row is p's row relabelled by ``node_perms[k]``.
+    ``stats["rows"]`` counts the rows scanned and relabelled."""
+
+    def __init__(
+        self,
+        fsets: list[frozenset],
+        classes: Sequence[Sequence[int]],
+        node_perms: list[list[int]],
+        stats: dict,
+    ):
         self._fs = fsets
         self._sizes = [len(fs) for fs in fsets]
         self._rows: list[list[int] | None] = [None] * len(fsets)
         self.top_id = len(fsets) - 1
+        self._perms = node_perms
+        self._parent: list[tuple[int, int] | None] = [None] * len(fsets)
+        for members in classes:
+            rep = members[0]
+            queue = [rep]
+            for u in queue:
+                for k, perm in enumerate(node_perms):
+                    v = perm[u]
+                    if v != rep and self._parent[v] is None:
+                        self._parent[v] = (u, k)
+                        queue.append(v)
+        self.stats = stats
+        stats["rows"] = {"scanned": 0, "relabelled": 0}
+
+    def _from_class(self, cache: list, i: int, scan) -> int:
+        """Fill ``cache[i]``: ``scan`` the class representative unless
+        an entry on the parent chain is already cached, then relabel
+        down the chain to node i.  The chain is walked iteratively: a
+        class of the dihedral group D_2n can be about n/2 steps deep.
+        Returns the number of entries relabelled."""
+        chain = []
+        while cache[i] is None and self._parent[i] is not None:
+            chain.append(i)
+            i = self._parent[i][0]
+        if cache[i] is None:
+            cache[i] = scan(i)
+        for j in reversed(chain):
+            parent, k = self._parent[j]
+            perm = self._perms[k]
+            cache[j] = sorted([perm[x] for x in cache[parent]])
+        return len(chain)
 
     def _overgroups(self, i: int) -> list[int]:
         """Ids of the nodes strictly containing node i, ascending; each
-        row is computed once.  A proper overgroup has larger order, a
-        multiple of |node i|, so the candidates start at the first node
-        of larger order."""
+        row is computed once."""
         row = self._rows[i]
         if row is None:
-            fs, sizes, size = self._fs, self._sizes, self._sizes[i]
-            node = fs[i]
-            row = self._rows[i] = [
-                j
-                for j in range(bisect_right(sizes, size), len(fs))
-                if sizes[j] % size == 0 and node <= fs[j]
-            ]
+            self.stats["rows"]["relabelled"] += self._from_class(
+                self._rows, i, self._scan_overgroups
+            )
+            row = self._rows[i]
         return row
+
+    def _scan_overgroups(self, i: int) -> list[int]:
+        """The frozenset scan behind a representative's row.  A proper
+        overgroup has larger order, a multiple of |node i|, so the
+        candidates start at the first node of larger order."""
+        self.stats["rows"]["scanned"] += 1
+        fs, sizes, size = self._fs, self._sizes, self._sizes[i]
+        node = fs[i]
+        return [
+            j
+            for j in range(bisect_right(sizes, size), len(fs))
+            if sizes[j] % size == 0 and node <= fs[j]
+        ]
 
 
 class SubgroupLattice(_NodePoset):
@@ -291,21 +355,21 @@ class SubgroupLattice(_NodePoset):
     trivial subgroup is node 0, the whole group the last node.
     ``stats`` holds the enumeration's counts: subgroups, classes,
     closures by purpose (``candidate`` extensions and ``normalizer``
-    growth) and elapsed seconds."""
+    growth) and elapsed seconds, plus the overgroup ``rows`` scanned
+    and relabelled so far."""
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
         budget.check_order(group.order)  # the order comes without the table
         self.engine = group.engine
-        nodes, fsets, gens, class_of, classes, stats = _enumerate(
+        nodes, fsets, gens, class_of, classes, node_perms, stats = _enumerate(
             self.engine, budget, (self.engine.id_idx,), ()
         )
-        super().__init__(fsets)
+        super().__init__(fsets, classes, node_perms, stats)
         self._nodes = nodes
         self._gens = gens
         self._class_of = class_of
         self._classes = classes
-        self.stats = stats
         self.trivial_id = 0
         assert len(self._nodes[self.top_id]) == self.engine.order
         self._subgroups_strict: list[list[int]] | None = None
@@ -419,15 +483,20 @@ class SubgroupLattice(_NodePoset):
         return self.node_id_of(acc)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Covering pairs (i, j): i < j with nothing strictly between."""
-        edges = []
+        """Covering pairs (i, j): i < j with nothing strictly between,
+        ordered by i, then j.  The cover test runs on class
+        representatives; every other node's covers are relabelled."""
+        covers: list[list[int] | None] = [None] * self.node_count
         for i in range(self.node_count):
-            covers: list[int] = []
-            for j in self._overgroups(i):  # ascending: any k between comes first
-                if not any(self._fs[k] < self._fs[j] for k in covers):
-                    covers.append(j)
-                    edges.append((i, j))
-        return edges
+            self._from_class(covers, i, self._scan_covers)
+        return [(i, j) for i in range(self.node_count) for j in covers[i]]
+
+    def _scan_covers(self, i: int) -> list[int]:
+        covers: list[int] = []
+        for j in self._overgroups(i):  # ascending: any k between comes first
+            if not any(self._fs[k] < self._fs[j] for k in covers):
+                covers.append(j)
+        return covers
 
     # -- derived groups ------------------------------------------------------
 
@@ -504,10 +573,11 @@ class OvergroupFamily(_NodePoset):
     seed: tuple[int, ...]
     stats: dict
     fsets: InitVar[list[frozenset]]
+    node_perms: InitVar[list[list[int]]]
     literal_ids: list[int] = field(init=False)
 
-    def __post_init__(self, fsets: list[frozenset]):
-        _NodePoset.__init__(self, fsets)
+    def __post_init__(self, fsets: list[frozenset], node_perms: list[list[int]]):
+        _NodePoset.__init__(self, fsets, self.classes, node_perms, self.stats)
         seed_id = self.nodes.index(self.seed)
         self.literal_ids = [seed_id, *self._overgroups(seed_id)]
 
@@ -520,9 +590,11 @@ def overgroups_of_seed(
 ) -> OvergroupFamily:
     budget = budget or DEFAULT_BUDGET
     budget.check_order(engine.order)
-    nodes, fsets, _gens, class_of, classes, stats = _enumerate(engine, budget, seed, seed_gens)
+    nodes, fsets, _gens, class_of, classes, node_perms, stats = _enumerate(
+        engine, budget, seed, seed_gens
+    )
     seed_elements = tuple(sorted(int(x) for x in seed))
-    return OvergroupFamily(nodes, class_of, classes, seed_elements, stats, fsets)
+    return OvergroupFamily(nodes, class_of, classes, seed_elements, stats, fsets, node_perms)
 
 
 # ---------------------------------------------------------------------------

@@ -612,9 +612,12 @@ class _Engine:
     def sylow2(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A Sylow 2-subgroup: (sorted element indices, generators).
 
-        Grown by repeatedly adjoining a 2-element that normalizes the
-        current 2-subgroup; such an element exists below full Sylow
-        order because normalizers grow in 2-groups.
+        Seeded with the least-index 2-element of largest order, and
+        grown by adjoining the least-index 2-element outside the current
+        2-subgroup P that normalizes it; such an element exists below
+        full Sylow order because normalizers grow in 2-groups.  The
+        normalizer is read from one mask, the x with [g, x] in P for
+        every generator g of P (``commutes_into``).
         """
         target = 1
         n = self.order
@@ -624,27 +627,20 @@ class _Engine:
         if target == 1:
             return (self.id_idx,), ()
         orders = self.element_orders()
-        two_elems = [
-            i
-            for i in range(self.order)
-            if i != self.id_idx and (int(orders[i]) & (int(orders[i]) - 1)) == 0
-        ]
-        best = max(int(orders[i]) for i in two_elems)
-        seed = next(i for i in two_elems if int(orders[i]) == best)
+        two_power = (orders & (orders - 1)) == 0
+        two_power[self.id_idx] = False
+        best = int(orders[two_power].max())
+        seed = int(np.argmax(two_power & (orders == best)))
         gens = [seed]
         arr = self.closure(gens)
         while len(arr) < target:
             member = np.zeros(self.order, dtype=bool)
             member[arr] = True
-            for g in two_elems:
-                if member[g]:
-                    continue
-                if member[self.conj_set(arr, g)].all():
-                    gens.append(g)
-                    arr = self.closure(gens)
-                    break
-            else:
+            candidates = two_power & self.commutes_into(gens, member) & ~member
+            if not candidates.any():
                 raise RuntimeError("Sylow 2-subgroup growth stalled")
+            gens.append(int(np.argmax(candidates)))
+            arr = self.closure(gens)
         assert len(arr) == target
         return tuple(arr.tolist()), tuple(gens)
 

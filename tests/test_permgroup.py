@@ -373,12 +373,31 @@ def _brute_poset(lat):
     return over, under, maximal, edges, sets.index(frattini)
 
 
+def _poset_group(name: str) -> PermGroup:
+    """A builtin group; a trailing ``~`` renames its points by a seeded
+    random permutation, which changes the node order, the classes'
+    representatives and the parent trees rows are relabelled along."""
+    if name.endswith("~"):
+        return _relabelled(group(name[:-1]), 5)
+    return group(name)
+
+
+def _brute_rows(poset) -> list[list[int]]:
+    """Every node's proper overgroups by testing all pairs of nodes."""
+    sets = poset._fs
+    return [[j for j in range(len(sets)) if sets[i] < sets[j]] for i in range(len(sets))]
+
+
 class TestPosetQueries:
     @pytest.mark.parametrize(
-        "name", ["S3", "S4", "A4", "D8", "Q8", "C12", "A5", "A5xC2", "PGL(2,7)", "S4xS3"]
+        "name",
+        [
+            "S3", "S4", "A4", "D8", "Q8", "C12", "A5", "A5xC2", "PGL(2,7)", "S4xS3",
+            "S5~", "D12~", "PGL(2,7)~",
+        ],
     )
     def test_match_brute_force_relation(self, name):
-        lat = group(name).subgroup_lattice()
+        lat = _poset_group(name).subgroup_lattice()
         over, under, maximal, edges, frattini = _brute_poset(lat)
         n = lat.node_count
         assert [lat.strict_overgroups(i) for i in range(n)] == over
@@ -401,6 +420,61 @@ class TestPosetQueries:
     def test_export_digest_matches_recorded(self, name):
         export = json.dumps(group(name).subgroup_lattice().to_json_dict(), sort_keys=True)
         assert hashlib.sha256(export.encode()).hexdigest() == self.EXPORT_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["S6", "A5xC2"])
+    def test_query_order_does_not_change_rows_or_edges(self, name):
+        # covers first (each class's representative row, the rest
+        # relabelled), against every row first
+        covers_first = subgroup_lattice(group(name))
+        edges = covers_first.hasse_edges()
+        rows_first = subgroup_lattice(group(name))
+        rows = [rows_first.strict_overgroups(i) for i in range(rows_first.node_count)]
+        assert rows_first.hasse_edges() == edges
+        assert [covers_first.strict_overgroups(i) for i in range(covers_first.node_count)] == rows
+
+    @pytest.mark.parametrize("name", ["S6", "PGL(2,7)", "S4xS3"])
+    def test_rows_are_scanned_once_per_class(self, name):
+        lat = subgroup_lattice(group(name))
+        # the Moebius values read every representative's row but the top's
+        assert lat.stats["rows"] == {"scanned": lat.class_count - 1, "relabelled": 0}
+        lat.strict_subgroups(0)  # touches every row
+        rows = lat.stats["rows"]
+        assert rows["scanned"] == lat.class_count
+        assert rows["scanned"] + rows["relabelled"] == lat.node_count
+        lat.hasse_edges()
+        assert lat.stats["rows"] == rows
+
+    @pytest.mark.parametrize(
+        "q,variant,include_even",
+        [(7, "pgl", False), (11, "psl", False), (7, "pgl", True)],
+    )
+    def test_family_rows_match_brute_scan(self, q, variant, include_even):
+        eng = psl2(q, variant).group.engine
+        seed = ((eng.id_idx,), ()) if include_even else eng.sylow2()
+        fam = overgroups_of_seed(eng, *seed)
+        assert [fam._overgroups(i) for i in range(len(fam.nodes))] == _brute_rows(fam)
+        rows = fam.stats["rows"]
+        assert rows["scanned"] == len(fam.classes)
+        assert rows["scanned"] + rows["relabelled"] == len(fam.nodes)
+
+    def test_trivial_group_has_one_node_and_no_edges(self):
+        lat = subgroup_lattice(PermGroup(1, []))
+        assert lat.node_count == 1 and lat.class_count == 1
+        assert lat.hasse_edges() == []
+        assert lat.strict_overgroups(0) == [] and lat.maximal_node_ids() == []
+        assert lat.frattini_node_id() == 0
+
+    def test_repeated_generator(self):
+        # a repeated generator and the identity among the generators
+        # change neither the poset nor its export
+        a = Permutation.parse("(0 1 2 3)", 4)
+        b = Permutation.parse("(0 1)", 4)
+        lat = subgroup_lattice(PermGroup(4, [a, b, Permutation.identity(4), a, b]))
+        over, under, maximal, edges, frattini = _brute_poset(lat)
+        assert lat.node_count == 30
+        assert [lat.strict_overgroups(i) for i in range(lat.node_count)] == over
+        assert lat.hasse_edges() == edges
+        assert lat.to_json_dict() == subgroup_lattice(PermGroup(4, [a, b])).to_json_dict()
 
     @pytest.mark.parametrize(
         "q,variant",
@@ -549,6 +623,54 @@ class TestProjectiveConstructions:
 
 def cyclic_subgroup_of_s4():
     return PermGroup(4, [Permutation.parse("(0 1 2 3)", 4)], name="C4<S4")
+
+
+def _reference_sylow2(eng):
+    """The Sylow 2-subgroup growth loop ``sylow2`` replaced: tries every
+    2-element in index order and conjugates the whole subgroup by it."""
+    target = eng.order & -eng.order
+    if target == 1:
+        return (eng.id_idx,), ()
+    orders = eng.element_orders()
+    two_elems = [
+        i
+        for i in range(eng.order)
+        if i != eng.id_idx and (int(orders[i]) & (int(orders[i]) - 1)) == 0
+    ]
+    best = max(int(orders[i]) for i in two_elems)
+    gens = [next(i for i in two_elems if int(orders[i]) == best)]
+    arr = eng.closure(gens)
+    while len(arr) < target:
+        member = np.zeros(eng.order, dtype=bool)
+        member[arr] = True
+        gens.append(
+            next(
+                g for g in two_elems if not member[g] and member[eng.conj_set(arr, g)].all()
+            )
+        )
+        arr = eng.closure(gens)
+    return tuple(arr.tolist()), tuple(gens)
+
+
+SYLOW2_GROUPS = [
+    *(f"{kind}(2,{q})" for q in (5, 7, 11, 13, 17) for kind in ("PSL", "PGL")),
+    "S4", "S6", "D12", "A4xC2",
+]
+
+
+class TestSylow2:
+    @pytest.mark.parametrize("relabel", [False, True], ids=["given", "relabelled"])
+    @pytest.mark.parametrize("name", SYLOW2_GROUPS)
+    def test_matches_conjugation_loop(self, name, relabel):
+        grp = builtin_group(name)
+        if relabel:
+            grp = _relabelled(grp, 7)
+        eng = grp.engine
+        assert eng.sylow2() == _reference_sylow2(eng)
+
+    def test_odd_order_gives_trivial_subgroup(self):
+        eng = cyclic(15).engine
+        assert eng.sylow2() == ((eng.id_idx,), ())
 
 
 class TestDirectProduct:
