@@ -255,6 +255,21 @@ class TestChiefFactorization:
         with pytest.raises(NotNormal):
             chief_factorization(g, chain=[lat.top_id, a4, v4, c2, lat.trivial_id])
 
+    @pytest.mark.parametrize(
+        "name,orders",
+        [("C4", [4, 1]), ("S4", [24, 4, 1]), ("C12", [12, 2, 1])],
+    )
+    def test_chain_skipping_a_normal_subgroup_rejected(self, name, orders):
+        # normal series that are not chief series: C2 lies between C4
+        # and 1, A4 between S4 and V4, C6 and C4 between C12 and C2
+        g = group(name)
+        lat = g.subgroup_lattice()
+        chain = [
+            next(i for i in lat.normal_node_ids() if lat.node_order(i) == k) for k in orders
+        ]
+        with pytest.raises(ValueError):
+            chief_factorization(g, chain=chain)
+
     def test_multiset_independent_of_series(self):
         from pzeta.zeta import chief_factor_multiset
 
