@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, NotNormal, OrderBoundExceeded
-from .numtheory import prime_factors
+from .numtheory import integer_nth_root, prime_factors
 from .permgroup import PermGroup, Permutation, _Engine
 
 
@@ -273,15 +273,18 @@ class _NodePoset:
     Conjugation by a group generator is an automorphism of the poset,
     and ``node_perms[k]`` is its action on node ids.  So a row is
     scanned only for a class representative (the class's smallest id).
-    Every other node has a parent (p, k), found by breadth-first search
-    from the representative, with node = node p conjugated by generator
-    k, and its row is p's row relabelled by ``node_perms[k]``.
+    Every other node has a parent (p, k), with node = node p conjugated
+    by generator k, and its row is p's row relabelled by
+    ``node_perms[k]``.  A class's parents come from one breadth-first
+    search from its representative, run on the first relabel inside the
+    class: most queries read representatives' rows only.
     ``stats["rows"]`` counts the rows scanned and relabelled."""
 
     def __init__(
         self,
         fsets: list[frozenset],
         classes: Sequence[Sequence[int]],
+        class_of: Sequence[int],
         node_perms: list[list[int]],
         stats: dict,
     ):
@@ -289,19 +292,27 @@ class _NodePoset:
         self._sizes = [len(fs) for fs in fsets]
         self._rows: list[list[int] | None] = [None] * len(fsets)
         self.top_id = len(fsets) - 1
+        self._classes = classes
+        self._class_of = class_of
         self._perms = node_perms
         self._parent: list[tuple[int, int] | None] = [None] * len(fsets)
-        for members in classes:
-            rep = members[0]
+        self.stats = stats
+        stats["rows"] = {"scanned": 0, "relabelled": 0}
+
+    def _parent_of(self, i: int) -> tuple[int, int] | None:
+        """Node i's parent (p, k), or None for a class representative;
+        the first call inside a class finds the parents of all its
+        members."""
+        rep = self._classes[self._class_of[i]][0]
+        if i != rep and self._parent[i] is None:
             queue = [rep]
             for u in queue:
-                for k, perm in enumerate(node_perms):
+                for k, perm in enumerate(self._perms):
                     v = perm[u]
                     if v != rep and self._parent[v] is None:
                         self._parent[v] = (u, k)
                         queue.append(v)
-        self.stats = stats
-        stats["rows"] = {"scanned": 0, "relabelled": 0}
+        return self._parent[i]
 
     def _from_class(self, cache: list, i: int, scan) -> int:
         """Fill ``cache[i]``: ``scan`` the class representative unless
@@ -310,15 +321,14 @@ class _NodePoset:
         class of the dihedral group D_2n can be about n/2 steps deep.
         Returns the number of entries relabelled."""
         chain = []
-        while cache[i] is None and self._parent[i] is not None:
-            chain.append(i)
-            i = self._parent[i][0]
+        while cache[i] is None and (parent := self._parent_of(i)) is not None:
+            chain.append((i, parent))
+            i = parent[0]
         if cache[i] is None:
             cache[i] = scan(i)
-        for j in reversed(chain):
-            parent, k = self._parent[j]
+        for j, (p, k) in reversed(chain):
             perm = self._perms[k]
-            cache[j] = sorted([perm[x] for x in cache[parent]])
+            cache[j] = sorted([perm[x] for x in cache[p]])
         return len(chain)
 
     def _overgroups(self, i: int) -> list[int]:
@@ -365,11 +375,9 @@ class SubgroupLattice(_NodePoset):
         nodes, fsets, gens, class_of, classes, node_perms, stats = _enumerate(
             self.engine, budget, (self.engine.id_idx,), ()
         )
-        super().__init__(fsets, classes, node_perms, stats)
+        super().__init__(fsets, classes, class_of, node_perms, stats)
         self._nodes = nodes
         self._gens = gens
-        self._class_of = class_of
-        self._classes = classes
         self.trivial_id = 0
         assert len(self._nodes[self.top_id]) == self.engine.order
         self._subgroups_strict: list[list[int]] | None = None
@@ -425,7 +433,8 @@ class SubgroupLattice(_NodePoset):
         return len(self._classes[self._class_of[i]]) == 1
 
     def normal_node_ids(self) -> list[int]:
-        return [i for i in range(self.node_count) if self.is_normal(i)]
+        """Ascending: classes are ordered by their smallest id."""
+        return [members[0] for members in self._classes if len(members) == 1]
 
     # -- Moebius -----------------------------------------------------------
 
@@ -507,7 +516,9 @@ class SubgroupLattice(_NodePoset):
         )
 
     def quotient_group(self, i: int) -> PermGroup:
-        """G / N for a normal node N, as the faithful coset action."""
+        """G / N for a normal node N, as the faithful coset action.
+        Public API and a test oracle: the library itself reads G / N as
+        the interval [N, G] of this lattice."""
         grp, _ = self.quotient_with_hom(i)
         return grp
 
@@ -577,7 +588,7 @@ class OvergroupFamily(_NodePoset):
     literal_ids: list[int] = field(init=False)
 
     def __post_init__(self, fsets: list[frozenset], node_perms: list[list[int]]):
-        _NodePoset.__init__(self, fsets, self.classes, node_perms, self.stats)
+        _NodePoset.__init__(self, fsets, self.classes, self.class_of, node_perms, self.stats)
         seed_id = self.nodes.index(self.seed)
         self.literal_ids = [seed_id, *self._overgroups(seed_id)]
 
@@ -689,7 +700,12 @@ def all_chief_series_ids(lat: SubgroupLattice, limit: int = 512) -> list[list[in
 
 
 def factor_group(lat: SubgroupLattice, upper: int, lower: int) -> PermGroup:
-    """The section N_upper / N_lower as an abstract permutation group."""
+    """The section N_upper / N_lower as an abstract permutation group
+    (the coset action of N_upper on N_lower).
+
+    Public API and a test oracle for ``chief_steps``; the chief
+    factorization reads its labels off the lattice and never builds
+    a section group."""
     if not lat.contains(lower, upper):
         raise ValueError("lower node is not contained in upper node")
     sub = lat.subgroup_group(upper)
@@ -710,6 +726,9 @@ def identify_characteristically_simple(group: PermGroup) -> tuple[str, int, int]
     Nonabelian case: the smallest normal closure of an element is one
     simple factor; its order determines S up to the scale handled here
     (labels come from an order table, which is enough for labeling).
+
+    Public API and, with ``factor_group``, the test oracle for
+    ``chief_steps``, which does not call it.
     """
     n = group.order
     if n == 1:
@@ -747,11 +766,56 @@ def identify_characteristically_simple(group: PermGroup) -> tuple[str, int, int]
 
 
 def chief_steps(lat: SubgroupLattice, chain: list[int] | None = None) -> list[ChiefStep]:
+    """Label each step N_upper > N_lower of a chief series (by default
+    ``chief_series_ids``) as (simple group)^multiplicity, read off G's
+    lattice and engine; no section group is built.
+
+    * The factor order is |N_upper| / |N_lower|.  The factor is abelian
+      iff every commutator of two generators of N_upper lies in N_lower
+      (which is normal in N_upper).
+    * A chief factor is a minimal normal subgroup of G / N_lower, so an
+      abelian one is elementary abelian of order p^r.
+    * A nonabelian one is T^r for a simple T, and its minimal normal
+      subgroups are the r copies of T.  So |T| is the least
+      |M| / |N_lower| over the nodes N_lower < M <= N_upper that
+      N_upper normalizes; when the factor order is not a perfect power,
+      r = 1 and nothing is scanned.
+
+    Raises ``NotNormal`` when a bound is not a normal node, and
+    ``ValueError`` when a step is not a chief step: N_lower is not a
+    proper subgroup of N_upper, or a normal node lies strictly between.
+    """
     chain = chain or chief_series_ids(lat)
+    eng = lat.engine
+    normals = lat.normal_node_ids()
     steps = []
     for upper, lower in zip(chain, chain[1:]):
-        fgrp = factor_group(lat, upper, lower)
-        label, simple_order, mult = identify_characteristically_simple(fgrp)
+        if not (lat.is_normal(upper) and lat.is_normal(lower)):
+            raise NotNormal("chief factor bounds must be normal nodes")
+        upper_fs, lower_fs = lat._fs[upper], lat._fs[lower]
+        if not lower_fs < upper_fs:
+            raise ValueError(f"node {lower} is not a proper subgroup of node {upper}")
+        between = next((m for m in normals if lower_fs < lat._fs[m] < upper_fs), None)
+        if between is not None:
+            raise ValueError(
+                f"not a chief step: normal node {between} of order "
+                f"{lat.node_order(between)} lies strictly between nodes {upper} and {lower}"
+            )
+        factor_order = len(upper_fs) // len(lower_fs)
+        gens = lat.node_generators(upper)
+        abelian = all(
+            eng.commutator(a, b) in lower_fs for i, a in enumerate(gens) for b in gens[:i]
+        )
+        if abelian:
+            simple_order = prime_factors(factor_order)[0]
+            label = f"C{simple_order}"
+        else:
+            simple_order = _simple_factor_order(lat, upper, lower, factor_order)
+            label = SIMPLE_ORDER_LABELS.get(simple_order, f"simple<{simple_order}>")
+        mult, m = 1, simple_order
+        while m < factor_order:
+            m *= simple_order
+            mult += 1
         steps.append(
             ChiefStep(
                 upper=upper,
@@ -759,18 +823,45 @@ def chief_steps(lat: SubgroupLattice, chain: list[int] | None = None) -> list[Ch
                 label=label,
                 simple_order=simple_order,
                 multiplicity=mult,
-                factor_order=fgrp.order,
-                abelian=fgrp.is_abelian,
+                factor_order=factor_order,
+                abelian=abelian,
             )
         )
     return steps
+
+
+def _simple_factor_order(lat: SubgroupLattice, upper: int, lower: int, factor_order: int) -> int:
+    """|T| for a nonabelian chief factor N_upper / N_lower = T^r: the
+    least |M| / |N_lower| over the nodes M of N_lower's overgroup row
+    with M < N_upper, |M| / |N_lower| a proper root of the factor order
+    and M normalized by N_upper's generators (the conjugates of M's
+    generators lie in M); the factor order itself when there is none."""
+    roots = {integer_nth_root(factor_order, k) for k in range(2, factor_order.bit_length())}
+    roots.discard(None)
+    if not roots:
+        return factor_order
+    eng, sizes, low = lat.engine, lat._sizes, lat._sizes[lower]
+    upper_fs = lat._fs[upper]
+    ugens = lat.node_generators(upper)
+    row = lat._overgroups(lower)  # ascending ids, so ascending orders
+    least, most = min(roots), max(roots)
+    for m in row[bisect_left(row, bisect_left(sizes, low * least)) :]:
+        t = sizes[m] // low
+        if t > most:
+            break
+        if t not in roots or not lat._fs[m] < upper_fs:
+            continue
+        mgens = np.asarray(lat.node_generators(m), dtype=np.int64)
+        if all(lat._fs[m].issuperset(eng.conj_set(mgens, u).tolist()) for u in ugens):
+            return t
+    return factor_order
 
 
 def centralizer_quotient(lat: SubgroupLattice, upper: int, lower: int) -> PermGroup:
     """G / C_G(N_upper / N_lower): the monolithic primitive group
     attached to a chief factor.  The centralizer consists of the
     elements whose commutator with every generator of N_upper lands in
-    N_lower."""
+    N_lower.  Public API; the chief factorization does not call it."""
     if not (lat.is_normal(upper) and lat.is_normal(lower)):
         raise NotNormal("chief factor bounds must be normal nodes")
     eng = lat.engine

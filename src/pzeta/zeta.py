@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .dirichlet import DirichletPolynomial, divide_exact, power_shift, prime_projection
-from .errors import BudgetExceeded, InvalidParameter, NotNormal, OrderBoundExceeded
+from .errors import BudgetExceeded, InvalidParameter, OrderBoundExceeded
 from .lattice import (
     DEFAULT_BUDGET,
     Budget,
@@ -417,9 +417,7 @@ def chief_factorization(
     budget = budget or DEFAULT_BUDGET
     lat = group.subgroup_lattice(budget)
     chain = list(chain) if chain is not None else chief_series_ids(lat)
-    if not all(lat.is_normal(nid) for nid in chain):
-        raise NotNormal(f"chief series of {group.name} must consist of normal nodes")
-    steps = chief_steps(lat, chain)
+    steps = chief_steps(lat, chain)  # rejects a chain that is not a chief series
     qzetas = [interval_zeta(lat, nid) for nid in chain]
     zeta = zeta_from_lattice(lat)
     maximal = lat.maximal_node_ids()

@@ -5,6 +5,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pzeta import (
     AlmostSimpleSpec,
     Budget,
     BudgetExceeded,
+    ChiefStep,
     InvalidParameter,
     NotNormal,
     OrderBoundExceeded,
@@ -30,6 +32,7 @@ from pzeta import (
     dihedral,
     direct_product,
     factor_group,
+    identify_characteristically_simple,
     klein_four,
     make_psl2,
     parse_group_file,
@@ -38,7 +41,8 @@ from pzeta import (
     symmetric,
 )
 from pzeta.lattice import overgroups_of_seed
-from pzeta.permgroup import DEFAULT_MAX_GROUP_ORDER, format_group_file
+from pzeta.permgroup import DEFAULT_MAX_GROUP_ORDER, _Engine, format_group_file
+from pzeta.zeta import chief_factorization
 from helpers import group, psl2
 
 
@@ -444,6 +448,14 @@ class TestPosetQueries:
         lat.hasse_edges()
         assert lat.stats["rows"] == rows
 
+    def test_parents_are_found_on_the_first_relabel_in_a_class(self):
+        lat = subgroup_lattice(group("PGL(2,7)"))
+        lat.maximal_node_ids(), lat.frattini_node_id()
+        assert lat._parent == [None] * lat.node_count  # representatives only
+        members = next(c for c in lat.conjugacy_classes if len(c) > 2)
+        lat.strict_overgroups(members[-1])
+        assert [i for i, p in enumerate(lat._parent) if p is not None] == list(members[1:])
+
     @pytest.mark.parametrize(
         "q,variant,include_even",
         [(7, "pgl", False), (11, "psl", False), (7, "pgl", True)],
@@ -531,6 +543,73 @@ class TestChiefSeries:
         chain = chief_series_ids(lat)
         sec = factor_group(lat, chain[1], chain[2])  # A4 / V4
         assert sec.order == 3
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "S4", "A4", "D8", "Q8", "C12", "D12", "A4xC2", "S5", "A5xC2", "S4xS3",
+            "PGL(2,7)", "C2xC2xC2", "C4xC2",
+        ],
+    )
+    def test_labels_match_section_group_oracle(self, name):
+        lat = group(name).subgroup_lattice()
+        for chain in all_chief_series_ids(lat):
+            assert chief_steps(lat, chain) == _section_group_steps(lat, chain), chain
+
+    def test_a5_wr_c2_has_a5_squared(self):
+        # the one corpus group with a nonabelian chief factor T^r, r >= 2
+        lat = _a5_wr_c2().subgroup_lattice()
+        steps = chief_steps(lat)
+        assert [(s.label, s.multiplicity) for s in steps] == [("C2", 1), ("A5", 2)]
+        assert [s.factor_order for s in steps] == [2, 3600]
+
+    @pytest.mark.slow
+    def test_a5_wr_c2_matches_section_group_oracle(self):
+        lat = _a5_wr_c2().subgroup_lattice()
+        chain = chief_series_ids(lat)
+        assert chief_steps(lat, chain) == _section_group_steps(lat, chain)
+
+    def test_factorization_builds_no_quotient(self, monkeypatch):
+        # the benchmark's factorized groups; chief labels are read off
+        # the lattice, so no coset action is ever set up
+        calls = []
+        original = _Engine.quotient_action
+
+        def counted(self, normal_ids):
+            calls.append(len(normal_ids))
+            return original(self, normal_ids)
+
+        monkeypatch.setattr(_Engine, "quotient_action", counted)
+        for name in [
+            "S4", "A4", "D8", "Q8", "C12", "D12", "A4xC2", "S5", "A5xC2", "S4xS3", "PGL(2,7)",
+        ]:
+            assert chief_factorization(builtin_group(name)).product_ok, name
+        assert calls == []
+
+
+def _section_group_steps(lat, chain) -> list[ChiefStep]:
+    """Chief steps labelled the independent way: build each section
+    N_upper / N_lower as a permutation group and identify it."""
+    steps = []
+    for upper, lower in zip(chain, chain[1:]):
+        sec = factor_group(lat, upper, lower)
+        label, simple_order, mult = identify_characteristically_simple(sec)
+        steps.append(
+            ChiefStep(upper, lower, label, simple_order, mult, sec.order, sec.is_abelian)
+        )
+    return steps
+
+
+@lru_cache(maxsize=None)
+def _a5_wr_c2() -> PermGroup:
+    """A5 wr C2 of order 7200 on 10 points: A5 on {0..4}, swapped with
+    its copy on {5..9}; chief series G > A5 x A5 > 1."""
+    gens = [
+        Permutation.from_cycles(10, [(0, 1, 2, 3, 4)]),
+        Permutation.from_cycles(10, [(0, 1, 2)]),
+        Permutation.from_cycles(10, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]),
+    ]
+    return PermGroup(10, gens, name="A5wrC2")
 
 
 class TestCentralizerQuotient:

@@ -256,18 +256,19 @@ class TestChiefFactorization:
             chief_factorization(g, chain=[lat.top_id, a4, v4, c2, lat.trivial_id])
 
     @pytest.mark.parametrize(
-        "name,orders",
-        [("C4", [4, 1]), ("S4", [24, 4, 1]), ("C12", [12, 2, 1])],
+        "name,orders,between",
+        [("C4", [4, 1], 2), ("S4", [24, 4, 1], 12), ("C12", [12, 2, 1], 4)],
     )
-    def test_chain_skipping_a_normal_subgroup_rejected(self, name, orders):
+    def test_chain_skipping_a_normal_subgroup_rejected(self, name, orders, between):
         # normal series that are not chief series: C2 lies between C4
-        # and 1, A4 between S4 and V4, C6 and C4 between C12 and C2
+        # and 1, A4 between S4 and V4, C4 (the first) and C6 between
+        # C12 and C2; the message names that normal node
         g = group(name)
         lat = g.subgroup_lattice()
-        chain = [
-            next(i for i in lat.normal_node_ids() if lat.node_order(i) == k) for k in orders
-        ]
-        with pytest.raises(ValueError):
+        normals = lat.normal_node_ids()
+        chain = [next(i for i in normals if lat.node_order(i) == k) for k in orders]
+        node = next(i for i in normals if lat.node_order(i) == between)
+        with pytest.raises(ValueError, match=f"normal node {node} of order {between} "):
             chief_factorization(g, chain=chain)
 
     def test_multiset_independent_of_series(self):
