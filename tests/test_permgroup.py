@@ -1047,6 +1047,27 @@ class TestAlmostSimpleValidation:
         with pytest.raises(InvalidParameter, match=message):
             AlmostSimpleSpec(builtin_group(group_name), socle())
 
+    @pytest.mark.parametrize("group_name,socle_name", [("S5", "A6"), ("S6", "A5")])
+    def test_degree_mismatched_socle(self, group_name, socle_name):
+        with pytest.raises(InvalidParameter, match=f"socle generators not inside {group_name}"):
+            AlmostSimpleSpec(builtin_group(group_name), builtin_group(socle_name))
+
+    def test_trivial_socle(self):
+        with pytest.raises(InvalidParameter, match="socle must be nonabelian"):
+            AlmostSimpleSpec(symmetric(5), PermGroup(5, [], name="1"))
+
+    def test_group_above_max_order_raises_without_table(self):
+        g = symmetric(12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderBoundExceeded, match=f"exceeds bound {DEFAULT_MAX_GROUP_ORDER}"):
+                AlmostSimpleSpec(g, alternating(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g._eng is None
+        assert peak < 1 << 20  # a table of 10^6 rows alone is 12 MB
+
 
 CLOSURE_GROUPS = ["S4", "A4", "Q8", "D12", "S5", "A5xC2"]
 
