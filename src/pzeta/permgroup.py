@@ -179,6 +179,40 @@ class StabilizerChain(NamedTuple):
     transversals: tuple[tuple[tuple[int, ...], ...], ...]
     order: int
 
+    def membership(self):
+        """A test whether an image row of this degree is an element: it
+        sifts to the identity through the chain."""
+        keyed = [{u[b]: u for u in t} for b, t in zip(self.base, self.transversals)]
+        sift = _sifter(self.base, keyed)
+        return lambda g: sift(g)[0] == tuple(range(len(g)))
+
+
+def _sifter(points: Sequence[int], trans: Sequence[dict[int, tuple[int, ...]]]):
+    """``sift(g, first)`` strips g, which fixes the base points before
+    level ``first``, through the chain with base ``points`` and rows
+    ``trans[l]`` keyed by their image of ``points[l]`` (rows may be
+    added, never changed).  It returns the residue, the identity iff g
+    is in the group, and the level where it stopped (or the depth)."""
+    depth = len(points)
+    inv: list[dict[int, tuple[int, ...]]] = [{} for _ in points]
+
+    def sift(g: tuple[int, ...], first: int = 0) -> tuple[tuple[int, ...], int]:
+        for lev in range(first, depth):
+            b = points[lev]
+            beta = g[b]
+            if beta != b:
+                u = trans[lev].get(beta)
+                if u is None:
+                    return g, lev
+                w = inv[lev].get(beta)
+                if w is None:
+                    # the points sorted by their images: x lands at position u(x)
+                    w = inv[lev][beta] = tuple(sorted(range(len(u)), key=u.__getitem__))
+                g = tuple(map(w.__getitem__, g))
+        return g, depth
+
+    return sift
+
 
 def _schreier_sims(
     degree: int, gen_images: Iterable[Sequence[int]], max_order: int
@@ -210,17 +244,10 @@ def _schreier_sims(
     depth = len(points)
     strong: list[list[tuple[int, ...]]] = [[] for _ in points]
     trans = [{b: ident} for b in points]
-    inv = [{b: ident} for b in points]  # filled on first use
-    # Schreier generators not yet known to sift, as (u_beta * s, s(beta)):
-    # the generator is u_beta * s * u_{s(beta)}^-1
-    pending: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in points]
-
-    def inverse(lev: int, beta: int) -> tuple[int, ...]:
-        w = inv[lev].get(beta)
-        if w is None:
-            # the points sorted by their images: x lands at position u(x)
-            w = inv[lev][beta] = tuple(sorted(ident, key=trans[lev][beta].__getitem__))
-        return w
+    sift = _sifter(points, trans)
+    # Schreier generators not yet known to sift, as u_beta * s: sifted from
+    # their level, they first lose u_{s(beta)}
+    pending: list[list[tuple[int, ...]]] = [[] for _ in points]
 
     def add_generator(h: tuple[int, ...], first: int, last: int) -> None:
         """Make h a strong generator of levels first..last and extend
@@ -238,30 +265,17 @@ def _schreier_sims(
                     u[gamma] = us
                     pairs += [(gamma, t) for t in gens_l]
                 elif us != u[gamma] and not beta == gamma == b:
-                    todo.append((us, gamma))
+                    todo.append(us)
         if prod(map(len, trans)) > max_order:
             raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
 
-    def sift(g: tuple[int, ...], first: int) -> tuple[tuple[int, ...], int] | None:
-        """Strip g (which fixes the base points before b_first) through
-        the levels from ``first``; the residue and its level, or None."""
-        for lev in range(first, depth):
-            b = points[lev]
-            beta = g[b]
-            if beta != b:
-                if beta not in trans[lev]:
-                    return g, lev
-                g = tuple(map(inverse(lev, beta).__getitem__, g))
-        return None
-
     def residue(lev: int) -> tuple[tuple[int, ...], int] | None:
         """The first pending Schreier generator of level ``lev`` that
-        does not sift, stripped as far as it goes, or None."""
+        does not sift, stripped as far as it goes, and its level; or None."""
         todo = pending[lev]
         while todo:
-            us, gamma = todo[-1]
-            left = sift(tuple(map(inverse(lev, gamma).__getitem__, us)), lev + 1)
-            if left is not None:
+            left = sift(todo[-1], lev)
+            if left[1] < depth:
                 return left
             todo.pop()
         return None
@@ -283,6 +297,16 @@ def _schreier_sims(
         tuple(tuple(trans[lev].values()) for lev in levels),
         prod(len(trans[lev]) for lev in levels),
     )
+
+
+def _transversal_product(transversals: Sequence[Sequence[Sequence[int]]], degree: int):
+    """Every product u_{k-1} * ... * u_0 of one row per transversal, as
+    image rows: one gather per level, each new row after each row so far."""
+    dt = _dtype_for(degree)
+    table = np.arange(degree, dtype=dt)[None, :]
+    for trans in reversed(transversals):
+        table = np.asarray(trans, dtype=dt)[:, table].reshape(-1, degree)
+    return table
 
 
 class _Engine:
@@ -317,11 +341,7 @@ class _Engine:
     ):
         self.degree = degree
         dt = _dtype_for(degree)
-        ident = np.arange(degree, dtype=dt)
-        # one gather per level: each transversal row after each row so far
-        table = ident[None, :]
-        for trans in reversed(chain.transversals):
-            table = np.asarray(trans, dtype=dt)[:, table].reshape(-1, degree)
+        table = _transversal_product(chain.transversals, degree)
         self.base = chain.base
         self._base_pts = np.asarray(self.base, dtype=np.intp)
         base_rows = table[:, self._base_pts]
@@ -343,7 +363,7 @@ class _Engine:
         # the identity is the lexicographically smallest permutation
         self.id_idx = 0
         inv_rows = np.empty_like(self.rows)
-        inv_rows[np.arange(self.order)[:, None], self.rows] = ident
+        inv_rows[np.arange(self.order)[:, None], self.rows] = np.arange(degree, dtype=dt)
         self.inv = self._lookup(inv_rows[:, self._base_pts]).astype(np.int64)
         gen_rows = np.asarray(gen_images, dtype=dt).reshape(len(gen_images), degree)
         self.gen_indices = tuple(
@@ -602,13 +622,6 @@ class _Engine:
                 return closed
             gens += new.tolist()
 
-    def derived_subgroup(self, gens: Sequence[int]) -> np.ndarray:
-        """Derived subgroup of the subgroup generated by ``gens``: the
-        normal closure, inside that subgroup, of the commutators of its
-        generators."""
-        seeds = [self.commutator(a, b) for i, a in enumerate(gens) for b in gens[:i]]
-        return self.normal_closure(seeds, gens)
-
     def sylow2(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A Sylow 2-subgroup: (sorted element indices, generators).
 
@@ -776,45 +789,118 @@ class PermGroup:
         return f"PermGroup({self.name!r}, degree={self.degree}, gens={len(self.generators)})"
 
 
+def _derived_order(group: PermGroup) -> int:
+    """|G'|, from stabilizer chains: G' is the normal closure in G of
+    the commutators of G's generators.  Each round adds, as generators,
+    the conjugates by G's generators of the last round's new generators
+    that do not sift through the chain of the generators so far."""
+    gens = group.generators
+    new = [a.inverse() * b.inverse() * a * b for i, a in enumerate(gens) for b in gens[:i]]
+    seeds: list[Permutation] = []
+    while True:
+        seeds += new
+        chain = _schreier_sims(group.degree, (h.images for h in seeds), group.order)
+        member = chain.membership()
+        conjugates = (g.inverse() * h * g for h in new for g in gens)
+        new = [c for c in dict.fromkeys(conjugates) if not member(c.images)]
+        if not new:
+            return chain.order
+
+
+def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
+    """Whether C_X(S) = 1 for S <= X on the same points, from chains.
+
+    C_X(S) keeps S-stabilizers, so it fixes each point outside Delta,
+    the points beta with S_beta = S_gamma for some gamma != beta, and
+    C_X(S) = C_K(S) for K the pointwise stabilizer of those points.  An
+    S-orbit O with first point r lies in Delta when Fix(S_r) (fixed by
+    every Schreier generator) holds another point whose orbit has |O|
+    points.  K is the tail of a chain of X relabelled with Delta last."""
+    n = group.degree
+    s_rows = [np.asarray(g.images) for g in socle.generators]
+    size = np.zeros(n, dtype=np.intp)
+    orbits = []
+    for r in range(n):
+        if size[r]:
+            continue
+        # rows[i] maps r to orbit[i]; both lists grow as the loop runs
+        orbit, rows, where = [r], [np.arange(n)], {r: 0}
+        for beta, u in zip(orbit, rows):
+            for s in s_rows:
+                gamma = int(s[beta])
+                if gamma not in where:
+                    where[gamma] = len(orbit)
+                    orbit.append(gamma)
+                    rows.append(s[u])
+        size[orbit] = len(orbit)
+        table = np.stack(rows)
+        fix = np.ones(n, dtype=bool)
+        for s in s_rows:
+            # u_beta * s * u_{s(beta)}^-1 fixes x iff s(u_beta(x)) = u_{s(beta)}(x)
+            fix &= (s[table] == table[[where[g] for g in s[orbit].tolist()]]).all(axis=0)
+        orbits.append((orbit, fix))
+    delta = [x for orbit, fix in orbits if (size[fix] == len(orbit)).sum() > 1 for x in orbit]
+    if not delta:
+        return True
+    order = np.argsort(np.isin(np.arange(n), delta), kind="stable")
+    label = np.argsort(order).astype(_dtype_for(n))
+
+    def relabel(g: Permutation) -> np.ndarray:
+        return label[np.asarray(g.images)[order]]
+
+    chain = _schreier_sims(n, (relabel(g).tolist() for g in group.generators), group.order)
+    cut = n - len(delta)
+    k_rows = _transversal_product(chain.transversals[sum(b < cut for b in chain.base):], n)
+    commute = np.ones(len(k_rows), dtype=bool)
+    for s in map(relabel, socle.generators):
+        commute &= (s[k_rows] == k_rows[:, s]).all(axis=1)
+    return int(commute.sum()) == 1
+
+
 class AlmostSimpleSpec:
     """A group X together with a designated socle S: S normal in X,
     nonabelian and perfect, with trivial centralizer in X.
 
-    For the builtin projective constructions S is the PSL(2,q) subgroup
-    of X; user-supplied pairs are validated on construction.
+    The pair is validated on construction from the stabilizer chains of
+    X and S alone (membership and normality by sifting, S' and the
+    centralizer from further chains), so no element table is built and
+    a lattice budget can still refuse X cheaply.  ``socle_indices``, the
+    socle inside X's element table, is built on first use.
     """
 
     def __init__(self, group: PermGroup, socle: PermGroup, name: str | None = None):
         self.group = group
         self.socle = socle
         self.name = name or group.name
-        eng = group.engine
-        try:
-            socle_gen_ids = [group.index_of(g) for g in socle.generators]
-        except KeyError as exc:
-            raise InvalidParameter(f"socle generators not inside {group.name}") from exc
-        closed = eng.closure(socle_gen_ids)
-        self._socle_ids = frozenset(closed.tolist())
-        if len(self._socle_ids) != socle.order:
+        self._socle_ids: frozenset[int] | None = None
+        in_group = group.stabilizer_chain.membership()
+        if socle.degree != group.degree or not all(in_group(s.images) for s in socle.generators):
+            raise InvalidParameter(f"socle generators not inside {group.name}")
+        # S <= X, so |S| divides |X| unless the two chains disagree
+        if group.order % socle.order:
             raise InvalidParameter("socle closure does not match socle order")
-        if not eng.is_subgroup_normal(sorted(self._socle_ids)):
+        in_socle = socle.stabilizer_chain.membership()
+        conjugates = (g.inverse() * s * g for g in group.generators for s in socle.generators)
+        if not all(in_socle(c.images) for c in conjugates):
             raise InvalidParameter("socle is not normal in the group")
         if socle.is_abelian:
             raise InvalidParameter("socle must be nonabelian")
-        if len(eng.derived_subgroup(socle_gen_ids)) != socle.order:
+        if _derived_order(socle) != socle.order:
             raise InvalidParameter("socle is not perfect")
-        trivial = np.arange(eng.order) == eng.id_idx
-        if eng.commutes_into(socle_gen_ids, trivial).sum() != 1:
+        if not _centralizer_is_trivial(group, socle):
             raise InvalidParameter("socle has nontrivial centralizer")
 
     @property
     def socle_indices(self) -> frozenset[int]:
         """Socle element indices inside the group's element table."""
+        if self._socle_ids is None:
+            gens = [self.group.index_of(g) for g in self.socle.generators]
+            self._socle_ids = frozenset(self.group.engine.closure(gens).tolist())
         return self._socle_ids
 
     @property
     def socle_is_whole_group(self) -> bool:
-        return len(self._socle_ids) == self.group.order
+        return self.socle.order == self.group.order
 
     def __repr__(self) -> str:
         return f"AlmostSimpleSpec({self.name!r}, socle_order={self.socle.order})"

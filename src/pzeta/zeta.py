@@ -258,7 +258,7 @@ def odd_supplement_indices(
             omega.append(m)
     return OddSupplementReport(
         group=spec.name,
-        socle_order=len(spec.socle_indices),
+        socle_order=spec.socle.order,
         indices=tuple(omega),
         minimum=omega[0] if omega else None,
         details=tuple(details),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pzeta import cli
+from pzeta.permgroup import _Engine
 from pzeta.zeta import WTableRow
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -330,6 +331,15 @@ class TestOmega:
         assert code == 0
         assert "w = 5" in out
         assert "m=15" in out and "not all maximal" in out
+
+    def test_order_refusal_builds_no_table(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("element table built for a refused group")
+
+        monkeypatch.setattr(_Engine, "__init__", fail)
+        code, _, err = run(capsys, "--budget-order", "30000",
+                           "omega", "--q", "37", "--variant", "pgl")
+        assert code == 3 and err == "budget: order 50616 exceeds lattice budget 30000\n"
 
     def test_include_even_flag(self, capsys):
         data = run_json(capsys, "omega", "--q", "5", "--variant", "psl", "--include-even")

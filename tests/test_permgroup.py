@@ -41,7 +41,12 @@ from pzeta import (
     symmetric,
 )
 from pzeta.lattice import overgroups_of_seed
-from pzeta.permgroup import DEFAULT_MAX_GROUP_ORDER, _Engine, format_group_file
+from pzeta.permgroup import (
+    DEFAULT_MAX_GROUP_ORDER,
+    _derived_order,
+    _Engine,
+    format_group_file,
+)
 from pzeta.zeta import chief_factorization
 from helpers import group, psl2
 
@@ -1020,6 +1025,7 @@ class TestOrderBeforeTable:
 
     def test_pgl_spec_builds_no_socle_table(self):
         spec = make_psl2(13, "pgl")
+        assert spec.group._eng is None and spec.socle._eng is None
         assert spec.socle.order == 1092 and len(spec.socle_indices) == 1092
         assert spec.socle._eng is None and spec.group._eng is not None
 
@@ -1033,7 +1039,115 @@ def _embedded(degree: int, sub: PermGroup, name: str) -> PermGroup:
     return PermGroup(degree, gens, name=name)
 
 
+def _table_verdict(group: PermGroup, socle: PermGroup) -> str | None:
+    """Oracle: the socle validation on X's element table, as
+    ``AlmostSimpleSpec`` made it before it read the pair off stabilizer
+    chains.  The rejection message, or None for a valid pair."""
+    eng = group.engine
+    try:
+        socle_gen_ids = [group.index_of(g) for g in socle.generators]
+    except KeyError:
+        return f"socle generators not inside {group.name}"
+    closed = eng.closure(socle_gen_ids)
+    if len(closed) != socle.order:
+        return "socle closure does not match socle order"
+    if not eng.is_subgroup_normal(closed):
+        return "socle is not normal in the group"
+    if socle.is_abelian:
+        return "socle must be nonabelian"
+    if len(_derived_subgroup(eng, socle_gen_ids)) != socle.order:
+        return "socle is not perfect"
+    trivial = np.arange(eng.order) == eng.id_idx
+    if eng.commutes_into(socle_gen_ids, trivial).sum() != 1:
+        return "socle has nontrivial centralizer"
+    return None
+
+
+def _derived_subgroup(eng, gens) -> np.ndarray:
+    """The subgroup generated by ``gens``, derived, on the table: the
+    normal closure there of the commutators of its generators."""
+    seeds = [eng.commutator(a, b) for i, a in enumerate(gens) for b in gens[:i]]
+    return eng.normal_closure(seeds, gens)
+
+
+def _chain_verdict(group: PermGroup, socle: PermGroup) -> str | None:
+    """The constructor's rejection message, or None; it builds no table."""
+    try:
+        AlmostSimpleSpec(group, socle)
+        verdict = None
+    except InvalidParameter as exc:
+        verdict = str(exc)
+    assert group._eng is None and socle._eng is None
+    return verdict
+
+
+def _two_copies(a: Permutation | None, b: Permutation | None) -> Permutation:
+    """a on {0..4} beside b on {5..9}; None is the identity."""
+    left = a.images if a else range(5)
+    right = b.images if b else range(5)
+    return Permutation(list(left) + [5 + y for y in right])
+
+
+def _on_ten(name: str, pairs, extra=()) -> PermGroup:
+    return PermGroup(10, [_two_copies(a, b) for a, b in pairs] + list(extra), name=name)
+
+
+def _projective(q: int, variant: str):
+    spec = make_psl2(q, variant)
+
+    def make():
+        return tuple(PermGroup(g.degree, g.generators, name=g.name)
+                     for g in (spec.group, spec.socle))
+
+    return make
+
+
+_A5 = alternating(5).generators
+_SWAP = Permutation.from_cycles(10, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)])
+_DIAG = [(g, g) for g in _A5]
+_LEFT = [(g, None) for g in _A5]
+_A5xA5 = _LEFT + [(None, g) for g in _A5]
+_V4 = [Permutation.parse("(0 1)(2 3)", 4), Permutation.parse("(0 2)(1 3)", 4)]
+CENTRALIZER = "socle has nontrivial centralizer"
+
+# (make (X, S), expected verdict); on ten points Delta, the points whose
+# S-stabilizer another point shares, is everything for the diagonal A5,
+# empty for A5 x A5 and {5..9} for the left factor
+SOCLE_PAIRS = {
+    **{f"{v.upper()}(2,{q})": (_projective(q, v), None)
+       for q in (5, 7, 11, 13) for v in ("psl", "pgl")},
+    "S5/A5": (lambda: (symmetric(5), alternating(5)), None),
+    "S6/A6": (lambda: (symmetric(6), alternating(6)), None),
+    "A5xC2/A5": (lambda: (builtin_group("A5xC2"), _embedded(7, alternating(5), "A5")),
+                 CENTRALIZER),
+    "<diag,swap>/diag": (lambda: (_on_ten("X", _DIAG, [_SWAP]), _on_ten("diag", _DIAG)),
+                         CENTRALIZER),
+    "diag/diag": (lambda: (_on_ten("diag", _DIAG), _on_ten("diag", _DIAG)), None),
+    "A5wrC2/A5xA5": (lambda: (_on_ten("A5wrC2", _A5xA5, [_SWAP]), _on_ten("A5xA5", _A5xA5)),
+                     None),
+    "A5xA5/A5xA5": (lambda: (_on_ten("A5xA5", _A5xA5), _on_ten("A5xA5", _A5xA5)), None),
+    "A5xA5/left": (lambda: (_on_ten("A5xA5", _A5xA5), _on_ten("left", _LEFT)), CENTRALIZER),
+    "S5/A4": (lambda: (symmetric(5), _embedded(5, alternating(4), "A4")),
+              "socle is not normal in the group"),
+    "S4/S4": (lambda: (symmetric(4), symmetric(4)), "socle is not perfect"),
+    "S4/V4": (lambda: (symmetric(4), PermGroup(4, _V4, name="V4")), "socle must be nonabelian"),
+}
+
+
 class TestAlmostSimpleValidation:
+    @pytest.mark.parametrize("name", sorted(SOCLE_PAIRS))
+    def test_chains_agree_with_table_oracle(self, name):
+        make, expected = SOCLE_PAIRS[name]
+        assert _chain_verdict(*make()) == expected
+        assert _table_verdict(*make()) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(SOCLE_PAIRS)), seed=st.integers(0, 2**31))
+    def test_relabelling_keeps_the_verdict(self, name, seed):
+        make, expected = SOCLE_PAIRS[name]
+        group, socle = make()
+        assert _chain_verdict(_relabelled(group, seed), _relabelled(socle, seed)) == expected
+
     @pytest.mark.parametrize(
         "group_name,socle,message",
         [
@@ -1105,7 +1219,10 @@ class TestNormalClosure:
             elems = np.asarray(lat.node_elements(members[0]))
             commutators = {int(c) for a in elems for c in eng.commutators_with(a)[elems]}
             expected = eng.closure(sorted(commutators)).tolist()
-            assert eng.derived_subgroup(lat.node_generators(members[0])).tolist() == expected
+            gens = lat.node_generators(members[0])
+            assert _derived_subgroup(eng, gens).tolist() == expected
+            sub = PermGroup(eng.degree, [eng.permutation(g) for g in gens])
+            assert _derived_order(sub) == len(expected)
 
 
 class TestNodeIdOf:

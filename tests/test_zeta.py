@@ -12,6 +12,7 @@ from pzeta import (
     chief_steps,
     generating_probability,
     generating_probability_bruteforce,
+    make_psl2,
     minimal_odd_index_table,
     odd_supplement_indices,
     predicted_minimal_odd_index,
@@ -102,6 +103,12 @@ class TestSupplementZeta:
         poly = supplement_zeta(psl2(7, "pgl"))
         assert poly.coefficient(21) < 0
 
+    def test_refusal_builds_no_table(self):
+        spec = make_psl2(29, "psl")
+        with pytest.raises(OrderBoundExceeded, match="order 12180 exceeds lattice budget"):
+            supplement_zeta(spec)
+        assert spec.group._eng is None
+
     def test_supplement_terms_are_subset_of_zeta_indices(self):
         spec = psl2(7, "pgl")
         full = probabilistic_zeta(spec.group)
@@ -164,6 +171,12 @@ class TestOddSupplementIndices:
         monkeypatch.setattr(_Engine, "sylow2", fail)
         with pytest.raises(OrderBoundExceeded, match="exceeds lattice budget 100"):
             odd_supplement_indices(psl2(7, "pgl"), Budget(max_order=100))
+
+    def test_refusal_builds_no_table(self):
+        spec = make_psl2(37, "pgl")
+        with pytest.raises(OrderBoundExceeded, match="order 50616 exceeds lattice budget 30000"):
+            odd_supplement_indices(spec, Budget(max_order=30000))
+        assert spec.group._eng is None and spec.socle._eng is None
 
     def test_even_extension_sees_even_indices(self):
         full = odd_supplement_indices(psl2(5, "psl"), include_even=True)
