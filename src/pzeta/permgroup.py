@@ -184,7 +184,7 @@ class StabilizerChain(NamedTuple):
         sifts to the identity through the chain."""
         keyed = [{u[b]: u for u in t} for b, t in zip(self.base, self.transversals)]
         sift = _sifter(self.base, keyed)
-        return lambda g: sift(g)[0] == tuple(range(len(g)))
+        return lambda g: sift(tuple(g))[0] == tuple(range(len(g)))
 
 
 def _sifter(points: Sequence[int], trans: Sequence[dict[int, tuple[int, ...]]]):
@@ -817,14 +817,15 @@ def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
     every Schreier generator) holds another point whose orbit has |O|
     points.  K is the tail of a chain of X relabelled with Delta last."""
     n = group.degree
-    s_rows = [np.asarray(g.images) for g in socle.generators]
+    dt = _dtype_for(n)
+    s_rows = [np.asarray(g.images, dtype=dt) for g in socle.generators]
     size = np.zeros(n, dtype=np.intp)
     orbits = []
     for r in range(n):
         if size[r]:
             continue
         # rows[i] maps r to orbit[i]; both lists grow as the loop runs
-        orbit, rows, where = [r], [np.arange(n)], {r: 0}
+        orbit, rows, where = [r], [np.arange(n, dtype=dt)], {r: 0}
         for beta, u in zip(orbit, rows):
             for s in s_rows:
                 gamma = int(s[beta])
@@ -843,7 +844,7 @@ def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
     if not delta:
         return True
     order = np.argsort(np.isin(np.arange(n), delta), kind="stable")
-    label = np.argsort(order).astype(_dtype_for(n))
+    label = np.argsort(order).astype(dt)
 
     def relabel(g: Permutation) -> np.ndarray:
         return label[np.asarray(g.images)[order]]
@@ -859,7 +860,8 @@ def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
 
 class AlmostSimpleSpec:
     """A group X together with a designated socle S: S normal in X,
-    nonabelian and perfect, with trivial centralizer in X.
+    nonabelian and perfect, with trivial centralizer in X.  For the
+    builtin projective constructions S is the PSL(2,q) subgroup of X.
 
     The pair is validated on construction from the stabilizer chains of
     X and S alone (membership and normality by sifting, S' and the
