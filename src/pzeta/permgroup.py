@@ -794,15 +794,19 @@ def _derived_order(group: PermGroup) -> int:
     the commutators of G's generators.  Each round adds, as generators,
     the conjugates by G's generators of the last round's new generators
     that do not sift through the chain of the generators so far."""
-    gens = group.generators
-    new = [a.inverse() * b.inverse() * a * b for i, a in enumerate(gens) for b in gens[:i]]
-    seeds: list[Permutation] = []
+    gens = [np.asarray(g.images) for g in group.generators]
+    inv = [np.argsort(g) for g in gens]
+    # image rows of [a, b] = a^-1 b^-1 a b and of g^-1 h g (left factor first)
+    new = [tuple(b[a[ib[ia]]].tolist())
+           for i, (a, ia) in enumerate(zip(gens, inv)) for b, ib in zip(gens[:i], inv[:i])]
+    seeds: list[tuple[int, ...]] = []
     while True:
         seeds += new
-        chain = _schreier_sims(group.degree, (h.images for h in seeds), group.order)
+        chain = _schreier_sims(group.degree, seeds, group.order)
         member = chain.membership()
-        conjugates = (g.inverse() * h * g for h in new for g in gens)
-        new = [c for c in dict.fromkeys(conjugates) if not member(c.images)]
+        conjugates = (tuple(g[np.asarray(h)[ig]].tolist())
+                      for h in new for g, ig in zip(gens, inv))
+        new = [c for c in dict.fromkeys(conjugates) if not member(c)]
         if not new:
             return chain.order
 
@@ -813,34 +817,47 @@ def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
     C_X(S) keeps S-stabilizers, so it fixes each point outside Delta,
     the points beta with S_beta = S_gamma for some gamma != beta, and
     C_X(S) = C_K(S) for K the pointwise stabilizer of those points.  An
-    S-orbit O with first point r lies in Delta when Fix(S_r) (fixed by
-    every Schreier generator) holds another point whose orbit has |O|
-    points.  K is the tail of a chain of X relabelled with Delta last."""
+    S-orbit O with first point r lies in Delta, with the orbit of every
+    such gamma, when Fix(S_r) (fixed by every Schreier generator) holds
+    another point whose orbit has |O| points; only those points are
+    tested.  K is the tail of a chain of X relabelled with Delta last."""
     n = group.degree
     dt = _dtype_for(n)
-    s_rows = [np.asarray(g.images, dtype=dt) for g in socle.generators]
-    size = np.zeros(n, dtype=np.intp)
-    orbits = []
+    images = [g.images for g in socle.generators]
+    s_rows = [np.asarray(img, dtype=dt) for img in images]
+    orbit_of = [-1] * n
+    orbits: list[list[int]] = []
     for r in range(n):
-        if size[r]:
+        if orbit_of[r] < 0:
+            orbit_of[r] = len(orbits)
+            orbits.append([r])
+            for beta in orbits[-1]:  # grows as the loop runs
+                for img in images:
+                    if orbit_of[img[beta]] < 0:
+                        orbit_of[img[beta]] = len(orbits) - 1
+                        orbits[-1].append(img[beta])
+    orbit_of = np.asarray(orbit_of)
+    size = np.asarray([len(orbit) for orbit in orbits])[orbit_of]
+    in_delta = np.zeros(len(orbits), dtype=bool)
+    for i, orbit in enumerate(orbits):
+        if in_delta[i]:
             continue
-        # rows[i] maps r to orbit[i]; both lists grow as the loop runs
-        orbit, rows, where = [r], [np.arange(n, dtype=dt)], {r: 0}
-        for beta, u in zip(orbit, rows):
-            for s in s_rows:
-                gamma = int(s[beta])
-                if gamma not in where:
-                    where[gamma] = len(orbit)
-                    orbit.append(gamma)
-                    rows.append(s[u])
-        size[orbit] = len(orbit)
+        # row j: the images, under some u with u(r) = orbit[j], of the points
+        # whose orbit has |O| points (u runs along the orbit's BFS tree)
+        where = {beta: j for j, beta in enumerate(orbit)}
+        rows = [np.flatnonzero(size == len(orbit)).astype(dt)] + [None] * (len(orbit) - 1)
+        for beta in orbit:
+            for img, s in zip(images, s_rows):
+                if rows[where[img[beta]]] is None:
+                    rows[where[img[beta]]] = s[rows[where[beta]]]
         table = np.stack(rows)
-        fix = np.ones(n, dtype=bool)
-        for s in s_rows:
+        fix = np.ones(table.shape[1], dtype=bool)
+        for img, s in zip(images, s_rows):
             # u_beta * s * u_{s(beta)}^-1 fixes x iff s(u_beta(x)) = u_{s(beta)}(x)
-            fix &= (s[table] == table[[where[g] for g in s[orbit].tolist()]]).all(axis=0)
-        orbits.append((orbit, fix))
-    delta = [x for orbit, fix in orbits if (size[fix] == len(orbit)).sum() > 1 for x in orbit]
+            fix &= (s[table] == table[[where[img[b]] for b in orbit]]).all(axis=0)
+        if fix.sum() > 1:
+            in_delta[orbit_of[rows[0][fix]]] = True
+    delta = np.flatnonzero(in_delta[orbit_of]).tolist()
     if not delta:
         return True
     order = np.argsort(np.isin(np.arange(n), delta), kind="stable")
@@ -882,8 +899,10 @@ class AlmostSimpleSpec:
         if group.order % socle.order:
             raise InvalidParameter("socle closure does not match socle order")
         in_socle = socle.stabilizer_chain.membership()
-        conjugates = (g.inverse() * s * g for g in group.generators for s in socle.generators)
-        if not all(in_socle(c.images) for c in conjugates):
+        x_rows = [np.asarray(g.images) for g in group.generators]
+        s_rows = [np.asarray(s.images) for s in socle.generators]
+        conjugates = (g[s[np.argsort(g)]] for g in x_rows for s in s_rows)
+        if not all(in_socle(c.tolist()) for c in conjugates):
             raise InvalidParameter("socle is not normal in the group")
         if socle.is_abelian:
             raise InvalidParameter("socle must be nonabelian")
