@@ -3,6 +3,7 @@ rational series."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -249,8 +250,6 @@ class TestRationalSeries:
 
 class TestEvaluate:
     def test_exact_fractions(self):
-        from fractions import Fraction
-
         p = P({1: 1, 2: -1, 3: -3, 6: 3})
         assert p.evaluate(2) == Fraction(1, 2)
 
@@ -353,3 +352,245 @@ def test_truncated_product_order_independent_seeded():
         shuffled = factors[:]
         rng.shuffle(shuffled)
         assert truncated_product(factors, bound) == truncated_product(shuffled, bound)
+
+
+# -- the kernels as they were before the sparse rewrite, kept as oracles ----
+
+
+def _oracle_series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Double loop over both operands, each cut where an index passes the bound."""
+    bound = min(a.bound, b.bound)
+    acc = {}
+    for n1, a1 in a.terms().items():
+        if n1 > bound:
+            break
+        for n2, a2 in b.terms().items():
+            m = n1 * n2
+            if m > bound:
+                break
+            acc[m] = acc.get(m, 0) + a1 * a2
+    return TruncatedSeries(bound, acc)
+
+
+def _oracle_truncated_product(factors, bound):
+    out = TruncatedSeries(bound, {1: 1})
+    for i, f in enumerate(factors):
+        if f.coefficient(1) != 1:
+            raise FactorNotUnital(
+                f"factor #{i} has constant coefficient {f.coefficient(1)}, want 1"
+            )
+        window = {n: a for n, a in f.items() if n <= bound}
+        if window != {1: 1}:
+            out = _oracle_series_mul(out, TruncatedSeries(bound, window))
+    return out
+
+
+def _oracle_divide_exact(p, d, support_bound=None):
+    """Elimination that scans the whole remainder for its least index."""
+    if d.is_zero():
+        raise ZeroDivisor("division by the zero polynomial")
+    if p.is_zero():
+        return D.zero()
+    m0 = d.min_index
+    c0 = d.coefficient(m0)
+    bound = support_bound if support_bound is not None else p.max_index
+    rem = p.terms()
+    quo = {}
+    while rem:
+        n = min(rem)
+        if n % m0 != 0:
+            raise NotDivisible(f"remainder index {n} not a multiple of {m0}")
+        k = n // m0
+        if k > bound:
+            raise NotDivisible(f"quotient support would exceed bound {bound}")
+        if rem[n] % c0 != 0:
+            raise NotDivisible(f"leading coefficient {c0} does not divide {rem[n]}")
+        coeff = rem[n] // c0
+        quo[k] = coeff
+        for e, b in d.items():
+            idx = k * e
+            val = rem.get(idx, 0) - coeff * b
+            if val:
+                rem[idx] = val
+            else:
+                rem.pop(idx, None)
+    return D(quo)
+
+
+def _oracle_expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
+    """Back-substitution over every n <= bound, d over the support of B."""
+    num, den = f.numerator, f.denominator
+    u = den.coefficient(1)
+    rest = [(d, b) for d, b in den.items() if d > 1]
+    out = {}
+    for n in range(1, bound + 1):
+        acc = num.coefficient(n)
+        for d, b in rest:
+            if d > n:
+                break
+            if n % d == 0:
+                acc -= b * out.get(n // d, 0)
+        if acc:
+            out[n] = acc * u
+    return TruncatedSeries(bound, out)
+
+
+def _outcome(fn, *args):
+    """The repr of a call's result (so term order counts), or the type and
+    message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _pairs_st(lo, hi, max_size):
+    return st.lists(st.tuples(st.integers(lo, hi), st.integers(-9, 9)), max_size=max_size)
+
+
+# mostly unital; a constant coefficient of 0, 2 or -1 exercises FactorNotUnital
+factor_st = st.builds(
+    lambda c, pairs: D([(1, c)] + pairs),
+    st.sampled_from([1] * 12 + [0, 2, -1]),
+    _pairs_st(2, 700, 5),
+)
+
+
+@st.composite
+def series_st(draw, max_bound=300):
+    bound = draw(st.integers(1, max_bound))
+    return TruncatedSeries(bound, draw(_pairs_st(1, bound, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(factor_st, max_size=8), st.integers(1, 500))
+def test_truncated_product_matches_oracle(factors, bound):
+    assert _outcome(truncated_product, factors, bound) == _outcome(
+        _oracle_truncated_product, factors, bound
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_st(), series_st())
+def test_series_mul_matches_oracle(a, b):
+    assert repr(a * b) == repr(_oracle_series_mul(a, b))
+    assert repr(b * a) == repr(_oracle_series_mul(b, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_st, poly_st, poly_st, st.one_of(st.none(), st.integers(1, 40)), st.booleans())
+def test_divide_exact_matches_oracle(q, d, noise, support_bound, exact):
+    p = q * d if exact else q * d + noise
+    assert _outcome(divide_exact, p, d, support_bound) == _outcome(
+        _oracle_divide_exact, p, d, support_bound
+    )
+
+
+@pytest.mark.parametrize(
+    "p, d, support_bound, message",
+    [
+        (P({1: 1, 3: 1}), P({2: 1}), None, "remainder index 1 not a multiple of 2"),
+        (P({2: 4, 6: 1}), P({2: 2, 4: 1}), None, "leading coefficient 2 does not divide 1"),
+        (P({1: 1, 16: -1}), P({1: 1, 2: -1}), 4, "quotient support would exceed bound 4"),
+    ],
+)
+def test_divide_exact_failure_paths_match_oracle(p, d, support_bound, message):
+    assert _outcome(divide_exact, p, d, support_bound) == (NotDivisible, message)
+    assert _outcome(_oracle_divide_exact, p, d, support_bound) == (NotDivisible, message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(D, _pairs_st(1, 700, 6)),
+    st.builds(lambda u, pairs: D([(1, u)] + pairs), st.sampled_from([1, -1]), _pairs_st(2, 700, 6)),
+    st.integers(1, 500),
+)
+def test_expand_rational_matches_dense_oracle(num, den, bound):
+    f = RationalSeries(num, den)
+    assert repr(expand_rational(f, bound)) == repr(_oracle_expand_rational(f, bound))
+
+
+@pytest.mark.parametrize("bound", [0, -3, 1.5, "10"])
+@pytest.mark.parametrize("factors", [[], [P({1: 1, 2: -1})], [P({1: 2})]])
+def test_truncated_product_rejects_bad_bound(factors, bound):
+    with pytest.raises(ValueError) as info:
+        truncated_product(factors, bound)
+    assert str(info.value) == "bound must be an int >= 1"
+
+
+class TestPublicValidation:
+    """Every public way in still validates its terms: the unchecked
+    constructor the kernels use is not reachable from user input."""
+
+    BAD_TERMS = [
+        ({True: 1}, "index must be an integer >= 1, got True"),
+        ({2.0: 1}, "index must be an integer >= 1, got 2.0"),
+        ({0: 1}, "index must be an integer >= 1, got 0"),
+        ({-4: 1}, "index must be an integer >= 1, got -4"),
+        ({2: True}, "coefficient must be an int, got True"),
+        ({2: 1.0}, "coefficient must be an int, got 1.0"),
+        ({2: Fraction(1)}, "coefficient must be an int, got Fraction(1, 1)"),
+        ({2: "3"}, "coefficient must be an int, got '3'"),
+    ]
+
+    @pytest.mark.parametrize("terms, message", BAD_TERMS)
+    def test_constructors_reject(self, terms, message):
+        [(n, a)] = terms.items()
+        calls = [
+            lambda: D(terms),
+            lambda: D(list(terms.items())),
+            lambda: D.term(n, a),
+            lambda: TruncatedSeries(10, terms),
+            lambda: TruncatedSeries(10, list(terms.items())),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("bound", [0, -1, 2.5, "4"])
+    def test_series_rejects_bad_bound(self, bound):
+        calls = [lambda: TruncatedSeries(bound, {1: 1})]
+        if not isinstance(bound, str):  # from_polynomial compares indices first
+            calls.append(lambda: TruncatedSeries.from_polynomial(ONE, bound))
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "bound must be an int >= 1"
+
+    def test_series_rejects_terms_beyond_bound(self):
+        with pytest.raises(ValueError) as info:
+            TruncatedSeries(4, {1: 1, 5: 2, 9: 1})
+        assert str(info.value) == "terms beyond bound 4: [5, 9]"
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ({"n": 0, "a": "1"}, "index must be an integer >= 1, got 0"),
+            ({"n": "-2", "a": "1"}, "index must be an integer >= 1, got -2"),
+            ({"n": 3, "a": "1.5"}, "invalid literal for int() with base 10: '1.5'"),
+            ({"n": "x", "a": "1"}, "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_json_rejects(self, term, message):
+        good = {"terms": [{"n": 1, "a": "1"}]}
+        bad = {"terms": [{"n": 1, "a": "1"}, term]}
+        calls = [
+            lambda: D.from_json_dict(bad),
+            lambda: RationalSeries.from_json_dict({"num": bad, "den": good}),
+            lambda: RationalSeries.from_json_dict({"num": good, "den": bad}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("scalar", [True, 1.0, Fraction(1), "1"])
+    def test_arithmetic_rejects_non_int_scalars(self, scalar):
+        p = P({1: 1, 2: -1})
+        for op in (
+            lambda: p + scalar, lambda: scalar + p, lambda: p - scalar,
+            lambda: scalar - p, lambda: p * scalar, lambda: scalar * p,
+        ):
+            with pytest.raises(TypeError):
+                op()
