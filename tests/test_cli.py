@@ -11,6 +11,7 @@ from pzeta.permgroup import _Engine
 from pzeta.zeta import WTableRow
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = GOLDEN_DIR / "inputs"
 
 
 def run(capsys, *args):
@@ -39,6 +40,10 @@ GOLDEN_COMMANDS = {
     "factorize_PGL2_7.json": ("factorize", "--builtin", "PGL(2,7)"),
     "moebius_S4.json": ("moebius", "--builtin", "S4"),
     "moebius_A4xC2.json": ("moebius", "--builtin", "A4xC2"),
+    # power-shifted P_PSL(2,7) and P_PGL(2,7), r = 1..3, to 10^4
+    "product_PSL2_7_PGL2_7.json": ("product", str(GOLDEN_INPUTS / "product_PSL2_7_PGL2_7.json")),
+    # P_S4 * P_A4 divided by P_A4
+    "divide_S4A4_by_A4.json": ("divide", str(GOLDEN_INPUTS / "divide_S4A4_by_A4.json")),
 }
 
 
