@@ -21,11 +21,18 @@ Three value types live here:
 
 All coefficients are arbitrary-precision Python ints; overflow cannot
 occur and no floating point is used anywhere.
+
+Public constructors validate every term; results computed in this module
+skip that through the private ``_trusted`` classmethods, which only sort
+the term map and drop zeros.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -47,7 +54,27 @@ def _canonical_terms(terms: TermMap) -> dict[int, int]:
         if not isinstance(a, int) or isinstance(a, bool):
             raise ValueError(f"coefficient must be an int, got {a!r}")
         acc[n] = acc.get(n, 0) + a
-    return {n: a for n, a in sorted(acc.items()) if a != 0}
+    return _sorted_nonzero(acc)
+
+
+def _sorted_nonzero(acc: dict[int, int]) -> dict[int, int]:
+    return {n: acc[n] for n in sorted(acc) if acc[n]}
+
+
+def _convolve(acc: dict[int, int], long: dict[int, int], short: Iterable, bound: int) -> dict:
+    """Add into acc every product term with index <= bound.  Both operands
+    ascend; each term n2 of ``short`` meets only the prefix of ``long`` up
+    to ``bound // n2``, found by bisection."""
+    keys = list(long)
+    get = acc.get
+    for n2, a2 in short:
+        cut = bisect_right(keys, bound // n2)
+        if not cut:
+            break
+        for n1, a1 in islice(long.items(), cut):
+            m = n1 * n2
+            acc[m] = get(m, 0) + a1 * a2
+    return acc
 
 
 class DirichletPolynomial:
@@ -58,6 +85,13 @@ class DirichletPolynomial:
     def __init__(self, terms: TermMap = ()):
         self._terms = _canonical_terms(terms)
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, acc: dict[int, int]) -> "DirichletPolynomial":
+        out = cls.__new__(cls)
+        out._terms = _sorted_nonzero(acc)
+        out._hash = None
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -119,31 +153,28 @@ class DirichletPolynomial:
             return DirichletPolynomial({1: other})
         return None
 
-    def __add__(self, other) -> "DirichletPolynomial":
+    def _combine(self, other, sign: int) -> "DirichletPolynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         acc = dict(self._terms)
         for n, a in o._terms.items():
-            acc[n] = acc.get(n, 0) + a
-        return DirichletPolynomial(acc)
+            acc[n] = acc.get(n, 0) + sign * a
+        return DirichletPolynomial._trusted(acc)
+
+    def __add__(self, other) -> "DirichletPolynomial":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DirichletPolynomial":
-        return DirichletPolynomial({n: -a for n, a in self._terms.items()})
+        return DirichletPolynomial._trusted({n: -a for n, a in self._terms.items()})
 
     def __sub__(self, other) -> "DirichletPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "DirichletPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self)._combine(other, 1)
 
     def __mul__(self, other) -> "DirichletPolynomial":
         o = self._coerce(other)
@@ -154,7 +185,7 @@ class DirichletPolynomial:
             for n2, a2 in o._terms.items():
                 m = n1 * n2
                 acc[m] = acc.get(m, 0) + a1 * a2
-        return DirichletPolynomial(acc)
+        return DirichletPolynomial._trusted(acc)
 
     __rmul__ = __mul__
 
@@ -232,7 +263,7 @@ def prime_projection(p: DirichletPolynomial, primes: Iterable[int]) -> Dirichlet
     surviving indices, so it commutes with sums and products.
     """
     ps = _checked_primes(primes)
-    return DirichletPolynomial(
+    return DirichletPolynomial._trusted(
         {n: a for n, a in p.items() if not any(n % q == 0 for q in ps)}
     )
 
@@ -254,7 +285,7 @@ def power_shift(p: DirichletPolynomial, r: int) -> DirichletPolynomial:
         raise ValueError("shift multiplicity must be an int >= 1")
     if r == 1:
         return p
-    return DirichletPolynomial({n**r: a * n ** (r - 1) for n, a in p.items()})
+    return DirichletPolynomial._trusted({n**r: a * n ** (r - 1) for n, a in p.items()})
 
 
 def divide_exact(
@@ -269,6 +300,10 @@ def divide_exact(
     leading coefficient of d must divide there exactly.  Quotient
     support is only searched up to ``support_bound`` (default: the
     maximal support index of p), which makes failure decidable.
+
+    The least remainder index never decreases (updates land at k*e >=
+    k*m0 = n), so a heap of pending indices yields it: O(|q| * |d| * log),
+    not a scan of the whole remainder per quotient term.
     """
     if d.is_zero():
         raise ZeroDivisor("division by the zero polynomial")
@@ -278,9 +313,12 @@ def divide_exact(
     c0 = d.coefficient(m0)
     bound = support_bound if support_bound is not None else p.max_index
     rem = p.terms()
+    heap = list(rem)  # ascending, so already a heap
     quo: dict[int, int] = {}
-    while rem:
-        n = min(rem)
+    while heap:
+        n = heappop(heap)
+        if n not in rem:
+            continue
         if n % m0 != 0:
             raise NotDivisible(f"remainder index {n} not a multiple of {m0}")
         k = n // m0
@@ -294,10 +332,12 @@ def divide_exact(
             idx = k * e
             val = rem.get(idx, 0) - coeff * b
             if val:
+                if idx not in rem:
+                    heappush(heap, idx)
                 rem[idx] = val
             else:
                 rem.pop(idx, None)
-    return DirichletPolynomial(quo)
+    return DirichletPolynomial._trusted(quo)
 
 
 class TruncatedSeries:
@@ -316,6 +356,13 @@ class TruncatedSeries:
             raise ValueError(f"terms beyond bound {bound}: {bad[:3]}")
         self._bound = bound
         self._terms = canon
+
+    @classmethod
+    def _trusted(cls, bound: int, acc: dict[int, int]) -> "TruncatedSeries":
+        out = cls.__new__(cls)
+        out._bound = bound
+        out._terms = _sorted_nonzero(acc)
+        return out
 
     @classmethod
     def from_polynomial(cls, p: DirichletPolynomial, bound: int) -> "TruncatedSeries":
@@ -344,22 +391,14 @@ class TruncatedSeries:
         for n, a in other._terms.items():
             if n <= bound:
                 acc[n] = acc.get(n, 0) + a
-        return TruncatedSeries(bound, acc)
+        return TruncatedSeries._trusted(bound, acc)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         bound = min(self._bound, other._bound)
-        acc: dict[int, int] = {}
-        for n1, a1 in self._terms.items():
-            if n1 > bound:
-                break
-            for n2, a2 in other._terms.items():
-                m = n1 * n2
-                if m > bound:
-                    break
-                acc[m] = acc.get(m, 0) + a1 * a2
-        return TruncatedSeries(bound, acc)
+        long, short = sorted((self._terms, other._terms), key=len, reverse=True)
+        return TruncatedSeries._trusted(bound, _convolve({}, long, short.items(), bound))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -370,7 +409,7 @@ class TruncatedSeries:
         return hash((self._bound, tuple(self._terms.items())))
 
     def __str__(self) -> str:
-        poly = DirichletPolynomial(self._terms)
+        poly = DirichletPolynomial._trusted(self._terms)
         return f"{poly} + O(n > {self._bound})"
 
     def __repr__(self) -> str:
@@ -392,18 +431,23 @@ def truncated_product(
     entire support beyond index 1 exceeds the bound multiplies in as 1,
     so callers may pass long factor lists cheaply.  The result does not
     depend on factor order.
+
+    Each step starts from a copy of the running product (the factor's
+    term at 1); a term n2 > 1 meets only the running terms up to
+    ``bound // n2``, so the cost is the number of products within the
+    bound, not |product| * |factor| per step.
     """
-    out = TruncatedSeries(bound, {1: 1})
+    if not isinstance(bound, int) or bound < 1:
+        raise ValueError("bound must be an int >= 1")
+    out = {1: 1}
     for i, f in enumerate(factors):
         if f.coefficient(1) != 1:
             raise FactorNotUnital(
                 f"factor #{i} has constant coefficient {f.coefficient(1)}, want 1"
             )
-        window = {n: a for n, a in f.items() if n <= bound}
-        if window == {1: 1}:
-            continue
-        out = out * TruncatedSeries(bound, window)
-    return out
+        if len(f) > 1 and f.support()[1] <= bound:
+            out = _sorted_nonzero(_convolve(dict(out), out, islice(f.items(), 1, None), bound))
+    return TruncatedSeries._trusted(bound, out)
 
 
 class RationalSeries:
@@ -469,7 +513,12 @@ def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
     Back-substitution by ascending index: with u = B(1)-coefficient
     (+-1), the n-th coefficient is
     ``u * (A_n - sum_{d|n, d>1} B_d * t_{n/d})``, where d runs over the
-    sparse support of B only: O(bound * |support of B|).
+    sparse support of B only.
+
+    t_n = 0 outside S, the closure of supp A under multiplication by
+    supp B minus {1}, capped at the bound: there A_n = 0 and no n/d with
+    d | n in supp B lies in S.  So it runs over S alone, in
+    O(|S| * |supp B|), not O(bound * |supp B|).
     """
     if not isinstance(bound, int) or bound < 1:
         raise ValueError("bound must be an int >= 1")
@@ -478,8 +527,18 @@ def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
     if u not in (1, -1):
         raise NonUnitDenominator("denominator constant coefficient is not a unit")
     rest = [(d, b) for d, b in den.items() if d > 1]  # ascending
+    reach = [n for n in num.support() if n <= bound]
+    seen = set(reach)
+    for n in reach:  # grows while it is walked, into S
+        for d, _ in rest:
+            m = n * d
+            if m > bound:
+                break
+            if m not in seen:
+                seen.add(m)
+                reach.append(m)
     out: dict[int, int] = {}
-    for n in range(1, bound + 1):
+    for n in sorted(reach):
         acc = num.coefficient(n)
         for d, b in rest:
             if d > n:
@@ -488,4 +547,4 @@ def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
                 acc -= b * out.get(n // d, 0)
         if acc:
             out[n] = acc * u
-    return TruncatedSeries(bound, out)
+    return TruncatedSeries._trusted(bound, out)
