@@ -354,7 +354,7 @@ def test_truncated_product_order_independent_seeded():
         assert truncated_product(factors, bound) == truncated_product(shuffled, bound)
 
 
-# -- the kernels as they were before the sparse rewrite, kept as oracles ----
+# -- oracles: the plain loops that the sparse kernels must agree with -----
 
 
 def _oracle_series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
