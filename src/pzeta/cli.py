@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .dirichlet import DirichletPolynomial, divide_exact, truncated_product
+from .dirichlet import DirichletPolynomial, divide_exact, int_from_json, truncated_product
 from .errors import (
     BudgetExceeded,
     EmptyInput,
@@ -320,7 +320,7 @@ def _cmd_product(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         data = json.load(fh)
     factors = [DirichletPolynomial.from_json_dict(d) for d in data.get("factors", [])]
-    bound = int(data.get("bound", args.truncate))
+    bound = int_from_json(data.get("bound", args.truncate))
     result = truncated_product(factors, bound)
     _emit(args, result.to_json_dict(), str(result))
     return EXIT_OK
@@ -332,6 +332,8 @@ def _cmd_divide(args) -> int:
     p = DirichletPolynomial.from_json_dict(data["p"])
     d = DirichletPolynomial.from_json_dict(data["d"])
     bound = data.get("bound")
+    if bound is not None:
+        bound = int_from_json(bound)
     quotient = divide_exact(p, d, support_bound=bound)
     _emit(args, {"quotient": quotient.to_json_dict()}, f"quotient = {quotient}")
     return EXIT_OK

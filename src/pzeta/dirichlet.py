@@ -19,21 +19,31 @@ Three value types live here:
   denominator has constant coefficient +-1, so the expansion has
   integer coefficients.
 
-All coefficients are arbitrary-precision Python ints; overflow cannot
-occur and no floating point is used anywhere.
+Coefficients are Python ints wherever they are stored or returned.
+Truncated products (:func:`truncated_product` and ``TruncatedSeries``
+multiplication) run on numpy columns, ascending indices beside their
+coefficients: each step sorts the scaled prefixes of the running
+product and sums the runs of equal indices.  A column is int64 only
+while a bound proven in Python ints keeps every value below 2^63 (the
+indices: the truncation bound; the coefficients: max |running| times
+the sum of |b| over the other operand); otherwise the same code runs
+on ``dtype=object`` columns of Python ints.  No floating point is used
+anywhere.
 
 Public constructors validate every term; results computed in this module
 skip that through the private ``_trusted`` classmethods, which only sort
-the term map and drop zeros.
+the term map and drop zeros, or ``TruncatedSeries._from_columns``, which
+reads sorted, zero-free columns back into a term map.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from itertools import takewhile
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     FactorNotUnital,
@@ -61,20 +71,74 @@ def _sorted_nonzero(acc: dict[int, int]) -> dict[int, int]:
     return {n: acc[n] for n in sorted(acc) if acc[n]}
 
 
-def _convolve(acc: dict[int, int], long: dict[int, int], short: Iterable, bound: int) -> dict:
-    """Add into acc every product term with index <= bound.  Both operands
-    ascend; each term n2 of ``short`` meets only the prefix of ``long`` up
-    to ``bound // n2``, found by bisection."""
-    keys = list(long)
-    get = acc.get
-    for n2, a2 in short:
-        cut = bisect_right(keys, bound // n2)
-        if not cut:
-            break
-        for n1, a1 in islice(long.items(), cut):
-            m = n1 * n2
-            acc[m] = get(m, 0) + a1 * a2
-    return acc
+def int_from_json(value) -> int:
+    """An integer field of a JSON input: an int (not a bool) or a decimal
+    string, so that no float is truncated silently."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer or a decimal string, got {value!r}")
+
+
+def _check_bound(bound) -> None:
+    if not isinstance(bound, int) or bound < 1:
+        raise ValueError("bound must be an int >= 1")
+
+
+def _window(items: Iterable[tuple[int, int]], bound: int) -> list[tuple[int, int]]:
+    """The leading terms of ascending ``items`` with index <= bound."""
+    return list(takewhile(lambda t: t[0] <= bound, items))
+
+
+_INT64_LIMIT = 1 << 63
+
+
+def _column(values: Sequence[int], magnitude: int) -> np.ndarray:
+    """``values`` as a column: int64 when ``magnitude`` bounds every value
+    the column will hold below 2^63, else Python ints (``dtype=object``)."""
+    return np.array(values, dtype=np.int64 if magnitude < _INT64_LIMIT else object)
+
+
+def _convolve(
+    idx: np.ndarray, coef: np.ndarray, window: list[tuple[int, int]], bound: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the product, truncated at ``bound``, of the series with
+    ascending indices ``idx`` (nonempty, int64 only if ``bound`` < 2^63)
+    and coefficients ``coef`` by the ascending terms ``window`` (indices
+    <= bound): ascending indices and their nonzero coefficients.
+
+    Term (n2, a2) meets the prefix of ``idx`` up to ``bound // n2``, cut
+    by ``searchsorted``.  The prefixes, scaled by their terms, are
+    appended into one column, sorted stably by index, and each run of
+    equal indices is summed by ``np.add.reduceat``.  A run holds at most
+    one product per window term, so every partial sum is at most
+    max|coef| * sum|a2| in magnitude: ``coef`` stays int64 only while
+    that is below 2^63, and is taken to Python ints before this step
+    otherwise."""
+    ns, cs = zip(*window)
+    if coef.dtype != object:
+        top = max(int(coef.max()), -int(coef.min()))
+        if top * sum(map(abs, cs)) >= _INT64_LIMIT:
+            coef = coef.astype(object)
+    cuts = np.searchsorted(idx, bound // np.array(ns, dtype=idx.dtype), side="right")
+    parts = [(cut, n2, a2) for cut, n2, a2 in zip(cuts.tolist(), ns, cs) if cut]
+    if not parts:
+        return idx[:0], coef[:0]
+    n = np.concatenate([idx[:cut] * n2 for cut, n2, _ in parts])
+    a = np.concatenate([coef[:cut] * a2 for cut, _, a2 in parts])
+    # one column reordered at a time, the permutation dropped after: the
+    # step's peak memory stays near that of the term map it replaces
+    order = np.argsort(n, kind="stable")
+    n = n[order]
+    a = a[order]
+    del order
+    new = np.ones(len(n), dtype=bool)
+    new[1:] = n[1:] != n[:-1]
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(a, starts)
+    keep = sums != 0
+    return n[starts[keep]], sums[keep]
 
 
 class DirichletPolynomial:
@@ -249,7 +313,7 @@ class DirichletPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DirichletPolynomial":
-        return cls({int(t["n"]): int(t["a"]) for t in data["terms"]})
+        return cls({int_from_json(t["n"]): int_from_json(t["a"]) for t in data["terms"]})
 
 
 ONE = DirichletPolynomial.one()
@@ -348,8 +412,7 @@ class TruncatedSeries:
     __slots__ = ("_bound", "_terms")
 
     def __init__(self, bound: int, terms: TermMap = ()):
-        if not isinstance(bound, int) or bound < 1:
-            raise ValueError("bound must be an int >= 1")
+        _check_bound(bound)
         canon = _canonical_terms(terms)
         bad = [n for n in canon if n > bound]
         if bad:
@@ -365,8 +428,18 @@ class TruncatedSeries:
         return out
 
     @classmethod
+    def _from_columns(cls, bound: int, idx: np.ndarray, coef: np.ndarray) -> "TruncatedSeries":
+        """From ascending index and nonzero coefficient columns, read back
+        into Python ints."""
+        out = cls.__new__(cls)
+        out._bound = bound
+        out._terms = dict(zip(idx.tolist(), coef.tolist()))
+        return out
+
+    @classmethod
     def from_polynomial(cls, p: DirichletPolynomial, bound: int) -> "TruncatedSeries":
-        return cls(bound, {n: a for n, a in p.items() if n <= bound})
+        _check_bound(bound)
+        return cls(bound, _window(p.items(), bound))
 
     @property
     def bound(self) -> int:
@@ -397,8 +470,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         bound = min(self._bound, other._bound)
-        long, short = sorted((self._terms, other._terms), key=len, reverse=True)
-        return TruncatedSeries._trusted(bound, _convolve({}, long, short.items(), bound))
+        terms, window = _window(self._terms.items(), bound), _window(other._terms.items(), bound)
+        if not terms or not window:
+            return TruncatedSeries._trusted(bound, {})
+        ns, cs = zip(*terms)
+        idx, coef = _column(ns, bound), _column(cs, max(map(abs, cs)))
+        return TruncatedSeries._from_columns(bound, *_convolve(idx, coef, window, bound))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -432,22 +509,22 @@ def truncated_product(
     so callers may pass long factor lists cheaply.  The result does not
     depend on factor order.
 
-    Each step starts from a copy of the running product (the factor's
-    term at 1); a term n2 > 1 meets only the running terms up to
+    The running product stays in two columns across the steps (see
+    ``_convolve``): a factor term n2 meets only the running terms up to
     ``bound // n2``, so the cost is the number of products within the
-    bound, not |product| * |factor| per step.
+    bound, not |product| * |factor| per step.  The term map is built once,
+    at the end.
     """
-    if not isinstance(bound, int) or bound < 1:
-        raise ValueError("bound must be an int >= 1")
-    out = {1: 1}
+    _check_bound(bound)
+    idx, coef = _column([1], bound), np.ones(1, dtype=np.int64)
     for i, f in enumerate(factors):
         if f.coefficient(1) != 1:
             raise FactorNotUnital(
                 f"factor #{i} has constant coefficient {f.coefficient(1)}, want 1"
             )
         if len(f) > 1 and f.support()[1] <= bound:
-            out = _sorted_nonzero(_convolve(dict(out), out, islice(f.items(), 1, None), bound))
-    return TruncatedSeries._trusted(bound, out)
+            idx, coef = _convolve(idx, coef, _window(f.items(), bound), bound)
+    return TruncatedSeries._from_columns(bound, idx, coef)
 
 
 class RationalSeries:
@@ -520,8 +597,7 @@ def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
     d | n in supp B lies in S.  So it runs over S alone, in
     O(|S| * |supp B|), not O(bound * |supp B|).
     """
-    if not isinstance(bound, int) or bound < 1:
-        raise ValueError("bound must be an int >= 1")
+    _check_bound(bound)
     num, den = f.numerator, f.denominator
     u = den.coefficient(1)
     if u not in (1, -1):

@@ -215,7 +215,10 @@ def _sifter(points: Sequence[int], trans: Sequence[dict[int, tuple[int, ...]]]):
 
 
 def _schreier_sims(
-    degree: int, gen_images: Iterable[Sequence[int]], max_order: int
+    degree: int,
+    gen_images: Iterable[Sequence[int]],
+    max_order: int,
+    stop_at: int | None = None,
 ) -> StabilizerChain:
     """Deterministic Schreier-Sims (Butler 1991, Seress 2003) over every
     moved point in ascending order.  That sequence is a base, and the
@@ -237,7 +240,10 @@ def _schreier_sims(
 
     The product of the orbit sizes never exceeds the group order, so
     the routine raises ``OrderBoundExceeded`` as soon as it passes
-    ``max_order``, before any further work."""
+    ``max_order``, before any further work.  For a group known to lie in
+    one of order ``stop_at``, it returns as soon as the product reaches
+    ``stop_at``: the two groups are then equal, each orbit is a whole
+    basic orbit, and the chain is already complete."""
     ident = tuple(range(degree))
     gens = list(dict.fromkeys(g for g in map(tuple, gen_images) if g != ident))
     points = sorted({x for g in gens for x, y in enumerate(g) if x != y})
@@ -249,9 +255,10 @@ def _schreier_sims(
     # their level, they first lose u_{s(beta)}
     pending: list[list[tuple[int, ...]]] = [[] for _ in points]
 
-    def add_generator(h: tuple[int, ...], first: int, last: int) -> None:
+    def add_generator(h: tuple[int, ...], first: int, last: int) -> bool:
         """Make h a strong generator of levels first..last and extend
-        their orbits; h fixes the base points before ``first``."""
+        their orbits; h fixes the base points before ``first``.  Whether
+        the orbit sizes now multiply to ``stop_at``."""
         for lev in range(first, last + 1):
             gens_l, u, todo = strong[lev], trans[lev], pending[lev]
             gens_l.append(h)
@@ -266,8 +273,10 @@ def _schreier_sims(
                     pairs += [(gamma, t) for t in gens_l]
                 elif us != u[gamma] and not beta == gamma == b:
                     todo.append(us)
-        if prod(map(len, trans)) > max_order:
+        size = prod(map(len, trans))
+        if size > max_order:
             raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
+        return size == stop_at
 
     def residue(lev: int) -> tuple[tuple[int, ...], int] | None:
         """The first pending Schreier generator of level ``lev`` that
@@ -280,16 +289,16 @@ def _schreier_sims(
             todo.pop()
         return None
 
-    for g in gens:
-        add_generator(g, 0, next(lev for lev, b in enumerate(points) if g[b] != b))
+    full = any(add_generator(g, 0, next(lev for lev, b in enumerate(points) if g[b] != b))
+               for g in gens)
     lev = depth - 1
-    while lev >= 0:
+    while lev >= 0 and not full:
         left = residue(lev)
         if left is None:
             lev -= 1
         else:
             h, stop = left
-            add_generator(h, lev + 1, stop)
+            full = add_generator(h, lev + 1, stop)
             lev = stop
     levels = [lev for lev, u in enumerate(trans) if len(u) > 1]
     return StabilizerChain(
@@ -793,7 +802,8 @@ def _derived_order(group: PermGroup) -> int:
     """|G'|, from stabilizer chains: G' is the normal closure in G of
     the commutators of G's generators.  Each round adds, as generators,
     the conjugates by G's generators of the last round's new generators
-    that do not sift through the chain of the generators so far."""
+    that do not sift through the chain of the generators so far.  G' <= G,
+    so a chain whose orbit sizes multiply to |G| stops there: G' = G."""
     gens = [np.asarray(g.images) for g in group.generators]
     inv = [np.argsort(g) for g in gens]
     # image rows of [a, b] = a^-1 b^-1 a b and of g^-1 h g (left factor first)
@@ -802,7 +812,9 @@ def _derived_order(group: PermGroup) -> int:
     seeds: list[tuple[int, ...]] = []
     while True:
         seeds += new
-        chain = _schreier_sims(group.degree, seeds, group.order)
+        chain = _schreier_sims(group.degree, seeds, group.order, stop_at=group.order)
+        if chain.order == group.order:
+            return chain.order
         member = chain.membership()
         conjugates = (tuple(g[np.asarray(h)[ig]].tolist())
                       for h in new for g, ig in zip(gens, inv))

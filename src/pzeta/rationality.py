@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .dirichlet import DirichletPolynomial, TruncatedSeries
+from .dirichlet import DirichletPolynomial, TruncatedSeries, int_from_json
 from .errors import EmptyInput, HypothesisViolated, InvalidParameter
 from .numtheory import (
     integer_nth_root,
@@ -147,9 +147,9 @@ class FactorKind:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FactorKind":
         if "cyclic" in data:
-            return cls.cyclic(int(data["cyclic"]))
+            return cls.cyclic(int_from_json(data["cyclic"]))
         if "psl2" in data:
-            return cls.psl2(int(data["psl2"]["q"]), data["psl2"]["variant"])
+            return cls.psl2(int_from_json(data["psl2"]["q"]), data["psl2"]["variant"])
         raise ValueError(f"unknown kind encoding {data!r}")
 
 
@@ -225,10 +225,10 @@ class FactorDescriptor:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FactorDescriptor":
         return cls.make(
-            int(data["id"]),
+            int_from_json(data["id"]),
             FactorKind.from_json_dict(data["kind"]),
-            int(data["r"]),
-            {int(t["n"]): int(t["b"]) for t in data["coeffs"]},
+            int_from_json(data["r"]),
+            {int_from_json(t["n"]): int_from_json(t["b"]) for t in data["coeffs"]},
         )
 
 

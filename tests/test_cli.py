@@ -320,6 +320,38 @@ class TestProductAndDivide:
         data = run_json(capsys, "divide", str(path))
         assert data["quotient"]["terms"] == [{"n": 1, "a": "1"}, {"n": 2, "a": "1"}]
 
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("product", {"factors": [{"terms": [{"n": 1, "a": "1"}, {"n": 2.5, "a": 1.5}]}]},
+             "expected an integer or a decimal string, got 2.5"),
+            ("product", {"factors": [], "bound": 2.9},
+             "expected an integer or a decimal string, got 2.9"),
+            ("product", {"factors": [{"terms": [{"n": [1], "a": "1"}]}]},
+             "expected an integer or a decimal string, got [1]"),
+            ("divide", {"p": {"terms": [{"n": 1, "a": "1"}]}, "d": {"terms": [{"n": 1, "a": "1"}]},
+                        "bound": "x"},
+             "invalid literal for int() with base 10: 'x'"),
+            ("divide", {"p": {"terms": [{"n": 1, "a": "1"}]}, "d": {"terms": [{"n": 1, "a": "1"}]},
+                        "bound": 2.0},
+             "expected an integer or a decimal string, got 2.0"),
+            ("replay", {"factors": [{"id": 0.5, "kind": {"cyclic": 3}, "r": 1, "coeffs": []}]},
+             "expected an integer or a decimal string, got 0.5"),
+        ],
+    )
+    def test_non_integer_json_exits_2(self, capsys, tmp_path, command, data, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    def test_decimal_string_bound(self, capsys, tmp_path):
+        path = tmp_path / "prod.json"
+        path.write_text(json.dumps({"factors": [{"terms": [{"n": 1, "a": "1"}, {"n": 2, "a": -1}]}],
+                                    "bound": "3"}))
+        assert run_json(capsys, "product", str(path)) == {
+            "bound": 3, "terms": [{"n": 1, "a": "1"}, {"n": 2, "a": "-1"}]}
+
     def test_divide_inexact_exits_6(self, capsys, tmp_path):
         path = tmp_path / "div.json"
         path.write_text(json.dumps({

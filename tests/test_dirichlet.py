@@ -4,7 +4,9 @@ rational series."""
 import json
 import random
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from pzeta import (
     prime_projection,
     truncated_product,
 )
+from pzeta import dirichlet
 from helpers import random_polynomial, random_unit_lead, random_unital
 
 D = DirichletPolynomial
@@ -448,26 +451,78 @@ def _pairs_st(lo, hi, max_size):
     return st.lists(st.tuples(st.integers(lo, hi), st.integers(-9, 9)), max_size=max_size)
 
 
-# mostly unital; a constant coefficient of 0, 2 or -1 exercises FactorNotUnital
-factor_st = st.builds(
-    lambda c, pairs: D([(1, c)] + pairs),
-    st.sampled_from([1] * 12 + [0, 2, -1]),
-    _pairs_st(2, 700, 5),
-)
+# coefficients past +-2^63 and bounds from just below 2^63 up take the
+# truncated products off int64 columns, onto Python ints
+wide_coef_st = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+wide_bound_st = st.integers(2**63 - 2**8, 2**66)
+
+
+def _factor_st(index_st):
+    """Mostly unital; a constant coefficient of 0, 2 or -1 exercises FactorNotUnital."""
+    return st.builds(
+        lambda c, pairs: D([(1, c)] + pairs),
+        st.sampled_from([1] * 12 + [0, 2, -1]),
+        st.lists(st.tuples(index_st, wide_coef_st), max_size=5),
+    )
+
+
+@st.composite
+def product_case_st(draw):
+    """Up to 8 factors under a bound <= 500, or up to 4 under a wide bound
+    with indices up to 2^34, so that their products cross it."""
+    if draw(st.booleans()):
+        return draw(st.lists(_factor_st(st.integers(2, 700)), max_size=8)), draw(
+            st.integers(1, 500)
+        )
+    index_st = st.one_of(st.integers(2, 700), st.integers(2, 2**34))
+    return draw(st.lists(_factor_st(index_st), max_size=4)), draw(wide_bound_st)
 
 
 @st.composite
 def series_st(draw, max_bound=300):
-    bound = draw(st.integers(1, max_bound))
-    return TruncatedSeries(bound, draw(_pairs_st(1, bound, 12)))
+    bound = draw(st.one_of(st.integers(1, max_bound), wide_bound_st))
+    index_st = st.one_of(st.integers(1, min(bound, 700)), st.integers(1, bound))
+    return TruncatedSeries(bound, draw(st.lists(st.tuples(index_st, wide_coef_st), max_size=12)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(factor_st, max_size=8), st.integers(1, 500))
-def test_truncated_product_matches_oracle(factors, bound):
+@settings(max_examples=300, deadline=None)
+@given(product_case_st())
+def test_truncated_product_matches_oracle(case):
+    factors, bound = case
     assert _outcome(truncated_product, factors, bound) == _outcome(
         _oracle_truncated_product, factors, bound
     )
+
+
+def test_truncated_product_leaves_int64_partway(monkeypatch):
+    """(1 + 2^20/2^s - 2^20/3^s)^6: the coefficient guard holds for three
+    steps and trips at the fourth; the coefficient of 2^i 3^j is the
+    multinomial k!/(i! j! (k-i-j)!) times (2^20)^i (-2^20)^j."""
+    steps = []
+    convolve = dirichlet._convolve
+
+    def recording(*args):
+        out = convolve(*args)
+        steps.append(out[1].dtype)
+        return out
+
+    monkeypatch.setattr(dirichlet, "_convolve", recording)
+    k, a, b = 6, 2**20, -(2**20)
+    got = truncated_product([P({1: 1, 2: a, 3: b})] * k, 10**4)
+    assert steps == [np.dtype(np.int64)] * 3 + [np.dtype(object)] * 3
+    want = {
+        2**i * 3**j: comb(k, i) * comb(k - i, j) * a**i * b**j
+        for i in range(k + 1) for j in range(k + 1 - i)
+        if 2**i * 3**j <= 10**4
+    }
+    assert repr(got) == repr(TruncatedSeries(10**4, want))
+    assert max(map(abs, got.terms().values())) >= 2**63
+
+
+def test_truncated_product_result_of_exactly_2_63():
+    """(1 + 2^62/2^s)^2 has 2^63 at index 2, one past int64."""
+    got = truncated_product([P({1: 1, 2: 2**62})] * 2, 4)
+    assert repr(got) == repr(TruncatedSeries(4, {1: 1, 2: 2**63, 4: 2**124}))
 
 
 @settings(max_examples=200, deadline=None)
@@ -550,9 +605,10 @@ class TestPublicValidation:
 
     @pytest.mark.parametrize("bound", [0, -1, 2.5, "4"])
     def test_series_rejects_bad_bound(self, bound):
-        calls = [lambda: TruncatedSeries(bound, {1: 1})]
-        if not isinstance(bound, str):  # from_polynomial compares indices first
-            calls.append(lambda: TruncatedSeries.from_polynomial(ONE, bound))
+        calls = [
+            lambda: TruncatedSeries(bound, {1: 1}),
+            lambda: TruncatedSeries.from_polynomial(ONE, bound),
+        ]
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
@@ -584,6 +640,23 @@ class TestPublicValidation:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "term, bad",
+        [({"n": 2.5, "a": 1.5}, 2.5), ({"n": 2, "a": 1.5}, 1.5), ({"n": 2, "a": 2.0}, 2.0),
+         ({"n": True, "a": "1"}, True), ({"n": 2, "a": False}, False),
+         ({"n": [1], "a": "1"}, [1]), ({"n": 2, "a": None}, None), ({"n": {}, "a": "1"}, {})],
+    )
+    def test_json_rejects_non_integers(self, term, bad):
+        """Only an int or a decimal string is read: no float is truncated."""
+        data = {"terms": [{"n": 1, "a": "1"}, term]}
+        with pytest.raises(ValueError) as info:
+            D.from_json_dict(data)
+        assert str(info.value) == f"expected an integer or a decimal string, got {bad!r}"
+
+    def test_json_reads_ints_and_decimal_strings(self):
+        data = {"terms": [{"n": 1, "a": 1}, {"n": "6", "a": "-3"}, {"n": 2**70, "a": -(2**70)}]}
+        assert D.from_json_dict(data) == P({1: 1, 6: -3, 2**70: -(2**70)})
 
     @pytest.mark.parametrize("scalar", [True, 1.0, Fraction(1), "1"])
     def test_arithmetic_rejects_non_int_scalars(self, scalar):

@@ -45,6 +45,7 @@ from pzeta.permgroup import (
     DEFAULT_MAX_GROUP_ORDER,
     _derived_order,
     _Engine,
+    _schreier_sims,
     format_group_file,
 )
 from pzeta.zeta import chief_factorization
@@ -1181,6 +1182,59 @@ class TestAlmostSimpleValidation:
             tracemalloc.stop()
         assert g._eng is None
         assert peak < 1 << 20  # a table of 10^6 rows alone is 12 MB
+
+
+def _derived_order_by_full_chains(group: PermGroup) -> int:
+    """Oracle: the rounds of ``_derived_order``, each chain completed
+    rather than stopped once its orbit sizes multiply to |G|."""
+    gens = [np.asarray(g.images) for g in group.generators]
+    inv = [np.argsort(g) for g in gens]
+    new = [tuple(b[a[ib[ia]]].tolist())
+           for i, (a, ia) in enumerate(zip(gens, inv)) for b, ib in zip(gens[:i], inv[:i])]
+    seeds = []
+    while True:
+        seeds += new
+        chain = _schreier_sims(group.degree, seeds, group.order)
+        member = chain.membership()
+        conjugates = (tuple(g[np.asarray(h)[ig]].tolist())
+                      for h in new for g, ig in zip(gens, inv))
+        new = [c for c in dict.fromkeys(conjugates) if not member(c)]
+        if not new:
+            return chain.order
+
+
+# |G'|: the simple groups are perfect, the others are not
+DERIVED_ORDERS = {
+    "A5": 60, "PSL(2,5)": 60, "PSL(2,7)": 168, "PSL(2,11)": 660, "PSL(2,29)": 12180,
+    "S3": 3, "S4": 12, "S5": 60, "PGL(2,7)": 168, "PGL(2,11)": 660,
+}
+
+
+class TestDerivedOrder:
+    @pytest.mark.parametrize("name", sorted(DERIVED_ORDERS))
+    def test_matches_full_chains(self, name):
+        g = builtin_group(name)
+        assert _derived_order(g) == _derived_order_by_full_chains(g) == DERIVED_ORDERS[name]
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "S5", "PGL(2,7)", "PGL(2,11)"])
+    def test_non_perfect_socle_refused(self, name):
+        with pytest.raises(InvalidParameter, match="socle is not perfect"):
+            AlmostSimpleSpec(builtin_group(name), builtin_group(name))
+
+    @pytest.mark.parametrize("q", [7, 29])
+    def test_stopped_chain_is_complete(self, q):
+        """A chain of PSL(2,q) stopped at |PSL(2,q)| tests membership as the
+        full chain does, on PGL(2,q) (half of it lies outside)."""
+        psl, pgl = builtin_group(f"PSL(2,{q})"), builtin_group(f"PGL(2,{q})")
+        images = [g.images for g in psl.generators]
+        stopped = _schreier_sims(psl.degree, images, psl.order, stop_at=psl.order)
+        assert stopped.order == psl.order
+        member, full = stopped.membership(), psl.stabilizer_chain.membership()
+        rows = pgl.engine.rows
+        sample = [row.tolist() for row in rows[:: max(1, len(rows) // 500)]]
+        verdicts = [member(row) for row in sample]
+        assert verdicts == [full(row) for row in sample]
+        assert any(verdicts) and not all(verdicts)
 
 
 CLOSURE_GROUPS = ["S4", "A4", "Q8", "D12", "S5", "A5xC2"]

@@ -92,6 +92,28 @@ class TestFactorDescriptor:
         data = json.loads(json.dumps(f.to_json_dict()))
         assert FactorDescriptor.from_json_dict(data) == f
 
+    @pytest.mark.parametrize(
+        "data, bad",
+        [
+            ({"id": 0.5, "kind": {"cyclic": 3}, "r": 1, "coeffs": []}, 0.5),
+            ({"id": 0, "kind": {"cyclic": 3.0}, "r": 1, "coeffs": []}, 3.0),
+            ({"id": 0, "kind": {"psl2": {"q": 7.5, "variant": "psl"}}, "r": 1, "coeffs": []}, 7.5),
+            ({"id": 0, "kind": {"cyclic": 3}, "r": True, "coeffs": []}, True),
+            ({"id": 0, "kind": {"cyclic": 3}, "r": 1, "coeffs": [{"n": 3.0, "b": "-2"}]}, 3.0),
+            ({"id": 0, "kind": {"cyclic": 3}, "r": 1, "coeffs": [{"n": 3, "b": -2.5}]}, -2.5),
+            ({"id": [0], "kind": {"cyclic": 3}, "r": 1, "coeffs": []}, [0]),
+        ],
+    )
+    def test_factor_json_rejects_non_integers(self, data, bad):
+        with pytest.raises(ValueError) as info:
+            FactorDescriptor.from_json_dict(data)
+        assert str(info.value) == f"expected an integer or a decimal string, got {bad!r}"
+
+    def test_factor_json_reads_ints_and_decimal_strings(self):
+        data = {"id": "4", "kind": {"cyclic": "3"}, "r": "1", "coeffs": [{"n": "3", "b": -2}]}
+        f = FactorDescriptor.from_json_dict(data)
+        assert (f.ident, f.kind, f.multiplicity, f.coeffs) == (4, FactorKind.cyclic(3), 1, ((3, -2),))
+
     def test_polynomial_includes_implicit_one(self):
         f = cyclic_descriptor(0, 5, 1, 2)
         assert f.polynomial() == D({1: 1, 5: -2})
