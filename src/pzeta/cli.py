@@ -22,7 +22,14 @@ import json
 import os
 import sys
 
-from .dirichlet import DirichletPolynomial, divide_exact, int_from_json, truncated_product
+from .dirichlet import (
+    DirichletPolynomial,
+    divide_exact,
+    int_from_json,
+    list_from_json,
+    object_from_json,
+    truncated_product,
+)
 from .errors import (
     BudgetExceeded,
     EmptyInput,
@@ -264,11 +271,17 @@ def _cmd_moebius(args) -> int:
     return EXIT_OK
 
 
+def _load_json_object(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return object_from_json(json.load(fh))
+
+
 def _cmd_replay(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    factors = [FactorDescriptor.from_json_dict(d) for d in data.get("factors", [])]
-    report = replay_finiteness_argument(factors, probe_bound=data.get("probe_bound", 10_000))
+    data = _load_json_object(args.path)
+    factors = list_from_json(data.get("factors", []))
+    factors = [FactorDescriptor.from_json_dict(d) for d in factors]
+    probe_bound = int_from_json(data.get("probe_bound", 10_000))
+    report = replay_finiteness_argument(factors, probe_bound=probe_bound)
     lines = [
         f"q = {report.q}, window = odd multiples of {report.q}",
         f"w = {report.witness}, I* = {list(report.i_star)}",
@@ -285,27 +298,32 @@ def _cmd_replay(args) -> int:
 
 
 def _parse_family(entry):
-    if isinstance(entry, int):
+    if isinstance(entry, int) and not isinstance(entry, bool):
         return ConstantExponents(entry)
     if isinstance(entry, dict):
         if "const" in entry:
+            infinite = entry.get("infinite", False)
+            if not isinstance(infinite, bool):
+                raise ValueError(f"infinite must be true or false, got {infinite!r}")
             return ConstantExponents(
-                int(entry["const"]),
-                count=int(entry.get("count", 1)),
-                infinite=bool(entry.get("infinite", False)),
+                int_from_json(entry["const"]),
+                count=int_from_json(entry.get("count", 1)),
+                infinite=infinite,
             )
         if "arith" in entry:
-            return ArithmeticExponents(int(entry["arith"]["start"]), int(entry["arith"]["step"]))
+            arith = object_from_json(entry["arith"])
+            return ArithmeticExponents(int_from_json(arith["start"]), int_from_json(arith["step"]))
         if "geom" in entry:
-            return GeometricExponents(int(entry["geom"]["start"]), int(entry["geom"]["ratio"]))
+            geom = object_from_json(entry["geom"])
+            return GeometricExponents(int_from_json(geom["start"]), int_from_json(geom["ratio"]))
     raise ValueError(f"cannot parse exponent family {entry!r}")
 
 
 def _cmd_smlcheck(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    families = [_parse_family(e) for e in data.get("families", [])]
-    report = check_sml_conditions(families, probe_bound=data.get("probe_bound", 10_000))
+    data = _load_json_object(args.path)
+    families = [_parse_family(e) for e in list_from_json(data.get("families", []))]
+    probe_bound = int_from_json(data.get("probe_bound", 10_000))
+    report = check_sml_conditions(families, probe_bound=probe_bound)
     text = (
         f"condition (i): {'holds' if report.condition_i_holds else 'fails'}"
         + (f" (violated at n={report.condition_i_violated_at})"
@@ -317,9 +335,9 @@ def _cmd_smlcheck(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    factors = [DirichletPolynomial.from_json_dict(d) for d in data.get("factors", [])]
+    data = _load_json_object(args.path)
+    factors = list_from_json(data.get("factors", []))
+    factors = [DirichletPolynomial.from_json_dict(d) for d in factors]
     bound = int_from_json(data.get("bound", args.truncate))
     result = truncated_product(factors, bound)
     _emit(args, result.to_json_dict(), str(result))
@@ -327,8 +345,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_divide(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json_object(args.path)
     p = DirichletPolynomial.from_json_dict(data["p"])
     d = DirichletPolynomial.from_json_dict(data["d"])
     bound = data.get("bound")

@@ -81,6 +81,20 @@ def int_from_json(value) -> int:
     raise ValueError(f"expected an integer or a decimal string, got {value!r}")
 
 
+def object_from_json(value) -> dict:
+    """A field of a JSON input that must be an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def list_from_json(value) -> list:
+    """A field of a JSON input that must be a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON list, got {value!r}")
+    return value
+
+
 def _check_bound(bound) -> None:
     if not isinstance(bound, int) or bound < 1:
         raise ValueError("bound must be an int >= 1")
@@ -313,7 +327,8 @@ class DirichletPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DirichletPolynomial":
-        return cls({int_from_json(t["n"]): int_from_json(t["a"]) for t in data["terms"]})
+        terms = map(object_from_json, list_from_json(object_from_json(data)["terms"]))
+        return cls({int_from_json(t["n"]): int_from_json(t["a"]) for t in terms})
 
 
 ONE = DirichletPolynomial.one()
@@ -578,6 +593,7 @@ class RationalSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalSeries":
+        data = object_from_json(data)
         return cls(
             DirichletPolynomial.from_json_dict(data["num"]),
             DirichletPolynomial.from_json_dict(data["den"]),

@@ -21,13 +21,15 @@ every subgroup exactly once.  K's normalizer costs nothing when K is
 normal (G's generators) or self-normalizing (K's own), since its order
 is |G| divided by the size of K's class.
 
-The walk starts from a seed subgroup and lists every conjugate of
-every overgroup of the seed.  Seeded with the trivial subgroup it is
-the full lattice; seeded with a Sylow 2-subgroup it is exactly the
-subgroups of odd index (up to listing every conjugate), which is what
-the minimal-odd-index computations need; groups of order a few
-thousand stay tractable that way even when their full lattice would
-not be.
+One poset type serves the full lattice and the overgroup family: the
+walk is the constructor of ``_NodePoset``, which starts from a seed
+subgroup and lists every conjugate of every overgroup of the seed.
+Seeded with the trivial subgroup it is the full lattice
+(``SubgroupLattice``); seeded with a Sylow 2-subgroup it is exactly the
+subgroups of odd index (``OvergroupFamily``, up to listing every
+conjugate), which is what the minimal-odd-index computations need;
+groups of order a few thousand stay tractable that way even when their
+full lattice would not be.
 
 Quotients are not enumerated separately: for a normal subgroup N the
 lattice of G/N is the interval [N, G] of G's own lattice, with the same
@@ -46,7 +48,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -144,166 +146,154 @@ def _conjugators(
         member[closed] = True
 
 
-def _enumerate(
-    engine: _Engine,
-    budget: Budget,
-    seed: Sequence[int],
-    seed_gens: Sequence[int],
-):
-    """Core enumeration.  Returns, in the canonical node order (by
-    subgroup order, then by element tuple): the nodes as sorted
-    element-index tuples and as frozensets, each node's generators, each
-    node's class id, the classes (ascending node ids, ordered by their
-    smallest id), one node permutation per group generator (the id of
-    each node's conjugate by it), and the tracker's stats.
-
-    Every conjugate of every overgroup of the seed subgroup is listed
-    (the seed's class first grows upward, orbits fill sideways); the
-    trivial seed lists every subgroup of the group.  Classes are
-    extended smallest first.  A representative K is extended by the
-    least prime-power cyclic generator (``pp_cyclic_generator_reps``)
-    outside K in each orbit of the group generated by x -> x*k (k in K)
-    and conjugation by N_G(K) (which contains K, so the orbits are
-    unions of double cosets KxK): the elements of one orbit extend K to
-    conjugate subgroups, so one try per orbit reaches every cover of
-    every class.  A new subgroup is registered with its whole
-    conjugacy class.
-    """
-    order = engine.order
-    tracker = _Tracker(budget)
-
-    nodes: list[tuple[int, ...]] = []
-    node_gens: list[tuple[int, ...]] = []
-    node_ids: dict[frozenset, int] = {}  # insertion order is node order
-    classes: list[list[int]] = []
-
-    g_gens = engine.gen_indices
-    # images[k][i]: the id of node i conjugated by g_gens[k]
-    images: list[list[int]] = [[] for _ in g_gens]
-
-    def add(elements: tuple[int, ...], gens: tuple[int, ...], fs: frozenset):
-        tracker.subgroups += 1
-        tracker.check()
-        node_ids[fs] = len(nodes)
-        nodes.append(elements)
-        node_gens.append(gens)
-
-    def register(rep: tuple[int, ...], gens: tuple[int, ...]) -> int:
-        """Add a new subgroup and all its conjugates as one class, and
-        record each member's image under every generator."""
-        cid = len(classes)
-        members = [len(nodes)]
-        add(rep, gens, frozenset(rep))
-        # grows while conjugates are found; over all classes, members
-        # are visited in id order, so each image list is indexed by id
-        for nid in members:
-            arr = np.asarray(nodes[nid], dtype=np.int64)
-            for g, image in zip(g_gens, images):
-                conj = tuple(np.sort(engine.conj_set(arr, g)).tolist())
-                fs = frozenset(conj)
-                if fs not in node_ids:
-                    members.append(len(nodes))
-                    add(conj, tuple(engine.conj_elem(x, g) for x in node_gens[nid]), fs)
-                image.append(node_ids[fs])
-        classes.append(members)
-        tracker.classes = len(classes)
-        return cid
-
-    cid = register(tuple(sorted(int(x) for x in seed)), tuple(seed_gens))
-    heap = [(len(nodes[classes[cid][0]]), cid)]
-
-    top = tuple(range(order))
-    if frozenset(top) not in node_ids:
-        register(top, tuple(g_gens))
-
-    candidates = np.asarray(engine.pp_cyclic_generator_reps(), dtype=np.int64)
-
-    while heap:
-        size, cid = heapq.heappop(heap)
-        if size == order:
-            continue
-        rep = nodes[classes[cid][0]]
-        kgens = node_gens[classes[cid][0]]
-        in_k = np.zeros(order, dtype=bool)
-        in_k[list(rep)] = True
-        outside = candidates[~in_k[candidates]]
-        if len(outside) > 1:
-            n_size = order // len(classes[cid])
-            conj = _conjugators(engine, tracker, kgens, in_k, size, n_size)
-            # <K, y> is conjugate to <K, x> for every y in the orbit of x
-            outside = engine.orbit_minima(outside, kgens, conj)
-        for e in outside.tolist():
-            tracker.check()
-            tracker.closures["candidate"] += 1
-            res = engine.closure(kgens + (e,), bail_half=True)
-            if res is None:
-                continue  # generated the whole group; top is preseeded
-            new_rep = tuple(res.tolist())
-            if frozenset(new_rep) in node_ids:
-                continue
-            ncid = register(new_rep, kgens + (e,))
-            heapq.heappush(heap, (len(new_rep), ncid))
-
-    # canonical ordering: by subgroup order, then by element tuple;
-    # classes by their smallest id
-    perm = sorted(range(len(nodes)), key=lambda i: (len(nodes[i]), nodes[i]))
-    inv = {old: new for new, old in enumerate(perm)}
-    fsets = list(node_ids)
-    classes2 = sorted(tuple(sorted(inv[old] for old in m)) for m in classes)
-    class_of = [0] * len(nodes)
-    for ci, members in enumerate(classes2):
-        for nid in members:
-            class_of[nid] = ci
-    return (
-        [nodes[i] for i in perm],
-        [fsets[i] for i in perm],
-        [node_gens[i] for i in perm],
-        class_of,
-        classes2,
-        [[inv[image[old]] for old in perm] for image in images],
-        tracker.stats(),
-    )
-
-
 class _NodePoset:
-    """Subgroups as element sets in the canonical node order (ids ascend
-    by subgroup order, the whole group last), closed under conjugation,
-    with the cached containment rows that every poset query reads.
+    """Every conjugate of every overgroup of a seed subgroup, in the
+    canonical node order (by subgroup order, then by element tuple; the
+    whole group last), with the cached containment rows that every
+    poset query reads.
+
+    The constructor is the walk of the module docstring.  Classes are
+    extended smallest first (the seed's class grows upward, orbits fill
+    sideways), a representative K by the least prime-power cyclic
+    generator (``pp_cyclic_generator_reps``) outside K in each orbit of
+    x -> x*k (k in K) and conjugation by N_G(K).  A new subgroup is
+    registered with its whole conjugacy class.  ``classes`` hold
+    ascending node ids and are ordered by their smallest id.
 
     Conjugation by a group generator is an automorphism of the poset,
-    and ``node_perms[k]`` is its action on node ids.  So a row is
-    scanned only for a class representative (the class's smallest id).
-    Every other node has a parent (p, k), with node = node p conjugated
-    by generator k, and its row is p's row relabelled by
-    ``node_perms[k]``.  A class's parents come from one breadth-first
-    search from its representative, run on the first relabel inside the
-    class: most queries read representatives' rows only.
-    ``stats["rows"]`` counts the rows scanned and relabelled."""
+    and ``_perms[k]`` is its action on node ids.  So a row is scanned
+    only for a class representative (the class's smallest id).  Every
+    other node has a parent (p, k), with node = node p conjugated by
+    generator k, and its row is p's row relabelled by ``_perms[k]``.  A
+    class's parents come from one breadth-first search from its
+    representative, run on the first relabel inside the class: most
+    queries read representatives' rows only.
+
+    ``stats`` holds the walk's counts: subgroups, classes, closures by
+    purpose (``candidate`` extensions and ``normalizer`` growth) and
+    elapsed seconds, plus the overgroup ``rows`` scanned and relabelled
+    so far."""
 
     def __init__(
         self,
-        fsets: list[frozenset],
-        classes: Sequence[Sequence[int]],
-        class_of: Sequence[int],
-        node_perms: list[list[int]],
-        stats: dict,
+        engine: _Engine,
+        budget: Budget,
+        seed: Sequence[int],
+        seed_gens: Sequence[int],
     ):
-        self._fs = fsets
-        self._sizes = [len(fs) for fs in fsets]
-        self._rows: list[list[int] | None] = [None] * len(fsets)
-        self.top_id = len(fsets) - 1
-        self._classes = classes
-        self._class_of = class_of
-        self._perms = node_perms
-        self._parent: list[tuple[int, int] | None] = [None] * len(fsets)
-        self.stats = stats
-        stats["rows"] = {"scanned": 0, "relabelled": 0}
+        order = engine.order
+        tracker = _Tracker(budget)
+
+        nodes: list[tuple[int, ...]] = []
+        node_gens: list[tuple[int, ...]] = []
+        node_ids: dict[frozenset, int] = {}  # insertion order is node order
+        classes: list[list[int]] = []
+
+        g_gens = engine.gen_indices
+        # images[k][i]: the id of node i conjugated by g_gens[k]
+        images: list[list[int]] = [[] for _ in g_gens]
+
+        def add(elements: tuple[int, ...], gens: tuple[int, ...], fs: frozenset):
+            tracker.subgroups += 1
+            tracker.check()
+            node_ids[fs] = len(nodes)
+            nodes.append(elements)
+            node_gens.append(gens)
+
+        def register(rep: tuple[int, ...], gens: tuple[int, ...]) -> int:
+            """Add a new subgroup and all its conjugates as one class, and
+            record each member's image under every generator."""
+            cid = len(classes)
+            members = [len(nodes)]
+            add(rep, gens, frozenset(rep))
+            # grows while conjugates are found; over all classes, members
+            # are visited in id order, so each image list is indexed by id
+            for nid in members:
+                arr = np.asarray(nodes[nid], dtype=np.int64)
+                for g, image in zip(g_gens, images):
+                    conj = tuple(np.sort(engine.conj_set(arr, g)).tolist())
+                    fs = frozenset(conj)
+                    if fs not in node_ids:
+                        members.append(len(nodes))
+                        add(conj, tuple(engine.conj_elem(x, g) for x in node_gens[nid]), fs)
+                    image.append(node_ids[fs])
+            classes.append(members)
+            tracker.classes = len(classes)
+            return cid
+
+        cid = register(tuple(sorted(int(x) for x in seed)), tuple(seed_gens))
+        heap = [(len(nodes[classes[cid][0]]), cid)]
+
+        top = tuple(range(order))
+        if frozenset(top) not in node_ids:
+            register(top, tuple(g_gens))
+
+        candidates = np.asarray(engine.pp_cyclic_generator_reps(), dtype=np.int64)
+
+        while heap:
+            size, cid = heapq.heappop(heap)
+            if size == order:
+                continue
+            rep = nodes[classes[cid][0]]
+            kgens = node_gens[classes[cid][0]]
+            in_k = np.zeros(order, dtype=bool)
+            in_k[list(rep)] = True
+            outside = candidates[~in_k[candidates]]
+            if len(outside) > 1:
+                n_size = order // len(classes[cid])
+                conj = _conjugators(engine, tracker, kgens, in_k, size, n_size)
+                # <K, y> is conjugate to <K, x> for every y in the orbit of x
+                outside = engine.orbit_minima(outside, kgens, conj)
+            for e in outside.tolist():
+                tracker.check()
+                tracker.closures["candidate"] += 1
+                res = engine.closure(kgens + (e,), bail_half=True)
+                if res is None:
+                    continue  # generated the whole group; top is preseeded
+                new_rep = tuple(res.tolist())
+                if frozenset(new_rep) in node_ids:
+                    continue
+                ncid = register(new_rep, kgens + (e,))
+                heapq.heappush(heap, (len(new_rep), ncid))
+
+        # canonical ordering: by subgroup order, then by element tuple;
+        # classes by their smallest id
+        perm = sorted(range(len(nodes)), key=lambda i: (len(nodes[i]), nodes[i]))
+        inv = {old: new for new, old in enumerate(perm)}
+        fsets = list(node_ids)
+        self.classes = sorted(tuple(sorted(inv[old] for old in m)) for m in classes)
+        self._class_of = [0] * len(nodes)
+        for ci, members in enumerate(self.classes):
+            for nid in members:
+                self._class_of[nid] = ci
+        self.engine = engine
+        self.nodes = [nodes[i] for i in perm]
+        self._fs = [fsets[i] for i in perm]
+        self._gens = [node_gens[i] for i in perm]
+        self._perms = [[inv[image[old]] for old in perm] for image in images]
+        self._sizes = [len(fs) for fs in self._fs]
+        self._rows: list[list[int] | None] = [None] * len(nodes)
+        self._parent: list[tuple[int, int] | None] = [None] * len(nodes)
+        self.top_id = len(nodes) - 1
+        self.stats = tracker.stats()
+        self.stats["rows"] = {"scanned": 0, "relabelled": 0}
+
+    @property
+    def node_count(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.classes)
+
+    def class_of(self, i: int) -> int:
+        return self._class_of[i]
 
     def _parent_of(self, i: int) -> tuple[int, int] | None:
         """Node i's parent (p, k), or None for a class representative;
         the first call inside a class finds the parents of all its
         members."""
-        rep = self._classes[self._class_of[i]][0]
+        rep = self.classes[self._class_of[i]][0]
         if i != rep and self._parent[i] is None:
             queue = [rep]
             for u in queue:
@@ -362,59 +352,41 @@ class SubgroupLattice(_NodePoset):
     mu(G) = 1 and mu(H) = -sum_{H < K <= G} mu(K).
 
     Node ids ascend by subgroup order (ties by element tuple): the
-    trivial subgroup is node 0, the whole group the last node.
-    ``stats`` holds the enumeration's counts: subgroups, classes,
-    closures by purpose (``candidate`` extensions and ``normalizer``
-    growth) and elapsed seconds, plus the overgroup ``rows`` scanned
-    and relabelled so far."""
+    trivial subgroup is node 0, the whole group the last node."""
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
         budget.check_order(group.order)  # the order comes without the table
-        self.engine = group.engine
-        nodes, fsets, gens, class_of, classes, node_perms, stats = _enumerate(
-            self.engine, budget, (self.engine.id_idx,), ()
-        )
-        super().__init__(fsets, classes, class_of, node_perms, stats)
-        self._nodes = nodes
-        self._gens = gens
+        super().__init__(group.engine, budget, (group.engine.id_idx,), ())
         self.trivial_id = 0
-        assert len(self._nodes[self.top_id]) == self.engine.order
+        assert len(self.nodes[self.top_id]) == self.engine.order
         self._subgroups_strict: list[list[int]] | None = None
         self._mu = self._compute_moebius()
 
     # -- basic queries ---------------------------------------------------
 
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def class_count(self) -> int:
-        return len(self._classes)
-
     def node_elements(self, i: int) -> tuple[int, ...]:
-        return self._nodes[i]
+        return self.nodes[i]
 
     def node_order(self, i: int) -> int:
-        return len(self._nodes[i])
+        return len(self.nodes[i])
 
     def node_index(self, i: int) -> int:
-        return self.engine.order // len(self._nodes[i])
+        return self.engine.order // len(self.nodes[i])
 
     def node_generators(self, i: int) -> tuple[int, ...]:
         return self._gens[i]
 
     def node_permutations(self, i: int) -> list[Permutation]:
-        return [self.engine.permutation(x) for x in self._nodes[i]]
+        return [self.engine.permutation(x) for x in self.nodes[i]]
 
     def node_id_of(self, elements: Iterable[int]) -> int:
         """Id of the node with exactly these elements (in any order,
         repeats allowed), found by bisection in the canonical order."""
         key = tuple(sorted({int(x) for x in elements}))
         lo = bisect_left(self._sizes, len(key))
-        i = bisect_left(self._nodes, key, lo, bisect_right(self._sizes, len(key)))
-        if i < self.node_count and self._nodes[i] == key:
+        i = bisect_left(self.nodes, key, lo, bisect_right(self._sizes, len(key)))
+        if i < self.node_count and self.nodes[i] == key:
             return i
         raise KeyError("no such subgroup in the lattice")
 
@@ -424,17 +396,14 @@ class SubgroupLattice(_NodePoset):
 
     @property
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        return list(self._classes)
-
-    def class_of(self, i: int) -> int:
-        return self._class_of[i]
+        return list(self.classes)
 
     def is_normal(self, i: int) -> bool:
-        return len(self._classes[self._class_of[i]]) == 1
+        return len(self.classes[self._class_of[i]]) == 1
 
     def normal_node_ids(self) -> list[int]:
         """Ascending: classes are ordered by their smallest id."""
-        return [members[0] for members in self._classes if len(members) == 1]
+        return [members[0] for members in self.classes if len(members) == 1]
 
     # -- Moebius -----------------------------------------------------------
 
@@ -442,7 +411,7 @@ class SubgroupLattice(_NodePoset):
         # classes are ordered by their smallest id, so in reverse every
         # proper overgroup of a representative is already done
         mu = [0] * self.node_count
-        for members in reversed(self._classes):
+        for members in reversed(self.classes):
             rep = members[0]
             value = 1 if rep == self.top_id else -sum(mu[j] for j in self._overgroups(rep))
             for i in members:
@@ -475,7 +444,7 @@ class SubgroupLattice(_NodePoset):
         property, so only representatives' rows are read."""
         return sorted(
             i
-            for members in self._classes
+            for members in self.classes
             if self._overgroups(members[0]) == [self.top_id]
             for i in members
         )
@@ -527,7 +496,7 @@ class SubgroupLattice(_NodePoset):
         element index to the image Permutation."""
         if not self.is_normal(i):
             raise NotNormal(f"node {i} is not normal in {self.group.name}")
-        degree, gen_rows, image_of = self.engine.quotient_action(self._nodes[i])
+        degree, gen_rows, image_of = self.engine.quotient_action(self.nodes[i])
         quotient = PermGroup(
             degree,
             [Permutation(r) for r in gen_rows],
@@ -546,9 +515,9 @@ class SubgroupLattice(_NodePoset):
             "group": self.group.name,
             "degree": self.group.degree,
             "order": self.engine.order,
-            "nodes": [list(n) for n in self._nodes],
+            "nodes": [list(n) for n in self.nodes],
             "hasse_edges": [list(e) for e in self.hasse_edges()],
-            "conjugacy_classes": [list(c) for c in self._classes],
+            "conjugacy_classes": [list(c) for c in self.classes],
             "moebius": list(self._mu),
         }
 
@@ -568,27 +537,22 @@ def subgroup_lattice(group: PermGroup, budget: Budget | None = None) -> Subgroup
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class OvergroupFamily(_NodePoset):
-    """All overgroups of a seed subgroup, closed under conjugacy, in the
-    canonical node order (the seed's class first, the group last).
+    """The overgroup family of a seed subgroup.  ``literal_ids`` are the
+    nodes that actually contain the seed: the seed node and its
+    overgroup row.  The family is upward closed, so the row of a literal
+    node lists every subgroup above it, and the node is maximal exactly
+    when that row is ``[top_id]``."""
 
-    ``literal_ids`` are the nodes that actually contain the seed: the
-    seed node and its overgroup row.  The family is upward closed, so
-    the row of a literal node lists every subgroup above it, and the
-    node is maximal exactly when that row is ``[top_id]``."""
-
-    nodes: list[tuple[int, ...]]
-    class_of: list[int]
-    classes: list[tuple[int, ...]]
-    seed: tuple[int, ...]
-    stats: dict
-    fsets: InitVar[list[frozenset]]
-    node_perms: InitVar[list[list[int]]]
-    literal_ids: list[int] = field(init=False)
-
-    def __post_init__(self, fsets: list[frozenset], node_perms: list[list[int]]):
-        _NodePoset.__init__(self, fsets, self.classes, self.class_of, node_perms, self.stats)
+    def __init__(
+        self,
+        engine: _Engine,
+        budget: Budget,
+        seed: Sequence[int],
+        seed_gens: Sequence[int],
+    ):
+        super().__init__(engine, budget, seed, seed_gens)
+        self.seed = tuple(sorted(int(x) for x in seed))
         seed_id = self.nodes.index(self.seed)
         self.literal_ids = [seed_id, *self._overgroups(seed_id)]
 
@@ -601,11 +565,7 @@ def overgroups_of_seed(
 ) -> OvergroupFamily:
     budget = budget or DEFAULT_BUDGET
     budget.check_order(engine.order)
-    nodes, fsets, _gens, class_of, classes, node_perms, stats = _enumerate(
-        engine, budget, seed, seed_gens
-    )
-    seed_elements = tuple(sorted(int(x) for x in seed))
-    return OvergroupFamily(nodes, class_of, classes, seed_elements, stats, fsets, node_perms)
+    return OvergroupFamily(engine, budget, seed, seed_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -782,10 +742,16 @@ def chief_steps(lat: SubgroupLattice, chain: list[int] | None = None) -> list[Ch
       r = 1 and nothing is scanned.
 
     Raises ``NotNormal`` when a bound is not a normal node, and
-    ``ValueError`` when a step is not a chief step: N_lower is not a
-    proper subgroup of N_upper, or a normal node lies strictly between.
+    ``ValueError`` when the chain does not run from G to 1 or a step is
+    not a chief step: N_lower is not a proper subgroup of N_upper, or a
+    normal node lies strictly between.
     """
-    chain = chain or chief_series_ids(lat)
+    chain = chief_series_ids(lat) if chain is None else chain
+    if not chain or chain[0] != lat.top_id or chain[-1] != lat.trivial_id:
+        raise ValueError(
+            f"a chief series runs from node {lat.top_id} (the whole group) "
+            f"to node {lat.trivial_id} (the trivial subgroup), got {list(chain)}"
+        )
     eng = lat.engine
     normals = lat.normal_node_ids()
     steps = []

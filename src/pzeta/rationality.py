@@ -22,7 +22,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .dirichlet import DirichletPolynomial, TruncatedSeries, int_from_json
+from .dirichlet import (
+    DirichletPolynomial,
+    TruncatedSeries,
+    int_from_json,
+    list_from_json,
+    object_from_json,
+)
 from .errors import EmptyInput, HypothesisViolated, InvalidParameter
 from .numtheory import (
     integer_nth_root,
@@ -146,10 +152,14 @@ class FactorKind:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FactorKind":
+        data = object_from_json(data)
         if "cyclic" in data:
             return cls.cyclic(int_from_json(data["cyclic"]))
         if "psl2" in data:
-            return cls.psl2(int_from_json(data["psl2"]["q"]), data["psl2"]["variant"])
+            psl2 = object_from_json(data["psl2"])
+            if not isinstance(psl2["variant"], str):
+                raise ValueError(f"expected a variant name, got {psl2['variant']!r}")
+            return cls.psl2(int_from_json(psl2["q"]), psl2["variant"])
         raise ValueError(f"unknown kind encoding {data!r}")
 
 
@@ -224,11 +234,13 @@ class FactorDescriptor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FactorDescriptor":
+        data = object_from_json(data)
+        coeffs = map(object_from_json, list_from_json(data["coeffs"]))
         return cls.make(
             int_from_json(data["id"]),
             FactorKind.from_json_dict(data["kind"]),
             int_from_json(data["r"]),
-            {int_from_json(t["n"]): int_from_json(t["b"]) for t in data["coeffs"]},
+            {int_from_json(t["n"]): int_from_json(t["b"]) for t in coeffs},
         )
 
 

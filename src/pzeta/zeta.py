@@ -252,7 +252,7 @@ def odd_supplement_indices(
         assert include_even or m % 2 == 1, "overgroups of a Sylow 2-subgroup have odd index"
         # the family is upward closed: maximal iff the only overgroup is the top
         ok = all(fam._overgroups(i) == [fam.top_id] for i in by_index[m])
-        classes = len({fam.class_of[i] for i in by_index[m]})
+        classes = len({fam.class_of(i) for i in by_index[m]})
         details.append(OddIndexDetail(m, classes, ok))
         if ok:
             omega.append(m)

@@ -1,6 +1,7 @@
 """Command line surface: output schemas, golden files, exit codes."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -49,11 +50,11 @@ GOLDEN_COMMANDS = {
 
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_COMMANDS))
 def test_golden_outputs(capsys, golden_name):
-    data = run_json(capsys, *GOLDEN_COMMANDS[golden_name])
-    if "elapsed_s" in data:
-        data["elapsed_s"] = 0.0
-    expected = json.loads((GOLDEN_DIR / golden_name).read_text())
-    assert data == expected
+    # the goldens pin the indent=2 text byte for byte; only the timing varies
+    code, out, err = run(capsys, "--format", "json", *GOLDEN_COMMANDS[golden_name])
+    assert code == 0, err
+    out = re.sub(r'^  "elapsed_s": [0-9.e-]+$', '  "elapsed_s": 0.0', out, flags=re.M)
+    assert out == (GOLDEN_DIR / golden_name).read_text(encoding="utf-8")
 
 
 class TestPg:
@@ -337,9 +338,67 @@ class TestProductAndDivide:
              "expected an integer or a decimal string, got 2.0"),
             ("replay", {"factors": [{"id": 0.5, "kind": {"cyclic": 3}, "r": 1, "coeffs": []}]},
              "expected an integer or a decimal string, got 0.5"),
+            ("replay", {"factors": [], "probe_bound": "x"},
+             "invalid literal for int() with base 10: 'x'"),
+            ("replay", {"factors": [], "probe_bound": 2.5},
+             "expected an integer or a decimal string, got 2.5"),
+            ("smlcheck", {"families": [{"const": 2.7, "count": 1.5, "infinite": "false"}]},
+             "infinite must be true or false, got 'false'"),
+            ("smlcheck", {"families": [{"const": 2.7, "infinite": False}]},
+             "expected an integer or a decimal string, got 2.7"),
+            ("smlcheck", {"families": [{"const": 2, "count": 1.5}]},
+             "expected an integer or a decimal string, got 1.5"),
+            ("smlcheck", {"families": [{"const": 2, "infinite": 1}]},
+             "infinite must be true or false, got 1"),
+            ("smlcheck", {"families": [{"arith": {"start": 1, "step": 2.0}}]},
+             "expected an integer or a decimal string, got 2.0"),
+            ("smlcheck", {"families": [{"geom": {"start": "2", "ratio": None}}]},
+             "expected an integer or a decimal string, got None"),
+            ("smlcheck", {"families": [2], "probe_bound": "x"},
+             "invalid literal for int() with base 10: 'x'"),
+            ("smlcheck", {"families": [2], "probe_bound": 2.5},
+             "expected an integer or a decimal string, got 2.5"),
+            ("smlcheck", {"families": [True]}, "cannot parse exponent family True"),
         ],
     )
     def test_non_integer_json_exits_2(self, capsys, tmp_path, command, data, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            *[(command, [1, 2], "expected a JSON object, got [1, 2]")
+              for command in ("product", "divide", "replay", "smlcheck")],
+            ("product", 3, "expected a JSON object, got 3"),
+            ("product", {"factors": [{"terms": [1]}]}, "expected a JSON object, got 1"),
+            ("product", {"factors": {"a": 1}}, "expected a JSON list, got {'a': 1}"),
+            ("product", {"factors": [[1]]}, "expected a JSON object, got [1]"),
+            ("product", {"factors": [{"terms": {"n": 1, "a": 1}}]},
+             "expected a JSON list, got {'n': 1, 'a': 1}"),
+            ("divide", {"p": [1], "d": {"terms": []}}, "expected a JSON object, got [1]"),
+            ("divide", {"p": {"terms": []}, "d": "x"}, "expected a JSON object, got 'x'"),
+            ("replay", {"factors": 3}, "expected a JSON list, got 3"),
+            ("replay", {"factors": [[1]]}, "expected a JSON object, got [1]"),
+            ("replay", {"factors": [{"id": 1, "kind": [3], "r": 1, "coeffs": []}]},
+             "expected a JSON object, got [3]"),
+            ("replay", {"factors": [{"id": 1, "kind": {"psl2": [7]}, "r": 1, "coeffs": []}]},
+             "expected a JSON object, got [7]"),
+            ("replay", {"factors": [{"id": 1, "kind": {"psl2": {"q": 7, "variant": 1}},
+                                     "r": 1, "coeffs": []}]},
+             "expected a variant name, got 1"),
+            ("replay", {"factors": [{"id": 1, "kind": {"cyclic": 3}, "r": 1, "coeffs": [[3, -1]]}]},
+             "expected a JSON object, got [3, -1]"),
+            ("replay", {"factors": [{"id": 1, "kind": {"cyclic": 3}, "r": 1, "coeffs": {}}]},
+             "expected a JSON list, got {}"),
+            ("smlcheck", {"families": {"const": 2}}, "expected a JSON list, got {'const': 2}"),
+            ("smlcheck", {"families": [{"arith": [1, 2]}]}, "expected a JSON object, got [1, 2]"),
+            ("smlcheck", {"families": [{"geom": 2}]}, "expected a JSON object, got 2"),
+        ],
+    )
+    def test_wrong_json_shape_exits_2(self, capsys, tmp_path, command, data, message):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, command, str(path))

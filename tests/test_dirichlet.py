@@ -626,6 +626,8 @@ class TestPublicValidation:
             ({"n": "-2", "a": "1"}, "index must be an integer >= 1, got -2"),
             ({"n": 3, "a": "1.5"}, "invalid literal for int() with base 10: '1.5'"),
             ({"n": "x", "a": "1"}, "invalid literal for int() with base 10: 'x'"),
+            (1, "expected a JSON object, got 1"),
+            ([2, "1"], "expected a JSON object, got [2, '1']"),
         ],
     )
     def test_json_rejects(self, term, message):
@@ -653,6 +655,19 @@ class TestPublicValidation:
         with pytest.raises(ValueError) as info:
             D.from_json_dict(data)
         assert str(info.value) == f"expected an integer or a decimal string, got {bad!r}"
+
+    @pytest.mark.parametrize(
+        "decode, data, message",
+        [
+            (D.from_json_dict, [1], "expected a JSON object, got [1]"),
+            (D.from_json_dict, {"terms": {"n": 1}}, "expected a JSON list, got {'n': 1}"),
+            (RationalSeries.from_json_dict, [1], "expected a JSON object, got [1]"),
+        ],
+    )
+    def test_json_rejects_wrong_shapes(self, decode, data, message):
+        with pytest.raises(ValueError) as info:
+            decode(data)
+        assert str(info.value) == message
 
     def test_json_reads_ints_and_decimal_strings(self):
         data = {"terms": [{"n": 1, "a": 1}, {"n": "6", "a": "-3"}, {"n": 2**70, "a": -(2**70)}]}

@@ -107,11 +107,11 @@ def _check_full(grp):
     assert lat.moebius_values == _reference_moebius(nodes)
 
 
-def _check_sylow(eng):
-    seed, seed_gens = eng.sylow2()
+def _check_family(eng, seed, seed_gens):
     fam = overgroups_of_seed(eng, seed, seed_gens)
     nodes, classes, class_of = _reference_walk(eng, seed, seed_gens)
-    assert (fam.nodes, fam.classes, fam.class_of) == (nodes, classes, class_of)
+    assert (fam.nodes, fam.classes) == (nodes, classes)
+    assert [fam.class_of(i) for i in range(fam.node_count)] == class_of
 
 
 class TestAgainstReferenceWalk:
@@ -124,7 +124,15 @@ class TestAgainstReferenceWalk:
     @pytest.mark.parametrize("variant", ["psl", "pgl"])
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_sylow_family(self, q, variant):
-        _check_sylow(psl2(q, variant).group.engine)
+        eng = psl2(q, variant).group.engine
+        _check_family(eng, *eng.sylow2())
+
+    # the trivial seed is the walk behind ``omega --include-even``
+    @pytest.mark.parametrize("variant", ["psl", "pgl"])
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_trivial_seed_family(self, q, variant):
+        eng = psl2(q, variant).group.engine
+        _check_family(eng, (eng.id_idx,), ())
 
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
@@ -141,7 +149,7 @@ class TestAgainstReferenceWalk:
         grp = PermGroup(degree, gens)
         assume(grp.order <= 360)  # the reference walk takes seconds on larger lattices
         _check_full(grp)
-        _check_sylow(grp.engine)
+        _check_family(grp.engine, *grp.engine.sylow2())
 
 
 class TestClosureCounts:

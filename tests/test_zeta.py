@@ -8,6 +8,7 @@ import pytest
 from pzeta import (
     Budget,
     DirichletPolynomial,
+    PermGroup,
     chief_factorization,
     chief_steps,
     generating_probability,
@@ -23,7 +24,7 @@ from pzeta import (
     zeta_report,
 )
 from pzeta.errors import NotNormal, OrderBoundExceeded
-from pzeta.lattice import all_chief_series_ids
+from pzeta.lattice import all_chief_series_ids, chief_series_ids
 from pzeta.permgroup import _Engine
 from pzeta.rationality import check_sml_conditions
 from pzeta.zeta import interval_zeta
@@ -283,6 +284,31 @@ class TestChiefFactorization:
         node = next(i for i in normals if lat.node_order(i) == between)
         with pytest.raises(ValueError, match=f"normal node {node} of order {between} "):
             chief_factorization(g, chain=chain)
+
+    @pytest.mark.parametrize(
+        "cut", ["empty", "without G", "without 1", "G alone", "reversed"]
+    )
+    def test_chain_not_from_top_to_trivial_rejected(self, cut):
+        # S4 > A4 > V4 > 1 with its ends cut off, or read bottom up
+        g = group("S4")
+        lat = g.subgroup_lattice()
+        chain = chief_series_ids(lat)
+        bad = {
+            "empty": [],
+            "without G": chain[1:],
+            "without 1": chain[:-1],
+            "G alone": [lat.top_id],
+            "reversed": chain[::-1],
+        }[cut]
+        with pytest.raises(ValueError, match="a chief series runs from node"):
+            chief_factorization(g, chain=bad)
+        with pytest.raises(ValueError, match="a chief series runs from node"):
+            chief_steps(lat, bad)
+
+    def test_trivial_group_chain_is_its_one_node(self):
+        g = PermGroup(1, [[0]])
+        fac = chief_factorization(g, chain=[0])
+        assert fac.factors == () and fac.product_ok
 
     def test_multiset_independent_of_series(self):
         from pzeta.zeta import chief_factor_multiset
