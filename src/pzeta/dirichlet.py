@@ -267,14 +267,6 @@ class DirichletPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "DirichletPolynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        out = DirichletPolynomial.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- comparisons / hashing ---------------------------------------
 
     def __eq__(self, other) -> bool:

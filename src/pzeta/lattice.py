@@ -33,14 +33,16 @@ full lattice would not be.
 
 Quotients are not enumerated separately: for a normal subgroup N the
 lattice of G/N is the interval [N, G] of G's own lattice, with the same
-Moebius values.
+Moebius values, and ``zeta.interval_zeta`` sums it by conjugacy class.
 
 Node ids ascend by subgroup order.  Every poset query (Moebius values,
-maximality, Hasse covers, intervals) reads one cached row per node, the
-ascending ids of its proper overgroups (``_NodePoset._overgroups``).
-Conjugation by a group generator permutes the nodes and preserves
-inclusion, so rows and Hasse covers are computed once per class, for
-its representative, and relabelled to the other members.
+maximality, Hasse covers, intervals, chief series) reads one cached row
+per node, the ascending ids of its proper overgroups
+(``_NodePoset._overgroups``).  Conjugation by a group generator
+permutes the nodes and preserves inclusion, so rows and Hasse covers
+are computed once per class, for its representative, and relabelled to
+the other members.  The chief series walk one map of normal covers,
+read once per lattice off the normal nodes' rows.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import heapq
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -371,14 +374,8 @@ class SubgroupLattice(_NodePoset):
     def node_order(self, i: int) -> int:
         return len(self.nodes[i])
 
-    def node_index(self, i: int) -> int:
-        return self.engine.order // len(self.nodes[i])
-
     def node_generators(self, i: int) -> tuple[int, ...]:
         return self._gens[i]
-
-    def node_permutations(self, i: int) -> list[Permutation]:
-        return [self.engine.permutation(x) for x in self.nodes[i]]
 
     def node_id_of(self, elements: Iterable[int]) -> int:
         """Id of the node with exactly these elements (in any order,
@@ -404,6 +401,21 @@ class SubgroupLattice(_NodePoset):
     def normal_node_ids(self) -> list[int]:
         """Ascending: classes are ordered by their smallest id."""
         return [members[0] for members in self.classes if len(members) == 1]
+
+    @cached_property
+    def _normal_covers(self) -> dict[int, list[int]]:
+        """Each normal node N -> the ascending ids of the normal nodes
+        M < N with no normal node strictly between: the chief steps below
+        N.  Read off the normal nodes' overgroup rows: M is covered by the
+        normal nodes above M that lie above no other one."""
+        normals = self.normal_node_ids()
+        normal = set(normals)
+        above = {m: {j for j in self._overgroups(m) if j in normal} for m in normals}
+        covers: dict[int, list[int]] = {n: [] for n in normals}
+        for m in normals:  # ascending, so every cover list ascends
+            for n in above[m].difference(*(above[k] for k in above[m])):
+                covers[n].append(m)
+        return covers
 
     # -- Moebius -----------------------------------------------------------
 
@@ -606,43 +618,19 @@ class ChiefStep:
 def chief_series_ids(lat: SubgroupLattice) -> list[int]:
     """A maximal chain in the normal-subgroup poset, top to bottom.
 
-    Deterministic: each step takes the largest-order normal subgroup
-    strictly inside the current one (ties broken by element tuple).
-    Largest order guarantees nothing normal sits strictly between, so
-    every factor is a chief factor.
+    Deterministic: each step takes the largest-order normal cover of
+    the current node, so every factor is a chief factor; ``max`` keeps
+    the first of equal orders, the smallest id and element tuple.
     """
-    normals = sorted(
-        lat.normal_node_ids(), key=lambda i: (-lat.node_order(i), lat.node_elements(i))
-    )
     chain = [lat.top_id]
     while chain[-1] != lat.trivial_id:
-        cur = chain[-1]
-        nxt = next(
-            i
-            for i in normals
-            if lat.node_order(i) < lat.node_order(cur) and lat.contains(i, cur)
-        )
-        chain.append(nxt)
+        chain.append(max(lat._normal_covers[chain[-1]], key=lat.node_order))
     return chain
 
 
 def all_chief_series_ids(lat: SubgroupLattice, limit: int = 512) -> list[list[int]]:
-    """Every maximal chain in the normal-subgroup poset (small groups)."""
-    normals = lat.normal_node_ids()
-    below: dict[int, list[int]] = {}
-    for cur in normals:
-        strictly_in = [
-            i for i in normals if lat.node_order(i) < lat.node_order(cur) and lat.contains(i, cur)
-        ]
-        maximal_in = [
-            i
-            for i in strictly_in
-            if not any(
-                lat.contains(i, j) and i != j
-                for j in strictly_in
-            )
-        ]
-        below[cur] = sorted(maximal_in)
+    """Every maximal chain in the normal-subgroup poset (small groups),
+    depth first over the normal covers in ascending id order."""
     chains: list[list[int]] = []
 
     def walk(chain: list[int]):
@@ -652,7 +640,7 @@ def all_chief_series_ids(lat: SubgroupLattice, limit: int = 512) -> list[list[in
         if cur == lat.trivial_id:
             chains.append(list(chain))
             return
-        for nxt in below[cur]:
+        for nxt in lat._normal_covers[cur]:
             walk(chain + [nxt])
 
     walk([lat.top_id])
@@ -753,16 +741,16 @@ def chief_steps(lat: SubgroupLattice, chain: list[int] | None = None) -> list[Ch
             f"to node {lat.trivial_id} (the trivial subgroup), got {list(chain)}"
         )
     eng = lat.engine
-    normals = lat.normal_node_ids()
     steps = []
     for upper, lower in zip(chain, chain[1:]):
         if not (lat.is_normal(upper) and lat.is_normal(lower)):
             raise NotNormal("chief factor bounds must be normal nodes")
         upper_fs, lower_fs = lat._fs[upper], lat._fs[lower]
-        if not lower_fs < upper_fs:
-            raise ValueError(f"node {lower} is not a proper subgroup of node {upper}")
-        between = next((m for m in normals if lower_fs < lat._fs[m] < upper_fs), None)
-        if between is not None:
+        if lower not in lat._normal_covers[upper]:
+            if not lower_fs < upper_fs:
+                raise ValueError(f"node {lower} is not a proper subgroup of node {upper}")
+            row = lat._overgroups(lower)
+            between = next(m for m in row if lat.is_normal(m) and lat._fs[m] < upper_fs)
             raise ValueError(
                 f"not a chief step: normal node {between} of order "
                 f"{lat.node_order(between)} lies strictly between nodes {upper} and {lower}"

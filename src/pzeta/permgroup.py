@@ -778,10 +778,6 @@ class PermGroup:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(g.is_identity for g in self.generators)
-
     def subgroup_lattice(self, budget=None):
         """Complete subgroup lattice (see :mod:`pzeta.lattice`).
 

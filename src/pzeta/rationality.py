@@ -449,8 +449,11 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     asks for a prime dividing no term: for an arithmetic family
     start + i*step that means p | step and p does not divide start, a
     finite candidate set; constant and geometric families only exclude
-    the primes dividing their stated values.
+    the primes dividing their stated values.  Without an arithmetic
+    family the primes up to ``probe_bound`` (an int >= 1) are tried.
     """
+    if probe_bound < 1:
+        raise InvalidParameter(f"probe_bound must be >= 1, got {probe_bound}")
     fams = _coerce_families(families)
     inf_values = sorted(f.value for f in fams if isinstance(f, ConstantExponents) and f.infinite)
     cond_i = not inf_values

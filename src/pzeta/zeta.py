@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .dirichlet import DirichletPolynomial, divide_exact, power_shift, prime_projection
-from .errors import BudgetExceeded, InvalidParameter, OrderBoundExceeded
+from .errors import BudgetExceeded, InvalidParameter, NotNormal, OrderBoundExceeded
 from .lattice import (
     DEFAULT_BUDGET,
     Budget,
@@ -42,27 +42,36 @@ from .permgroup import AlmostSimpleSpec, PermGroup, make_psl2
 # ---------------------------------------------------------------------------
 
 
-def interval_zeta(lat: SubgroupLattice, lower: int) -> DirichletPolynomial:
-    """``sum_{H >= N} mu_G(H) / |G:H|^s`` over the interval [N, G].
-
-    For a normal node N this is ``P_{G/N}(s)``: the subgroup lattice of
-    G/N is the interval [N, G], Moebius values carry over, and
-    ``|G/N : H/N| = |G:H|`` (P. Hall, "The Eulerian functions of a
-    group", 1936).
-    """
+def _class_sum(lat: SubgroupLattice, keep) -> DirichletPolynomial:
+    """``sum |C| mu(rep) / |G:rep|^s`` over the conjugacy classes C whose
+    representative passes ``keep``; exact for class-invariant filters."""
     order = lat.engine.order
     acc: dict[int, int] = {}
-    for i in (lower, *lat._overgroups(lower)):
-        mu = lat.moebius(i)
-        if mu:
-            n = order // lat.node_order(i)
-            acc[n] = acc.get(n, 0) + mu
+    for members in lat.classes:
+        rep = members[0]
+        mu = lat.moebius(rep)
+        if mu and keep(rep):
+            n = order // lat.node_order(rep)
+            acc[n] = acc.get(n, 0) + mu * len(members)
     return DirichletPolynomial(acc)
 
 
+def interval_zeta(lat: SubgroupLattice, lower: int) -> DirichletPolynomial:
+    """``P_{G/N}(s)``, the sum of ``mu_G(H) / |G:H|^s`` over the interval
+    [N, G] for a normal node N (``NotNormal`` otherwise): the subgroup
+    lattice of G/N is [N, G], Moebius values carry over, and
+    ``|G/N : H/N| = |G:H|`` (P. Hall, "The Eulerian functions of a
+    group", 1936).  Summed by class, since H contains N exactly when
+    its conjugates do.
+    """
+    if not lat.is_normal(lower):
+        raise NotNormal(f"node {lower} is not normal in {lat.group.name}")
+    return _class_sum(lat, {lower, *lat._overgroups(lower)}.__contains__)
+
+
 def zeta_from_lattice(lat: SubgroupLattice) -> DirichletPolynomial:
-    """``P_G(s)``: the interval zeta of [1, G], i.e. all subgroups."""
-    return interval_zeta(lat, lat.trivial_id)
+    """``P_G(s)``: the sum over every class of subgroups."""
+    return _class_sum(lat, lambda rep: True)
 
 
 def probabilistic_zeta(group: PermGroup, budget: Budget | None = None) -> DirichletPolynomial:
@@ -165,19 +174,7 @@ def _is_supplement(h: tuple[int, ...], spec: AlmostSimpleSpec) -> bool:
 def supplement_zeta(spec: AlmostSimpleSpec, budget: Budget | None = None) -> DirichletPolynomial:
     """``sum mu_X(H) / |X:H|^s`` over the subgroups H with H*socle = X."""
     lat = spec.group.subgroup_lattice(budget)
-    order = lat.engine.order
-    acc: dict[int, int] = {}
-    for members in lat.conjugacy_classes:
-        rep = members[0]
-        mu = lat.moebius(rep)
-        if not mu:
-            continue
-        h = lat.node_elements(rep)
-        if not _is_supplement(h, spec):
-            continue
-        n = order // len(h)
-        acc[n] = acc.get(n, 0) + mu * len(members)
-    return DirichletPolynomial(acc)
+    return _class_sum(lat, lambda rep: _is_supplement(lat.node_elements(rep), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +469,14 @@ def chief_factorization(
 
 def chief_factor_multiset(group: PermGroup, budget: Budget | None = None):
     """Multiset of step polynomials over every chief series; a correct
-    factorization must make this independent of the chosen series."""
-    budget = budget or DEFAULT_BUDGET
-    lat = group.subgroup_lattice(budget)
-    out = []
-    for chain in all_chief_series_ids(lat):
-        fac = chief_factorization(group, budget, chain=chain)
-        out.append(sorted(tuple(p.items()) for p in fac.factor_polynomials()))
-    return out
+    factorization must make this independent of the chosen series.
+    Every chain divides the same interval zetas, one per normal node."""
+    lat = group.subgroup_lattice(budget or DEFAULT_BUDGET)
+    qzetas = {n: interval_zeta(lat, n) for n in lat.normal_node_ids()}
+    return [
+        sorted(tuple(divide_exact(qzetas[lo], qzetas[up]).items()) for up, lo in zip(c, c[1:]))
+        for c in all_chief_series_ids(lat)
+    ]
 
 
 # ---------------------------------------------------------------------------

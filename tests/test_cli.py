@@ -359,6 +359,14 @@ class TestProductAndDivide:
             ("smlcheck", {"families": [2], "probe_bound": 2.5},
              "expected an integer or a decimal string, got 2.5"),
             ("smlcheck", {"families": [True]}, "cannot parse exponent family True"),
+            *[(command, data, f"probe_bound must be >= 1, got {bound}")
+              for bound in (0, -5)
+              for command, data in (
+                  ("smlcheck", {"families": [2, 3, 5, 7], "probe_bound": bound}),
+                  ("replay", {"factors": [{"id": 0, "kind": {"cyclic": 3}, "r": 1,
+                                           "coeffs": [{"n": 3, "b": "-2"}]}],
+                              "probe_bound": bound}),
+              )],
         ],
     )
     def test_non_integer_json_exits_2(self, capsys, tmp_path, command, data, message):

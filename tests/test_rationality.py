@@ -236,6 +236,17 @@ class TestSmlConditions:
     def test_exactness_flag(self):
         assert check_sml_conditions([2, 4]).exact
 
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_probe_bound_below_one_is_rejected(self, bound):
+        with pytest.raises(InvalidParameter, match=f"probe_bound must be >= 1, got {bound}"):
+            check_sml_conditions([2, 3, 5, 7], probe_bound=bound)
+        with pytest.raises(InvalidParameter, match=f"probe_bound must be >= 1, got {bound}"):
+            replay_finiteness_argument([cyclic_descriptor(0, 3, 1, 2)], probe_bound=bound)
+        # the smallest bound probes nothing and says so
+        assert check_sml_conditions([2, 3, 5, 7], probe_bound=1).note == (
+            "no witness prime found up to 1"
+        )
+
 
 class TestReplay:
     def test_degenerate_all_cyclic(self):
