@@ -25,11 +25,11 @@ One poset type serves the full lattice and the overgroup family: the
 walk is the constructor of ``_NodePoset``, which starts from a seed
 subgroup and lists every conjugate of every overgroup of the seed.
 Seeded with the trivial subgroup it is the full lattice
-(``SubgroupLattice``); seeded with a Sylow 2-subgroup it is exactly the
-subgroups of odd index (``OvergroupFamily``, up to listing every
-conjugate), which is what the minimal-odd-index computations need;
-groups of order a few thousand stay tractable that way even when their
-full lattice would not be.
+(``SubgroupLattice``); seeded with a Sylow 2-subgroup
+(``overgroups_of_seed``) it is exactly the subgroups of odd index,
+whole conjugacy classes, which is what the minimal-odd-index
+computations need; groups of order a few thousand stay tractable that
+way even when their full lattice would not be.
 
 Quotients are not enumerated separately: for a normal subgroup N the
 lattice of G/N is the interval [N, G] of G's own lattice, with the same
@@ -161,7 +161,9 @@ class _NodePoset:
     generator (``pp_cyclic_generator_reps``) outside K in each orbit of
     x -> x*k (k in K) and conjugation by N_G(K).  A new subgroup is
     registered with its whole conjugacy class.  ``classes`` hold
-    ascending node ids and are ordered by their smallest id.
+    ascending node ids and are ordered by their smallest id.  The walk
+    keys a subgroup by its sorted element tuple; the frozensets ``_fs``
+    that containment reads are built once per node, after the walk.
 
     Conjugation by a group generator is an automorphism of the poset,
     and ``_perms[k]`` is its action on node ids.  So a row is scanned
@@ -189,17 +191,17 @@ class _NodePoset:
 
         nodes: list[tuple[int, ...]] = []
         node_gens: list[tuple[int, ...]] = []
-        node_ids: dict[frozenset, int] = {}  # insertion order is node order
+        node_ids: dict[tuple[int, ...], int] = {}
         classes: list[list[int]] = []
 
         g_gens = engine.gen_indices
         # images[k][i]: the id of node i conjugated by g_gens[k]
         images: list[list[int]] = [[] for _ in g_gens]
 
-        def add(elements: tuple[int, ...], gens: tuple[int, ...], fs: frozenset):
+        def add(elements: tuple[int, ...], gens: tuple[int, ...]):
             tracker.subgroups += 1
             tracker.check()
-            node_ids[fs] = len(nodes)
+            node_ids[elements] = len(nodes)
             nodes.append(elements)
             node_gens.append(gens)
 
@@ -208,18 +210,17 @@ class _NodePoset:
             record each member's image under every generator."""
             cid = len(classes)
             members = [len(nodes)]
-            add(rep, gens, frozenset(rep))
+            add(rep, gens)
             # grows while conjugates are found; over all classes, members
             # are visited in id order, so each image list is indexed by id
             for nid in members:
                 arr = np.asarray(nodes[nid], dtype=np.int64)
                 for g, image in zip(g_gens, images):
                     conj = tuple(np.sort(engine.conj_set(arr, g)).tolist())
-                    fs = frozenset(conj)
-                    if fs not in node_ids:
+                    if conj not in node_ids:
                         members.append(len(nodes))
-                        add(conj, tuple(engine.conj_elem(x, g) for x in node_gens[nid]), fs)
-                    image.append(node_ids[fs])
+                        add(conj, tuple(engine.conj_elem(x, g) for x in node_gens[nid]))
+                    image.append(node_ids[conj])
             classes.append(members)
             tracker.classes = len(classes)
             return cid
@@ -228,7 +229,7 @@ class _NodePoset:
         heap = [(len(nodes[classes[cid][0]]), cid)]
 
         top = tuple(range(order))
-        if frozenset(top) not in node_ids:
+        if top not in node_ids:
             register(top, tuple(g_gens))
 
         candidates = np.asarray(engine.pp_cyclic_generator_reps(), dtype=np.int64)
@@ -254,7 +255,7 @@ class _NodePoset:
                 if res is None:
                     continue  # generated the whole group; top is preseeded
                 new_rep = tuple(res.tolist())
-                if frozenset(new_rep) in node_ids:
+                if new_rep in node_ids:
                     continue
                 ncid = register(new_rep, kgens + (e,))
                 heapq.heappush(heap, (len(new_rep), ncid))
@@ -263,7 +264,6 @@ class _NodePoset:
         # classes by their smallest id
         perm = sorted(range(len(nodes)), key=lambda i: (len(nodes[i]), nodes[i]))
         inv = {old: new for new, old in enumerate(perm)}
-        fsets = list(node_ids)
         self.classes = sorted(tuple(sorted(inv[old] for old in m)) for m in classes)
         self._class_of = [0] * len(nodes)
         for ci, members in enumerate(self.classes):
@@ -271,7 +271,7 @@ class _NodePoset:
                 self._class_of[nid] = ci
         self.engine = engine
         self.nodes = [nodes[i] for i in perm]
-        self._fs = [fsets[i] for i in perm]
+        self._fs = [frozenset(n) for n in self.nodes]
         self._gens = [node_gens[i] for i in perm]
         self._perms = [[inv[image[old]] for old in perm] for image in images]
         self._sizes = [len(fs) for fs in self._fs]
@@ -549,35 +549,15 @@ def subgroup_lattice(group: PermGroup, budget: Budget | None = None) -> Subgroup
 # ---------------------------------------------------------------------------
 
 
-class OvergroupFamily(_NodePoset):
-    """The overgroup family of a seed subgroup.  ``literal_ids`` are the
-    nodes that actually contain the seed: the seed node and its
-    overgroup row.  The family is upward closed, so the row of a literal
-    node lists every subgroup above it, and the node is maximal exactly
-    when that row is ``[top_id]``."""
-
-    def __init__(
-        self,
-        engine: _Engine,
-        budget: Budget,
-        seed: Sequence[int],
-        seed_gens: Sequence[int],
-    ):
-        super().__init__(engine, budget, seed, seed_gens)
-        self.seed = tuple(sorted(int(x) for x in seed))
-        seed_id = self.nodes.index(self.seed)
-        self.literal_ids = [seed_id, *self._overgroups(seed_id)]
-
-
 def overgroups_of_seed(
     engine: _Engine,
     seed: Sequence[int],
     seed_gens: Sequence[int],
     budget: Budget | None = None,
-) -> OvergroupFamily:
+) -> _NodePoset:
     budget = budget or DEFAULT_BUDGET
     budget.check_order(engine.order)
-    return OvergroupFamily(engine, budget, seed, seed_gens)
+    return _NodePoset(engine, budget, seed, seed_gens)
 
 
 # ---------------------------------------------------------------------------

@@ -1026,34 +1026,48 @@ def _moebius_transform_perm(q: int, a: int, b: int, c: int, d: int) -> Permutati
     return Permutation(images)
 
 
+def psl2_order(q: int, variant: str) -> int:
+    """|PSL(2,q)| = q(q^2 - 1)/2 and |PGL(2,q)| = q(q^2 - 1), q odd."""
+    return q * (q * q - 1) // (2 if variant == "psl" else 1)
+
+
 def make_psl2(q: int, variant: str = "psl") -> AlmostSimpleSpec:
     """PSL(2,q) or PGL(2,q) acting on the q+1 points of the projective
     line, packaged with its PSL socle.
 
     PSL is generated by the two elementary transvections together with
     a diagonal square; PGL adds a diagonal of non-square determinant.
-    Only odd primes q >= 5 are supported.
+    Only odd primes q >= 5 are supported.  A group whose closed-form
+    order exceeds ``DEFAULT_MAX_GROUP_ORDER`` (PSL for q > 125, PGL for
+    q > 99: every prime above 113 and 97) raises ``OrderBoundExceeded``
+    before anything is built and before q is tested for primality, so
+    such an odd q is refused that way whether or not it is prime.
     """
-    if not isinstance(q, int) or q < 5 or q % 2 == 0 or not is_prime(q):
+    if not isinstance(q, int) or q < 5 or q % 2 == 0:
         raise InvalidParameter(f"q must be an odd prime >= 5, got {q!r}")
     v = variant.lower()
     if v not in ("psl", "pgl"):
         raise InvalidParameter(f"variant must be 'psl' or 'pgl', got {variant!r}")
+    if psl2_order(q, v) > DEFAULT_MAX_GROUP_ORDER:
+        raise OrderBoundExceeded(f"group order exceeds bound {DEFAULT_MAX_GROUP_ORDER}")
+    if not is_prime(q):
+        raise InvalidParameter(f"q must be an odd prime >= 5, got {q!r}")
     g = _primitive_root(q)
     transvection_upper = _moebius_transform_perm(q, 1, 1, 0, 1)
     transvection_lower = _moebius_transform_perm(q, 1, 0, 1, 1)
     diag_square = _moebius_transform_perm(q, g, 0, 0, pow(g, -1, q))
     psl_gens = [transvection_upper, transvection_lower, diag_square]
     socle = PermGroup(q + 1, psl_gens, name=f"PSL(2,{q})")
-    expected_psl = q * (q * q - 1) // 2
+    expected_psl = psl2_order(q, "psl")
     if socle.order != expected_psl:
         raise RuntimeError(f"PSL(2,{q}) closure has order {socle.order}, want {expected_psl}")
     if v == "psl":
         return AlmostSimpleSpec(socle, socle, name=f"PSL(2,{q})")
     diag_nonsquare = _moebius_transform_perm(q, g, 0, 0, 1)
     group = PermGroup(q + 1, psl_gens + [diag_nonsquare], name=f"PGL(2,{q})")
-    if group.order != 2 * expected_psl:
-        raise RuntimeError(f"PGL(2,{q}) closure has order {group.order}, want {2 * expected_psl}")
+    expected_pgl = psl2_order(q, "pgl")
+    if group.order != expected_pgl:
+        raise RuntimeError(f"PGL(2,{q}) closure has order {group.order}, want {expected_pgl}")
     return AlmostSimpleSpec(group, socle, name=f"PGL(2,{q})")
 
 

@@ -250,9 +250,18 @@ def descriptor_from_supplement_poly(
     multiplicity: int,
     supplement_poly: DirichletPolynomial,
 ) -> FactorDescriptor:
-    """Turn a supplement zeta polynomial of the almost simple group X
-    into the factor data of a chief factor S^r: the index substitution
-    sends c_m / m^s to c_m * m^(r-1) / (m^r)^s."""
+    """Factor data for a chief factor S^r from the supplement zeta
+    polynomial ``P_{X,S}`` of the almost simple group X: exactly
+    ``P_{X,S}(rs - r + 1)`` without its constant term (the index
+    substitution sends c_m / m^s to c_m * m^(r-1) / (m^r)^s).
+
+    The chief factor that a group's lattice gives can carry more terms,
+    from crowns (Detomi and Lucchini, "Crowns and factorization of the
+    probabilistic zeta function of a finite group", J. Algebra 265,
+    2003).  In A5 x A5 the second A5 factor is ``P_A5 - 120/60^s``; in
+    A5 wr C2 the A5^2 factor is ``P_A5(2s - 1) - 120 * 60^-s * P_A5(s)``.
+    There every extra term lies at a multiple of 60, an even index, so
+    the odd indices agree."""
     if supplement_poly.coefficient(1) != 1:
         raise InvalidParameter("supplement polynomial must have constant term 1")
     from .dirichlet import power_shift

@@ -34,7 +34,7 @@ from .lattice import (
     overgroups_of_seed,
 )
 from .numtheory import prime_factors
-from .permgroup import AlmostSimpleSpec, PermGroup, make_psl2
+from .permgroup import AlmostSimpleSpec, PermGroup, make_psl2, psl2_order
 
 
 # ---------------------------------------------------------------------------
@@ -225,32 +225,32 @@ def odd_supplement_indices(
     and every such supplement is maximal; ``minimum`` is w(X).
 
     Default mode restricts to odd m.  A subgroup has odd index exactly
-    when it contains a Sylow 2-subgroup, and all three defining
-    conditions are conjugation-invariant, so it suffices to inspect the
-    overgroups of one fixed Sylow 2-subgroup; that keeps groups with a
-    few thousand elements cheap.  ``include_even=True`` is a non-table
-    extension that seeds the same overgroup walk with the trivial
-    subgroup, i.e. inspects every subgroup.
+    when it contains a Sylow 2-subgroup, so the overgroup family of one
+    fixed Sylow 2-subgroup, whole conjugacy classes, holds them all;
+    that keeps groups with a few thousand elements cheap.  Supplement,
+    index and maximality are class invariants, so one representative
+    per class is read, maximal exactly when its row (the family is
+    upward closed) is the top alone.  ``include_even=True`` is a
+    non-table extension that seeds the same walk with the trivial
+    subgroup, i.e. inspects every class of subgroups.
     """
     budget = budget or DEFAULT_BUDGET
     budget.check_order(spec.group.order)  # refuse before the table and sylow2()
     eng = spec.group.engine
     seed, seed_gens = ((eng.id_idx,), ()) if include_even else eng.sylow2()
     fam = overgroups_of_seed(eng, seed, seed_gens, budget)
-    order = eng.order
-    by_index: dict[int, list[int]] = {}
-    for i in fam.literal_ids:
-        h = fam.nodes[i]
+    by_index: dict[int, list[bool]] = {}  # index -> maximality of each class
+    for members in fam.classes:
+        h = fam.nodes[members[0]]
         if _is_supplement(h, spec):
-            by_index.setdefault(order // len(h), []).append(i)
+            maximal = fam._overgroups(members[0]) == [fam.top_id]
+            by_index.setdefault(eng.order // len(h), []).append(maximal)
     details = []
     omega = []
     for m in sorted(by_index):
         assert include_even or m % 2 == 1, "overgroups of a Sylow 2-subgroup have odd index"
-        # the family is upward closed: maximal iff the only overgroup is the top
-        ok = all(fam._overgroups(i) == [fam.top_id] for i in by_index[m])
-        classes = len({fam.class_of(i) for i in by_index[m]})
-        details.append(OddIndexDetail(m, classes, ok))
+        ok = all(by_index[m])
+        details.append(OddIndexDetail(m, len(by_index[m]), ok))
         if ok:
             omega.append(m)
     return OddSupplementReport(
@@ -328,9 +328,8 @@ def minimal_odd_index_table(
         for variant in variants:
             v = variant.lower()
             predicted = predicted_minimal_odd_index(q, v)
-            order = q * (q * q - 1) // (2 if v == "psl" else 1)
             try:
-                budget.check_order(order)  # before building the group
+                budget.check_order(psl2_order(q, v))  # before building the group
                 spec = make_psl2(q, v)
                 rep = odd_supplement_indices(spec, budget)
             except (BudgetExceeded, OrderBoundExceeded) as exc:
@@ -416,7 +415,7 @@ def chief_factorization(
     chain = list(chain) if chain is not None else chief_series_ids(lat)
     steps = chief_steps(lat, chain)  # rejects a chain that is not a chief series
     qzetas = [interval_zeta(lat, nid) for nid in chain]
-    zeta = zeta_from_lattice(lat)
+    zeta = qzetas[-1]  # the chain ends at the trivial node: P_G
     maximal = lat.maximal_node_ids()
 
     records = []

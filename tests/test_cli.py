@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pzeta import cli
+from pzeta import cli, permgroup
 from pzeta.permgroup import _Engine
 from pzeta.zeta import WTableRow
 
@@ -444,6 +444,14 @@ class TestOmega:
         code, _, err = run(capsys, "--budget-order", "30000",
                            "omega", "--q", "37", "--variant", "pgl")
         assert code == 3 and err == "budget: order 50616 exceeds lattice budget 30000\n"
+
+    def test_huge_q_is_refused_before_any_permutation(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("permutation built for a refused q")
+
+        monkeypatch.setattr(permgroup, "_moebius_transform_perm", fail)
+        code, _, err = run(capsys, "omega", "--q", "10007")
+        assert code == 3 and err == "budget: group order exceeds bound 1000000\n"
 
     def test_include_even_flag(self, capsys):
         data = run_json(capsys, "omega", "--q", "5", "--variant", "psl", "--include-even")

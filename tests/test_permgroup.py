@@ -17,6 +17,8 @@ from pzeta import (
     Budget,
     BudgetExceeded,
     ChiefStep,
+    DirichletPolynomial,
+    FactorKind,
     InvalidParameter,
     NotNormal,
     OrderBoundExceeded,
@@ -29,6 +31,7 @@ from pzeta import (
     chief_series_ids,
     chief_steps,
     cyclic,
+    descriptor_from_supplement_poly,
     dihedral,
     direct_product,
     factor_group,
@@ -36,10 +39,14 @@ from pzeta import (
     klein_four,
     make_psl2,
     parse_group_file,
+    power_shift,
+    probabilistic_zeta,
     quaternion8,
     subgroup_lattice,
+    supplement_zeta,
     symmetric,
 )
+from pzeta import permgroup
 from pzeta.lattice import overgroups_of_seed
 from pzeta.permgroup import (
     DEFAULT_MAX_GROUP_ORDER,
@@ -503,14 +510,16 @@ class TestPosetQueries:
         eng = spec.group.engine
         seed, seed_gens = eng.sylow2()
         fam = overgroups_of_seed(eng, seed, seed_gens)
+        seed_id = fam.nodes.index(tuple(sorted(int(x) for x in seed)))
+        literal_ids = [seed_id, *fam._overgroups(seed_id)]
         lat = spec.group.subgroup_lattice()
         seed_set = frozenset(int(x) for x in seed)
-        in_lat = [lat.node_id_of(fam.nodes[i]) for i in fam.literal_ids]
+        in_lat = [lat.node_id_of(fam.nodes[i]) for i in literal_ids]
         assert in_lat == [
             i for i in range(lat.node_count) if seed_set <= frozenset(lat.node_elements(i))
         ]
         maximal = set(lat.maximal_node_ids())
-        assert [fam._overgroups(i) == [fam.top_id] for i in fam.literal_ids] == [
+        assert [fam._overgroups(i) == [fam.top_id] for i in literal_ids] == [
             i in maximal for i in in_lat
         ]
 
@@ -574,6 +583,28 @@ class TestChiefSeries:
         lat = _a5_wr_c2().subgroup_lattice()
         chain = chief_series_ids(lat)
         assert chief_steps(lat, chain) == _section_group_steps(lat, chain)
+
+    @pytest.mark.slow
+    def test_supplement_descriptor_misses_only_even_crown_terms(self):
+        # the descriptor is P_{A5,A5}(rs - r + 1) without its constant
+        # term; the lattice's chief factor also carries crown terms, here
+        # all at multiples of 60, so the two agree at every odd index
+        pa5 = probabilistic_zeta(builtin_group("A5"))
+        pxs = supplement_zeta(make_psl2(5, "psl"))
+        crown = DirichletPolynomial({60: 120})
+        c2 = DirichletPolynomial({1: 1, 2: -1})
+        for grp, expected in [
+            (builtin_group("A5xA5"), [pa5, pa5 - crown]),
+            (_a5_wr_c2(), [c2, power_shift(pa5, 2) - crown * pa5]),
+        ]:
+            fac = chief_factorization(grp)
+            assert fac.factor_polynomials() == expected
+            rec = fac.factors[-1]
+            kind = FactorKind.psl2(5, "psl")
+            desc = descriptor_from_supplement_poly(0, kind, rec.multiplicity, pxs)
+            assert {n: b for n, b in desc.coeffs if n % 2} == {
+                n: b for n, b in rec.polynomial.items() if n % 2 and n > 1
+            }
 
     def test_factorization_builds_no_quotient(self, monkeypatch):
         # the benchmark's factorized groups; chief labels are read off
@@ -680,6 +711,20 @@ class TestProjectiveConstructions:
     def test_rejects_bad_variant(self):
         with pytest.raises(InvalidParameter):
             make_psl2(7, "aut")
+
+    @pytest.mark.parametrize("variant", ["psl", "pgl"])
+    def test_refuses_large_q_before_building(self, variant, monkeypatch):
+        # the closed-form order is checked before any permutation of the
+        # q + 1 points exists, so a huge q costs no memory
+        def fail(*args):
+            raise AssertionError("permutation built for a refused q")
+
+        monkeypatch.setattr(permgroup, "_moebius_transform_perm", fail)
+        with pytest.raises(OrderBoundExceeded, match="group order exceeds bound 1000000"):
+            make_psl2(10007, variant)
+
+    def test_largest_pgl_under_the_order_bound(self):
+        assert make_psl2(97, "pgl").group.order == 912576 <= DEFAULT_MAX_GROUP_ORDER
 
     def test_pgl_socle_is_psl_of_index_two(self):
         spec = psl2(7, "pgl")

@@ -24,10 +24,10 @@ from pzeta import (
     zeta_report,
 )
 from pzeta.errors import NotNormal, OrderBoundExceeded
-from pzeta.lattice import all_chief_series_ids, chief_series_ids
+from pzeta.lattice import all_chief_series_ids, chief_series_ids, overgroups_of_seed
 from pzeta.permgroup import _Engine
 from pzeta.rationality import check_sml_conditions
-from pzeta.zeta import interval_zeta
+from pzeta.zeta import OddIndexDetail, _is_supplement, interval_zeta
 from helpers import group, psl2
 
 D = DirichletPolynomial
@@ -117,6 +117,30 @@ class TestSupplementZeta:
         assert set(supp.support()) <= set(full.support()) | {1}
 
 
+def _node_loop_details(spec, include_even):
+    """The odd-index details node by node: every node that contains
+    the seed (the seed node and its overgroup row), grouped by index;
+    an index counts the classes of its nodes, and is all maximal when
+    each of its nodes' rows is the top alone."""
+    eng = spec.group.engine
+    seed, seed_gens = ((eng.id_idx,), ()) if include_even else eng.sylow2()
+    fam = overgroups_of_seed(eng, seed, seed_gens)
+    seed_id = fam.nodes.index(tuple(sorted(int(x) for x in seed)))
+    by_index: dict[int, list[int]] = {}
+    for i in [seed_id, *fam._overgroups(seed_id)]:
+        h = fam.nodes[i]
+        if _is_supplement(h, spec):
+            by_index.setdefault(eng.order // len(h), []).append(i)
+    return tuple(
+        OddIndexDetail(
+            m,
+            len({fam.class_of(i) for i in ids}),
+            all(fam._overgroups(i) == [fam.top_id] for i in ids),
+        )
+        for m, ids in sorted(by_index.items())
+    )
+
+
 class TestOddSupplementIndices:
     @pytest.mark.parametrize(
         "q,variant,w",
@@ -178,6 +202,16 @@ class TestOddSupplementIndices:
         with pytest.raises(OrderBoundExceeded, match="order 50616 exceeds lattice budget 30000"):
             odd_supplement_indices(spec, Budget(max_order=30000))
         assert spec.group._eng is None and spec.socle._eng is None
+
+    @pytest.mark.parametrize(
+        "q,variant,include_even",
+        [(q, v, False) for q in (5, 7, 11, 13) for v in ("psl", "pgl")]
+        + [(q, v, True) for q in (5, 7) for v in ("psl", "pgl")],
+    )
+    def test_class_report_matches_node_loop(self, q, variant, include_even):
+        spec = psl2(q, variant)
+        rep = odd_supplement_indices(spec, include_even=include_even)
+        assert rep.details == _node_loop_details(spec, include_even)
 
     def test_even_extension_sees_even_indices(self):
         full = odd_supplement_indices(psl2(5, "psl"), include_even=True)
