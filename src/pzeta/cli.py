@@ -43,7 +43,15 @@ from .errors import (
     ZeroDivisor,
 )
 from .lattice import Budget
-from .permgroup import PermGroup, builtin_group, make_psl2, parse_group_file
+from .permgroup import (
+    AlmostSimpleSpec,
+    PermGroup,
+    builtin_group,
+    make_psl2,
+    parse_group_file,
+    psl2_order,
+    psl2_variant,
+)
 from .rationality import (
     ArithmeticExponents,
     ConstantExponents,
@@ -189,9 +197,20 @@ def _cmd_pg(args) -> int:
     return EXIT_OK
 
 
+def _psl2_within_budget(args) -> tuple[AlmostSimpleSpec, Budget]:
+    """X = PSL/PGL(2,q) and the budget, refused by the budget's order
+    before ``make_psl2`` tests q for primality or builds a permutation:
+    an odd q >= 5 whose closed-form order is over the budget exits 3
+    whether or not it is prime."""
+    variant = psl2_variant(args.q, args.variant)
+    budget = _budget(args)
+    budget.check_order(psl2_order(args.q, variant))
+    return make_psl2(args.q, variant), budget
+
+
 def _cmd_pxs(args) -> int:
-    spec = make_psl2(args.q, args.variant)
-    poly = supplement_zeta(spec, _budget(args))
+    spec, budget = _psl2_within_budget(args)
+    poly = supplement_zeta(spec, budget)
     payload = {
         "group": spec.name,
         "socle_order": spec.socle.order,
@@ -202,8 +221,8 @@ def _cmd_pxs(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    spec = make_psl2(args.q, args.variant)
-    report = odd_supplement_indices(spec, _budget(args), include_even=args.include_even)
+    spec, budget = _psl2_within_budget(args)
+    report = odd_supplement_indices(spec, budget, include_even=args.include_even)
     lines = [f"group {report.group} (socle order {report.socle_order})"]
     for d in report.details:
         lines.append(

@@ -20,20 +20,25 @@ Three value types live here:
   integer coefficients.
 
 Coefficients are Python ints wherever they are stored or returned.
+Every product runs on one kernel, ``_convolve``, over numpy columns,
+ascending indices beside their coefficients: each step sorts the
+scaled prefixes of one operand and sums the runs of equal indices.
 Truncated products (:func:`truncated_product` and ``TruncatedSeries``
-multiplication) run on numpy columns, ascending indices beside their
-coefficients: each step sorts the scaled prefixes of the running
-product and sums the runs of equal indices.  A column is int64 only
-while a bound proven in Python ints keeps every value below 2^63 (the
-indices: the truncation bound; the coefficients: max |running| times
-the sum of |b| over the other operand); otherwise the same code runs
-on ``dtype=object`` columns of Python ints.  No floating point is used
-anywhere.
+multiplication) cut at their bound; a ``DirichletPolynomial`` product
+is the truncated one at bound ``max_a * max_b``, which cuts no term.
+A column is int64 only while a bound proven in Python ints keeps every
+value below 2^63 (the indices: the bound; the coefficients:
+max |running| times the sum of |b| over the other operand); otherwise
+the same code runs on ``dtype=object`` columns of Python ints.  No
+floating point is used anywhere.
+
+Exact division eliminates by ascending index from a heap of pending
+remainder indices, popping each remainder entry once.
 
 Public constructors validate every term; results computed in this module
 skip that through the private ``_trusted`` classmethods, which only sort
-the term map and drop zeros, or ``TruncatedSeries._from_columns``, which
-reads sorted, zero-free columns back into a term map.
+the term map and drop zeros, or the ``_from_columns`` classmethods,
+which read sorted, zero-free columns back into a term map.
 """
 
 from __future__ import annotations
@@ -114,6 +119,13 @@ def _column(values: Sequence[int], magnitude: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if magnitude < _INT64_LIMIT else object)
 
 
+def _columns(terms: Iterable[tuple[int, int]], bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and coefficient columns of the nonempty ascending ``terms``
+    of an operand of a product at ``bound``."""
+    ns, cs = zip(*terms)
+    return _column(ns, bound), _column(cs, max(map(abs, cs)))
+
+
 def _convolve(
     idx: np.ndarray, coef: np.ndarray, window: list[tuple[int, int]], bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +180,15 @@ class DirichletPolynomial:
     def _trusted(cls, acc: dict[int, int]) -> "DirichletPolynomial":
         out = cls.__new__(cls)
         out._terms = _sorted_nonzero(acc)
+        out._hash = None
+        return out
+
+    @classmethod
+    def _from_columns(cls, idx: np.ndarray, coef: np.ndarray) -> "DirichletPolynomial":
+        """From ascending index and nonzero coefficient columns, read back
+        into Python ints."""
+        out = cls.__new__(cls)
+        out._terms = dict(zip(idx.tolist(), coef.tolist()))
         out._hash = None
         return out
 
@@ -255,15 +276,18 @@ class DirichletPolynomial:
         return (-self)._combine(other, 1)
 
     def __mul__(self, other) -> "DirichletPolynomial":
+        """The product on ``_convolve``, truncated at ``max_a * max_b``,
+        which cuts no term: the longer operand becomes the columns, the
+        shorter the window."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, int] = {}
-        for n1, a1 in self._terms.items():
-            for n2, a2 in o._terms.items():
-                m = n1 * n2
-                acc[m] = acc.get(m, 0) + a1 * a2
-        return DirichletPolynomial._trusted(acc)
+        a, b = (self, o) if len(self) >= len(o) else (o, self)
+        if not b:
+            return ZERO
+        bound = a.max_index * b.max_index
+        idx, coef = _columns(a.items(), bound)
+        return DirichletPolynomial._from_columns(*_convolve(idx, coef, list(b.items()), bound))
 
     __rmul__ = __mul__
 
@@ -374,40 +398,45 @@ def divide_exact(
 
     The least remainder index never decreases (updates land at k*e >=
     k*m0 = n), so a heap of pending indices yields it: O(|q| * |d| * log),
-    not a scan of the whole remainder per quotient term.
+    not a scan of the whole remainder per quotient term.  Each entry is
+    popped from the remainder once, and d's leading term, which would
+    only cancel that entry, is never applied; the other terms land
+    above n, and an entry they cancel is deleted, so a heap index whose
+    entry is gone is skipped.
     """
     if d.is_zero():
         raise ZeroDivisor("division by the zero polynomial")
     if p.is_zero():
         return ZERO
-    m0 = d.min_index
-    c0 = d.coefficient(m0)
+    (m0, c0), *rest = d.items()
     bound = support_bound if support_bound is not None else p.max_index
     rem = p.terms()
     heap = list(rem)  # ascending, so already a heap
     quo: dict[int, int] = {}
     while heap:
         n = heappop(heap)
-        if n not in rem:
-            continue
+        a = rem.pop(n, 0)
+        if not a:
+            continue  # cancelled to zero after it was pushed
         if n % m0 != 0:
             raise NotDivisible(f"remainder index {n} not a multiple of {m0}")
         k = n // m0
         if k > bound:
             raise NotDivisible(f"quotient support would exceed bound {bound}")
-        if rem[n] % c0 != 0:
-            raise NotDivisible(f"leading coefficient {c0} does not divide {rem[n]}")
-        coeff = rem[n] // c0
+        if a % c0 != 0:
+            raise NotDivisible(f"leading coefficient {c0} does not divide {a}")
+        coeff = a // c0
         quo[k] = coeff
-        for e, b in d.items():
-            idx = k * e
-            val = rem.get(idx, 0) - coeff * b
-            if val:
-                if idx not in rem:
-                    heappush(heap, idx)
-                rem[idx] = val
+        for e, b in rest:
+            idx, step = k * e, coeff * b
+            old = rem.get(idx)
+            if old is None:
+                heappush(heap, idx)
+                rem[idx] = -step
+            elif old == step:
+                del rem[idx]
             else:
-                rem.pop(idx, None)
+                rem[idx] = old - step
     return DirichletPolynomial._trusted(quo)
 
 
@@ -480,8 +509,7 @@ class TruncatedSeries:
         terms, window = _window(self._terms.items(), bound), _window(other._terms.items(), bound)
         if not terms or not window:
             return TruncatedSeries._trusted(bound, {})
-        ns, cs = zip(*terms)
-        idx, coef = _column(ns, bound), _column(cs, max(map(abs, cs)))
+        idx, coef = _columns(terms, bound)
         return TruncatedSeries._from_columns(bound, *_convolve(idx, coef, window, bound))
 
     def __eq__(self, other) -> bool:

@@ -118,8 +118,8 @@ def _conjugators(
     engine: _Engine,
     tracker: _Tracker,
     kgens: tuple[int, ...],
+    k_ids: np.ndarray,
     in_k: np.ndarray,
-    k_size: int,
     n_size: int,
 ) -> tuple[int, ...]:
     """Elements whose conjugations, together with x -> x*k (k in K),
@@ -132,17 +132,18 @@ def _conjugators(
       x -> k^-1*x), and, unless K is self-normalizing, generators of
       N_G(K) = {g : [k, g] in K for every generator k}: picked
       greedily, smallest index first, outside the closure so far (so
-      none lies in K), until that closure has the known order."""
+      none lies in K), until that closure has the known order; each
+      closure resumes from the one before."""
     if n_size == engine.order:
         return tuple(g for g in engine.gen_indices if not in_k[g])
-    if n_size == k_size:
+    if n_size == len(k_ids):
         return kgens
-    gens, member = kgens, in_k
+    gens, member, closed = kgens, in_k, k_ids
     normalizes = engine.commutes_into(kgens, in_k)
     while True:
         gens += (int(np.argmax(normalizes & ~member)),)
         tracker.closures["normalizer"] += 1
-        closed = engine.closure(gens)
+        closed = engine.closure(gens, known=closed)
         if len(closed) == n_size:
             return gens
         member = np.zeros(engine.order, dtype=bool)
@@ -240,18 +241,19 @@ class _NodePoset:
                 continue
             rep = nodes[classes[cid][0]]
             kgens = node_gens[classes[cid][0]]
+            k_ids = np.asarray(rep, dtype=np.int64)
             in_k = np.zeros(order, dtype=bool)
-            in_k[list(rep)] = True
+            in_k[k_ids] = True
             outside = candidates[~in_k[candidates]]
             if len(outside) > 1:
                 n_size = order // len(classes[cid])
-                conj = _conjugators(engine, tracker, kgens, in_k, size, n_size)
+                conj = _conjugators(engine, tracker, kgens, k_ids, in_k, n_size)
                 # <K, y> is conjugate to <K, x> for every y in the orbit of x
                 outside = engine.orbit_minima(outside, kgens, conj)
             for e in outside.tolist():
                 tracker.check()
                 tracker.closures["candidate"] += 1
-                res = engine.closure(kgens + (e,), bail_half=True)
+                res = engine.closure(kgens + (e,), bail_half=True, known=k_ids)
                 if res is None:
                     continue  # generated the whole group; top is preseeded
                 new_rep = tuple(res.tolist())

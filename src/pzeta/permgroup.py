@@ -473,8 +473,21 @@ class _Engine:
             mask &= member[self.commutators_with(g)]
         return mask
 
-    def closure(self, gen_idx: Iterable[int], bail_half: bool = False):
+    def closure(
+        self,
+        gen_idx: Sequence[int],
+        bail_half: bool = False,
+        known: np.ndarray | None = None,
+    ):
         """Sorted element indices of the subgroup generated by gen_idx.
+
+        A breadth-first search under right multiplication by the
+        generators.  It starts from the identity, or, when ``known``
+        holds the sorted element indices of K = <gen_idx[:-1]>, with K
+        marked and the elements of K*e outside K as its frontier, e the
+        last generator: a word in the generators first leaves K at a
+        letter e, so every element of <K, e> outside K is reached from
+        K*e, and K itself is not rebuilt.
 
         With ``bail_half=True`` returns None as soon as the subgroup is
         known to be the whole group (more than half the elements seen),
@@ -485,10 +498,18 @@ class _Engine:
             return np.asarray([self.id_idx], dtype=np.int64)
         cols = [self._column("mul", g) for g in gens]
         member = np.zeros(self.order, dtype=bool)
-        member[self.id_idx] = True
-        count = 1
+        if known is None:
+            frontier = np.asarray([self.id_idx])
+            count = 1
+        else:
+            member[known] = True
+            frontier = self._column("mul", int(gen_idx[-1]))[known].astype(np.intp)
+            frontier = frontier[~member[frontier]]
+            count = len(known) + frontier.size
+        member[frontier] = True
         half = self.order // 2
-        frontier = np.asarray([self.id_idx])
+        if bail_half and count > half:
+            return None
         while frontier.size:
             new = []
             for col in cols:
@@ -662,7 +683,7 @@ class _Engine:
             if not candidates.any():
                 raise RuntimeError("Sylow 2-subgroup growth stalled")
             gens.append(int(np.argmax(candidates)))
-            arr = self.closure(gens)
+            arr = self.closure(gens, known=arr)
         assert len(arr) == target
         return tuple(arr.tolist()), tuple(gens)
 
@@ -1031,6 +1052,22 @@ def psl2_order(q: int, variant: str) -> int:
     return q * (q * q - 1) // (2 if variant == "psl" else 1)
 
 
+def psl2_variant(q: int, variant: str) -> str:
+    """The checks of ``make_psl2`` that cost no work, in its order: q is
+    an int >= 5 and odd, the variant is 'psl' or 'pgl' (returned in
+    lower case), and the closed-form order is within
+    ``DEFAULT_MAX_GROUP_ORDER``.  Primality is left to ``make_psl2``, so
+    a caller can check a budget against ``psl2_order`` in between."""
+    if not isinstance(q, int) or q < 5 or q % 2 == 0:
+        raise InvalidParameter(f"q must be an odd prime >= 5, got {q!r}")
+    v = variant.lower()
+    if v not in ("psl", "pgl"):
+        raise InvalidParameter(f"variant must be 'psl' or 'pgl', got {variant!r}")
+    if psl2_order(q, v) > DEFAULT_MAX_GROUP_ORDER:
+        raise OrderBoundExceeded(f"group order exceeds bound {DEFAULT_MAX_GROUP_ORDER}")
+    return v
+
+
 def make_psl2(q: int, variant: str = "psl") -> AlmostSimpleSpec:
     """PSL(2,q) or PGL(2,q) acting on the q+1 points of the projective
     line, packaged with its PSL socle.
@@ -1043,13 +1080,7 @@ def make_psl2(q: int, variant: str = "psl") -> AlmostSimpleSpec:
     before anything is built and before q is tested for primality, so
     such an odd q is refused that way whether or not it is prime.
     """
-    if not isinstance(q, int) or q < 5 or q % 2 == 0:
-        raise InvalidParameter(f"q must be an odd prime >= 5, got {q!r}")
-    v = variant.lower()
-    if v not in ("psl", "pgl"):
-        raise InvalidParameter(f"variant must be 'psl' or 'pgl', got {variant!r}")
-    if psl2_order(q, v) > DEFAULT_MAX_GROUP_ORDER:
-        raise OrderBoundExceeded(f"group order exceeds bound {DEFAULT_MAX_GROUP_ORDER}")
+    v = psl2_variant(q, variant)
     if not is_prime(q):
         raise InvalidParameter(f"q must be an odd prime >= 5, got {q!r}")
     g = _primitive_root(q)

@@ -453,6 +453,31 @@ class TestOmega:
         code, _, err = run(capsys, "omega", "--q", "10007")
         assert code == 3 and err == "budget: group order exceeds bound 1000000\n"
 
+    @pytest.mark.parametrize("command", ["omega", "pxs"])
+    @pytest.mark.parametrize(
+        "q, variant, message",
+        [
+            ("97", "pgl", "budget: order 912576 exceeds lattice budget 10000\n"),
+            # odd but not prime: refused by the budget before the primality test
+            ("95", "pgl", "budget: order 857280 exceeds lattice budget 10000\n"),
+            ("33", "psl", "budget: order 17952 exceeds lattice budget 10000\n"),
+        ],
+    )
+    def test_budget_refuses_before_make_psl2(self, capsys, monkeypatch, command, q, variant,
+                                             message):
+        def fail(*args):
+            raise AssertionError("make_psl2 called for a group over the budget")
+
+        monkeypatch.setattr(cli, "make_psl2", fail)
+        code, _, err = run(capsys, command, "--q", q, "--variant", variant)
+        assert code == 3 and err == message
+
+    @pytest.mark.parametrize("command", ["omega", "pxs"])
+    @pytest.mark.parametrize("q", ["4", "3", "-7"])
+    def test_small_or_even_q_exits_2_before_the_budget(self, capsys, command, q):
+        code, _, err = run(capsys, "--budget-order", "1", command, "--q", q)
+        assert code == 2 and err == f"input error: q must be an odd prime >= 5, got {q}\n"
+
     def test_include_even_flag(self, capsys):
         data = run_json(capsys, "omega", "--q", "5", "--variant", "psl", "--include-even")
         assert data["include_even"] is True

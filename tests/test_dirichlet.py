@@ -360,6 +360,16 @@ def test_truncated_product_order_independent_seeded():
 # -- oracles: the plain loops that the sparse kernels must agree with -----
 
 
+def _oracle_mul(a: DirichletPolynomial, b: DirichletPolynomial) -> DirichletPolynomial:
+    """Double loop over both term maps, summing into a dict."""
+    acc = {}
+    for n1, a1 in a.items():
+        for n2, a2 in b.items():
+            m = n1 * n2
+            acc[m] = acc.get(m, 0) + a1 * a2
+    return D(acc)
+
+
 def _oracle_series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Double loop over both operands, each cut where an index passes the bound."""
     bound = min(a.bound, b.bound)
@@ -530,6 +540,76 @@ def test_truncated_product_result_of_exactly_2_63():
 def test_series_mul_matches_oracle(a, b):
     assert repr(a * b) == repr(_oracle_series_mul(a, b))
     assert repr(b * a) == repr(_oracle_series_mul(b, a))
+
+
+# indices up to 2^40 put products at or above 2^63 on the object index
+# column; coefficients up to 2^70 take the coefficients off int64
+wide_poly_st = st.builds(
+    D,
+    st.lists(
+        st.tuples(st.one_of(st.integers(1, 700), st.integers(1, 2**40)), wide_coef_st),
+        max_size=8,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_poly_st, wide_poly_st, wide_coef_st)
+def test_mul_matches_oracle(p, q, c):
+    assert repr(p * q) == repr(_oracle_mul(p, q))
+    assert repr(q * p) == repr(_oracle_mul(q, p))
+    # int * P goes through __rmul__
+    assert repr(c * p) == repr(p * c) == repr(_oracle_mul(D({1: c}), p))
+
+
+@pytest.mark.parametrize(
+    "p, q, dtypes",
+    [
+        # max index product 2^31 * 2^32 = 2^63: one past int64
+        (P({1: 1, 2**32: 1}), P({1: 1, 2**31: 3}), (object, np.int64)),
+        (P({1: 1, 2**31: 1}), P({1: 1, 2**31 - 1: 3}), (np.int64, np.int64)),
+        (P({2: 2**63, 3: 1}), P({1: 1, 5: -1}), (np.int64, object)),
+    ],
+)
+def test_mul_columns_leave_int64_at_2_63(monkeypatch, p, q, dtypes):
+    """The (index, coefficient) dtypes of the columns p * q hands to
+    ``_convolve``."""
+    seen = []
+    convolve = dirichlet._convolve
+
+    def recording(idx, coef, window, bound):
+        seen.append((idx.dtype, coef.dtype))
+        return convolve(idx, coef, window, bound)
+
+    monkeypatch.setattr(dirichlet, "_convolve", recording)
+    assert repr(p * q) == repr(_oracle_mul(p, q))
+    assert seen == [tuple(map(np.dtype, dtypes))]
+
+
+def test_mul_by_zero_is_zero():
+    p = P({1: 1, 2**40: 2**70})
+    for got in (p * D.zero(), D.zero() * p, 0 * p, p * 0, D.zero() * D.zero()):
+        assert got.is_zero() and repr(got) == repr(D.zero())
+
+
+def test_divide_exact_pushes_a_cancelled_index_again(monkeypatch):
+    """d = 1 + 1/2^s + 1/3^s and q = 1 + 1/2^s + 1/3^s - 1/6^s: the
+    quotient term at 2 cancels p's coefficient at 6, and the one at 3
+    brings index 6 back onto the heap, whose first entry for it is then
+    stale."""
+    pushed = []
+    push = dirichlet.heappush
+
+    def recording(heap, n):
+        pushed.append(n)
+        push(heap, n)
+
+    monkeypatch.setattr(dirichlet, "heappush", recording)
+    d, q = P({1: 1, 2: 1, 3: 1}), P({1: 1, 2: 1, 3: 1, 6: -1})
+    p = _oracle_mul(q, d)
+    assert p.coefficient(6) != 0
+    assert repr(divide_exact(p, d)) == repr(_oracle_divide_exact(p, d)) == repr(q)
+    assert 6 in pushed
 
 
 @settings(max_examples=300, deadline=None)

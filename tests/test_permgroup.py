@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pzeta import (
@@ -922,6 +922,34 @@ class TestElementIndex:
             if any(g != eng.id_idx for g in gens):
                 bailed = eng.closure(gens, bail_half=True)
                 assert (bailed is None) == (len(expected) == eng.order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+        )
+    ),
+    st.data(),
+)
+def test_closure_resumed_from_known_subgroup(group_data, data):
+    """closure(gens, known=<gens[:-1]>) is closure(gens), and with
+    bail_half it gives up in exactly the same cases."""
+    degree, perms = group_data
+    try:
+        eng = PermGroup(degree, perms, max_order=360).engine
+    except OrderBoundExceeded:
+        assume(False)
+    gens = data.draw(st.lists(st.integers(0, eng.order - 1), min_size=1, max_size=4))
+    known = eng.closure(gens[:-1])
+    full = eng.closure(gens)
+    assert eng.closure(gens, known=known).tolist() == full.tolist()
+    bailed = eng.closure(gens, bail_half=True)
+    resumed = eng.closure(gens, bail_half=True, known=known)
+    assert (resumed is None) == (bailed is None)
+    if resumed is not None:
+        assert resumed.tolist() == bailed.tolist() == full.tolist()
 
 
 class TestColumnCache:
