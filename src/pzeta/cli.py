@@ -292,7 +292,11 @@ def _cmd_moebius(args) -> int:
 
 def _load_json_object(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return object_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("JSON input nested too deeply") from None
+    return object_from_json(data)
 
 
 def _cmd_replay(args) -> int:

@@ -19,17 +19,21 @@ Three value types live here:
   denominator has constant coefficient +-1, so the expansion has
   integer coefficients.
 
-Coefficients are Python ints wherever they are stored or returned.
+Coefficients are Python ints wherever they are returned.
 Every product runs on one kernel, ``_convolve``, over numpy columns,
 ascending indices beside their coefficients: each step sorts the
 scaled prefixes of one operand and sums the runs of equal indices.
 Truncated products (:func:`truncated_product` and ``TruncatedSeries``
 multiplication) cut at their bound; a ``DirichletPolynomial`` product
 is the truncated one at bound ``max_a * max_b``, which cuts no term.
+A ``DirichletPolynomial`` built by the kernel keeps its two columns,
+so a chain of products hands each result to the next as columns, and
+builds its term map of Python ints only on first read.
 A column is int64 only while a bound proven in Python ints keeps every
-value below 2^63 (the indices: the bound; the coefficients:
-max |running| times the sum of |b| over the other operand); otherwise
-the same code runs on ``dtype=object`` columns of Python ints.  No
+value below 2^63 (the indices: the bound; the coefficients: the sum,
+over the other operand's terms b, of |b| times the largest |running|
+coefficient that b meets within the bound); otherwise the same code
+runs on ``dtype=object`` columns of Python ints.  No
 floating point is used anywhere.
 
 Exact division eliminates by ascending index from a heap of pending
@@ -38,7 +42,8 @@ remainder indices, popping each remainder entry once.
 Public constructors validate every term; results computed in this module
 skip that through the private ``_trusted`` classmethods, which only sort
 the term map and drop zeros, or the ``_from_columns`` classmethods,
-which read sorted, zero-free columns back into a term map.
+which take sorted, zero-free columns: ``TruncatedSeries`` reads them
+back into a term map at once, ``DirichletPolynomial`` when first read.
 """
 
 from __future__ import annotations
@@ -138,19 +143,21 @@ def _convolve(
     by ``searchsorted``.  The prefixes, scaled by their terms, are
     appended into one column, sorted stably by index, and each run of
     equal indices is summed by ``np.add.reduceat``.  A run holds at most
-    one product per window term, so every partial sum is at most
-    max|coef| * sum|a2| in magnitude: ``coef`` stays int64 only while
-    that is below 2^63, and is taken to Python ints before this step
-    otherwise."""
+    one product per window term, and term (n2, a2) meets only
+    ``coef[:cut]``, so every partial sum is at most the sum over the
+    terms of |a2| * max|coef[:cut]| in magnitude: ``coef`` stays int64
+    only while that is below 2^63, and is taken to Python ints before
+    this step otherwise."""
     ns, cs = zip(*window)
-    if coef.dtype != object:
-        top = max(int(coef.max()), -int(coef.min()))
-        if top * sum(map(abs, cs)) >= _INT64_LIMIT:
-            coef = coef.astype(object)
     cuts = np.searchsorted(idx, bound // np.array(ns, dtype=idx.dtype), side="right")
     parts = [(cut, n2, a2) for cut, n2, a2 in zip(cuts.tolist(), ns, cs) if cut]
     if not parts:
         return idx[:0], coef[:0]
+    if coef.dtype != object:
+        # max|coef[:cut]| per part; |coef| < 2^63, so np.abs cannot wrap
+        tops = np.maximum.accumulate(np.abs(coef))[[cut - 1 for cut, _, _ in parts]].tolist()
+        if sum(top * abs(a2) for top, (_, _, a2) in zip(tops, parts)) >= _INT64_LIMIT:
+            coef = coef.astype(object)
     n = np.concatenate([idx[:cut] * n2 for cut, n2, _ in parts])
     a = np.concatenate([coef[:cut] * a2 for cut, _, a2 in parts])
     # one column reordered at a time, the permutation dropped after: the
@@ -168,29 +175,44 @@ def _convolve(
 
 
 class DirichletPolynomial:
-    """Immutable sparse Dirichlet polynomial with exact int coefficients."""
+    """Immutable sparse Dirichlet polynomial with exact int coefficients.
 
-    __slots__ = ("_terms", "_hash")
+    ``_cols`` holds the (index, coefficient) columns of a polynomial the
+    kernel built, else None.  Such a polynomial leaves ``_terms`` unset
+    until it is first read (see ``__getattr__``)."""
+
+    __slots__ = ("_terms", "_cols", "_hash")
 
     def __init__(self, terms: TermMap = ()):
         self._terms = _canonical_terms(terms)
+        self._cols: tuple[np.ndarray, np.ndarray] | None = None
         self._hash: int | None = None
 
     @classmethod
     def _trusted(cls, acc: dict[int, int]) -> "DirichletPolynomial":
         out = cls.__new__(cls)
         out._terms = _sorted_nonzero(acc)
+        out._cols = None
         out._hash = None
         return out
 
     @classmethod
     def _from_columns(cls, idx: np.ndarray, coef: np.ndarray) -> "DirichletPolynomial":
-        """From ascending index and nonzero coefficient columns, read back
-        into Python ints."""
+        """From ascending index and nonzero coefficient columns, which it
+        keeps; the term map is read from them on first use."""
         out = cls.__new__(cls)
-        out._terms = dict(zip(idx.tolist(), coef.tolist()))
+        out._cols = idx, coef
         out._hash = None
         return out
+
+    def __getattr__(self, name: str):
+        # reached only for a slot that is unset: ``_terms`` of a kernel
+        # product, read here once from its columns into Python ints
+        if name != "_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        idx, coef = self._cols
+        self._terms = terms = dict(zip(idx.tolist(), coef.tolist()))
+        return terms
 
     # -- constructors ------------------------------------------------
 
@@ -228,19 +250,20 @@ class DirichletPolynomial:
 
     @property
     def max_index(self) -> int | None:
-        return next(reversed(self._terms), None)
+        if self._cols is None:
+            return next(reversed(self._terms), None)
+        idx = self._cols[0]
+        return int(idx[-1]) if len(idx) else None
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def is_one(self) -> bool:
         return self._terms == {1: 1}
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
-        return len(self._terms)
+        # also the truth value: a polynomial is false exactly when zero
+        return len(self._terms) if self._cols is None else len(self._cols[0])
 
     # -- ring structure ----------------------------------------------
 
@@ -278,7 +301,9 @@ class DirichletPolynomial:
     def __mul__(self, other) -> "DirichletPolynomial":
         """The product on ``_convolve``, truncated at ``max_a * max_b``,
         which cuts no term: the longer operand becomes the columns, the
-        shorter the window."""
+        shorter the window.  The result keeps its columns, so in a chain
+        ``p1 * p2 * ...`` each running product enters the next step as
+        columns, and no term map is built until one is read."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -286,8 +311,21 @@ class DirichletPolynomial:
         if not b:
             return ZERO
         bound = a.max_index * b.max_index
-        idx, coef = _columns(a.items(), bound)
-        return DirichletPolynomial._from_columns(*_convolve(idx, coef, list(b.items()), bound))
+        return DirichletPolynomial._from_columns(
+            *_convolve(*a._operand(bound), list(b.items()), bound)
+        )
+
+    def _operand(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of this nonzero polynomial as the longer operand of
+        a product at ``bound``: the kept ones, the index column taken to
+        Python ints once ``bound`` reaches 2^63 as ``_columns`` would
+        build it; else built from the term map."""
+        if self._cols is None:
+            return _columns(self._terms.items(), bound)
+        idx, coef = self._cols
+        if bound >= _INT64_LIMIT and idx.dtype != object:
+            idx = idx.astype(object)
+        return idx, coef
 
     __rmul__ = __mul__
 
@@ -539,7 +577,9 @@ def truncated_product(
 ) -> TruncatedSeries:
     """Product of finitely many factors, exact for all indices <= bound.
 
-    Every factor must have constant coefficient 1.  A factor whose
+    Every factor must have constant coefficient 1; all are checked, in
+    the caller's order, before any product, so ``FactorNotUnital`` names
+    the first bad factor by its position in ``factors``.  A factor whose
     entire support beyond index 1 exceeds the bound multiplies in as 1,
     so callers may pass long factor lists cheaply.  The result does not
     depend on factor order.
@@ -547,18 +587,26 @@ def truncated_product(
     The running product stays in two columns across the steps (see
     ``_convolve``): a factor term n2 meets only the running terms up to
     ``bound // n2``, so the cost is the number of products within the
-    bound, not |product| * |factor| per step.  The term map is built once,
-    at the end.
+    bound, not |product| * |factor| per step.  The factors multiply in
+    ascending order of their second index (ties in the caller's order),
+    so a factor whose terms lie far up comes late, and the terms it adds
+    pass through few later steps.  The term map is built once, at the
+    end.
     """
     _check_bound(bound)
-    idx, coef = _column([1], bound), np.ones(1, dtype=np.int64)
+    factors = list(factors)
     for i, f in enumerate(factors):
         if f.coefficient(1) != 1:
             raise FactorNotUnital(
                 f"factor #{i} has constant coefficient {f.coefficient(1)}, want 1"
             )
-        if len(f) > 1 and f.support()[1] <= bound:
-            idx, coef = _convolve(idx, coef, _window(f.items(), bound), bound)
+    live = [(f.support()[1], f) for f in factors if len(f) > 1]
+    live.sort(key=lambda t: t[0])  # stable: ties keep the caller's order
+    idx, coef = _column([1], bound), np.ones(1, dtype=np.int64)
+    for second, f in live:
+        if second > bound:
+            break  # so is every later factor's
+        idx, coef = _convolve(idx, coef, _window(f.items(), bound), bound)
     return TruncatedSeries._from_columns(bound, idx, coef)
 
 

@@ -34,7 +34,7 @@ from .lattice import (
     overgroups_of_seed,
 )
 from .numtheory import prime_factors
-from .permgroup import AlmostSimpleSpec, PermGroup, make_psl2, psl2_order
+from .permgroup import AlmostSimpleSpec, PermGroup, make_psl2, psl2_order, psl2_variant
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +319,29 @@ def minimal_odd_index_table(
 ) -> list[WTableRow]:
     """Brute-force w(X) against the closed form, one row per (q, variant).
 
-    Rows whose group does not fit the budget come back SKIPPED rather
-    than failing the whole table.
+    Rows whose group does not fit the budget, or the order bound of
+    ``make_psl2``, come back SKIPPED rather than failing the whole
+    table.  A q or variant that ``make_psl2`` rejects raises
+    ``InvalidParameter`` at any budget, as ``pzeta omega`` does.
     """
     budget = budget or DEFAULT_BUDGET
     rows = []
     for q in q_values:
         for variant in variants:
             v = variant.lower()
-            predicted = predicted_minimal_odd_index(q, v)
+            note = ""
             try:
+                psl2_variant(q, v)  # make_psl2's cheap checks, before the budget's
                 budget.check_order(psl2_order(q, v))  # before building the group
-                spec = make_psl2(q, v)
-                rep = odd_supplement_indices(spec, budget)
+                computed = odd_supplement_indices(make_psl2(q, v), budget).minimum
             except (BudgetExceeded, OrderBoundExceeded) as exc:
-                rows.append(WTableRow(q, v, None, predicted, "SKIPPED", str(exc)))
-                continue
-            status = "MATCH" if rep.minimum == predicted else "MISMATCH"
-            rows.append(WTableRow(q, v, rep.minimum, predicted, status))
+                computed, note = None, str(exc)
+            predicted = predicted_minimal_odd_index(q, v)
+            if computed is None:
+                status = "SKIPPED"
+            else:
+                status = "MATCH" if computed == predicted else "MISMATCH"
+            rows.append(WTableRow(q, v, computed, predicted, status, note))
     return rows
 
 

@@ -176,6 +176,17 @@ class TestWTable:
             "order 24360 exceeds lattice budget 100",
         ]
 
+    @pytest.mark.parametrize("budget", [["--budget-order", "10"], []])
+    def test_bad_q_exits_2_under_any_budget(self, capsys, budget):
+        code, out, err = run(capsys, *budget, "wtable", "--qs", "4,9")
+        assert (code, out, err) == (2, "", "input error: q must be an odd prime >= 5, got 4\n")
+
+    def test_q_past_the_order_bound_is_skipped(self, capsys):
+        data = run_json(capsys, "--budget-order", "10", "wtable", "--qs", "1009")
+        assert [(r["status"], r["note"]) for r in data["rows"]] == [
+            ("SKIPPED", "group order exceeds bound 1000000")
+        ] * 2
+
     def test_q29_skipped_under_default_budget(self, capsys):
         data = run_json(capsys, "wtable", "--qs", "29")
         assert [r["status"] for r in data["rows"]] == ["SKIPPED", "SKIPPED"]

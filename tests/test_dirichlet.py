@@ -2,8 +2,10 @@
 rational series."""
 
 import json
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -529,6 +531,24 @@ def test_truncated_product_leaves_int64_partway(monkeypatch):
     assert max(map(abs, got.terms().values())) >= 2**63
 
 
+def test_truncated_product_guard_reads_each_terms_prefix(monkeypatch):
+    """2^40/2000^s meets only the running term at 1 under the bound, so
+    the second step stays on int64, though max|running| * sum|a2| =
+    2^40 * (1 + 2^40) is past 2^63."""
+    steps = []
+    convolve = dirichlet._convolve
+
+    def recording(*args):
+        out = convolve(*args)
+        steps.append(out[1].dtype)
+        return out
+
+    monkeypatch.setattr(dirichlet, "_convolve", recording)
+    got = truncated_product([P({1: 1, 1000: 2**40}), P({1: 1, 2000: 2**40})], 10**5)
+    assert steps == [np.dtype(np.int64)] * 2
+    assert repr(got) == repr(TruncatedSeries(10**5, {1: 1, 1000: 2**40, 2000: 2**40}))
+
+
 def test_truncated_product_result_of_exactly_2_63():
     """(1 + 2^62/2^s)^2 has 2^63 at index 2, one past int64."""
     got = truncated_product([P({1: 1, 2: 2**62})] * 2, 4)
@@ -590,6 +610,68 @@ def test_mul_by_zero_is_zero():
     p = P({1: 1, 2**40: 2**70})
     for got in (p * D.zero(), D.zero() * p, 0 * p, p * 0, D.zero() * D.zero()):
         assert got.is_zero() and repr(got) == repr(D.zero())
+
+
+@st.composite
+def product_chain_st(draw):
+    """2-5 factors, each with terms at indices up to 700 and one top term.
+    The first two tops lie in [2^24, 2^31), so the first product's bound
+    is below 2^62 and it keeps an int64 index column; the third top,
+    from 2^15 up, takes the next bound past 2^63."""
+    tops = [st.integers(2**24, 2**31 - 1)] * 2 + [st.integers(2**15, 2**40)] * 3
+    factors = []
+    for top in tops[: draw(st.integers(2, 5))]:
+        pairs = draw(st.lists(st.tuples(st.integers(1, 700), wide_coef_st), max_size=4))
+        factors.append(D(pairs + [(draw(top), draw(wide_coef_st.filter(bool)))]))
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_chain_st())
+def test_mul_chain_matches_oracle(factors):
+    """Each running product enters the next one as its kept columns."""
+    got, want = reduce(operator.mul, factors), reduce(_oracle_mul, factors)
+    # len and max_index read the columns; the rest reads the term map
+    assert (len(got), got.max_index) == (len(want), want.max_index)
+    assert type(got.max_index) is int
+    assert list(got.items()) == list(want.items())
+    assert all(type(n) is int and type(a) is int for n, a in got.items())
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_kept_index_column_leaves_int64_at_2_63(monkeypatch):
+    """p1 * p2 keeps int64 columns at bound 2^62; times p3 the bound is
+    2^63, so the kept index column goes on as Python ints."""
+    seen = []
+    convolve = dirichlet._convolve
+
+    def recording(idx, coef, window, bound):
+        seen.append((idx.dtype, coef.dtype))
+        return convolve(idx, coef, window, bound)
+
+    monkeypatch.setattr(dirichlet, "_convolve", recording)
+    p1, p2, p3 = P({1: 1, 2**31: 1}), P({1: 1, 2**31: 3}), P({1: 1, 2: -1})
+    got = p1 * p2 * p3
+    assert seen == [(np.dtype(np.int64),) * 2, (np.dtype(object), np.dtype(np.int64))]
+    assert repr(got) == repr(_oracle_mul(_oracle_mul(p1, p2), p3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.permutations([
+        P({1: 1, 2: 1}), P({1: 1, 3: -1, 9: 2}), P({1: 2, 5: 1}), P({1: 1, 7: 1}),
+        P({1: 0, 4: 1}), P({1: -1, 10**6: 1}), P({1: 1, 11: 3}),
+    ])
+)
+def test_truncated_product_names_first_non_unital_in_caller_order(factors):
+    """The factors multiply in another order, but the error names the
+    first bad factor of the caller's, even one past the bound."""
+    i, f = next((i, f) for i, f in enumerate(factors) if f.coefficient(1) != 1)
+    with pytest.raises(FactorNotUnital) as info:
+        truncated_product(iter(factors), 100)
+    assert str(info.value) == f"factor #{i} has constant coefficient {f.coefficient(1)}, want 1"
 
 
 def test_divide_exact_pushes_a_cancelled_index_again(monkeypatch):

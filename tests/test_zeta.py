@@ -23,7 +23,7 @@ from pzeta import (
     verify_shift_coefficients,
     zeta_report,
 )
-from pzeta.errors import NotNormal, OrderBoundExceeded
+from pzeta.errors import InvalidParameter, NotNormal, OrderBoundExceeded
 from pzeta.lattice import all_chief_series_ids, chief_series_ids, overgroups_of_seed
 from pzeta.permgroup import _Engine
 from pzeta.rationality import check_sml_conditions
@@ -251,6 +251,22 @@ class TestWTable:
             "order 12180 exceeds lattice budget 1000",
             "order 24360 exceeds lattice budget 1000",
         ]
+
+    @pytest.mark.parametrize(
+        "qs, budget", [([4], None), ([4], Budget(max_order=10)), ([9, 4], Budget(max_order=10))]
+    )
+    def test_bad_q_raises_under_any_budget(self, qs, budget):
+        """make_psl2's cheap checks run before the budget's, so q = 4 is
+        an error, not a SKIPPED row."""
+        with pytest.raises(InvalidParameter) as info:
+            minimal_odd_index_table(qs, budget=budget)
+        assert str(info.value) == "q must be an odd prime >= 5, got 4"
+
+    def test_q_past_the_order_bound_is_skipped(self):
+        rows = minimal_odd_index_table([1009], budget=Budget(max_order=10**7))
+        assert [(r.status, r.computed, r.predicted, r.note) for r in rows] == [
+            ("SKIPPED", None, 1009 * 1010 // 2, "group order exceeds bound 1000000")
+        ] * 2
 
 
 class TestChiefFactorization:
