@@ -174,9 +174,52 @@ def _load_group(args) -> PermGroup:
         return parse_group_file(fh.read())
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    """An object key as ``json.dumps`` writes it (its checks, in order)."""
+    if isinstance(key, str):
+        return _ENCODE_STR(key)
+    if isinstance(key, float) or key is True or key is False or key is None:
+        return _ENCODE_STR(json.dumps(key))
+    if isinstance(key, int):
+        return _ENCODE_STR(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value nested
+    at indentation ``pad``: containers are joined line by line here, and
+    each scalar goes through the C encoder, not the pure-Python one that
+    ``indent`` selects."""
+    if isinstance(value, str):
+        return _ENCODE_STR(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [_json_key(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return json.dumps(value)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(text)
 

@@ -10,19 +10,43 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
+from .errors import InvalidParameter
+
+
+# The first 13 primes: Miller-Rabin to these bases decides primality for
+# every n below the smallest strong pseudoprime to all of them
+# (J. Sorenson and J. Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly: division by the first 13 primes,
+    then Miller-Rabin to those bases.  Past 3.3 * 10^24 no test here is
+    exact, and ``InvalidParameter`` is raised instead."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_EXACT_BELOW:
+        raise InvalidParameter(f"cannot decide exactly whether {n} is prime (past 3.3 * 10^24)")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

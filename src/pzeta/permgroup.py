@@ -5,8 +5,10 @@ The public surface is :class:`Permutation`, :class:`PermGroup`,
 constructors.
 
 A :class:`PermGroup` first computes, once, a stabilizer chain by
-deterministic Schreier-Sims: a base (points whose images determine an
-element) and one transversal per base point.  The group order is the
+deterministic Schreier-Sims on numpy rows: a base (points whose images
+determine an element) and one transversal per base point, each a 2-D
+array in the element table's dtype, with Schreier generators sifted in
+batches.  The group order is the
 product of the transversal sizes, so order bounds and lattice budgets
 are checked before any element is listed.  Only then, lazily and below
 a hard order bound, the group materializes an indexed element table:
@@ -25,6 +27,7 @@ left to right (apply p first).
 
 from __future__ import annotations
 
+import bisect
 import re
 from math import gcd, prod
 from typing import Iterable, NamedTuple, Sequence
@@ -42,6 +45,9 @@ COLUMN_CACHE_BYTES = 16 << 20
 _DENSE_SLOTS_PER_ELEMENT = 16
 # Largest int64 key space; beyond it keys are compared as byte strings.
 _INT_KEY_LIMIT = 1 << 62
+# Points per block of the int64 flat indices of a chain's gathers, which
+# bounds their memory at 8 times this many bytes.
+_INDEX_ELEMENTS = 1 << 14
 
 
 class Permutation:
@@ -166,77 +172,201 @@ def _dtype_for(degree: int):
     return np.uint32
 
 
+def _row_blocks(rows: int, degree: int):
+    """Slices of at most ``_INDEX_ELEMENTS`` points each (one row at
+    least) covering ``rows`` image rows: the flat int64 indices of a
+    gather or scatter are made one block at a time."""
+    step = max(1, _INDEX_ELEMENTS // max(degree, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)] if rows > step else [slice(0, rows)]
+
+
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse of each image row of a 2-D array, by one scatter per
+    block of rows."""
+    m, n = rows.shape
+    inv = np.empty_like(rows)
+    flat = inv.reshape(-1)
+    values = np.arange(n, dtype=rows.dtype)
+    if rows.size <= _INDEX_ELEMENTS:
+        flat[rows + (np.arange(m) * n)[:, None]] = values
+        return inv
+    for block in _row_blocks(m, n):
+        offsets = np.arange(block.start, min(block.stop, m)) * n
+        flat[rows[block] + offsets[:, None]] = values
+    return inv
+
+
+def _gather(table: np.ndarray, which: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows ``table[which[i]][points[i]]`` for each i (``which`` an intp
+    array): the row of points
+    i mapped by row which[i] of the 2-D array ``table``, as one flat take
+    per block of rows.  For image rows this is "apply points[i], then
+    table[which[i]]"."""
+    n = table.shape[1]
+    flat = table.reshape(-1)
+    offsets = which * n
+    if points.size <= _INDEX_ELEMENTS:
+        return flat.take(points + offsets[:, None])
+    out = np.empty(points.shape, dtype=table.dtype)
+    for block in _row_blocks(len(points), points.shape[1]):
+        out[block] = flat.take(points[block] + offsets[block, None])
+    return out
+
+
+def _compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Image rows of "apply p, then q", on the last axis; the leading
+    axes broadcast."""
+    return np.take_along_axis(q, p, axis=-1)
+
+
+class _Orbit:
+    """One level of a stabilizer chain: the orbit of the base point b.
+    ``rows[i]`` (a 2-D array in ``_dtype_for(degree)``) maps b to
+    ``points[i]``, and ``index`` (a dict) and ``where`` (an array over
+    the points, -1 off the orbit) give the row of each point.
+    ``rows[0]`` is the identity.  The inverse rows are made when the
+    level is first sifted through after it grew."""
+
+    __slots__ = ("b", "rows", "points", "index", "where", "_inverse")
+
+    def __init__(self, b: int, rows: np.ndarray):
+        self.b = b
+        self.rows = rows
+        self.points: list[int] = rows[:, b].tolist()
+        self.index = dict(zip(self.points, range(len(rows))))
+        self.where = np.full(rows.shape[1], -1, dtype=np.intp)
+        self.where[self.points] = np.arange(len(rows))
+        self._inverse: np.ndarray | None = None
+
+    def strip(self, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """The rows g whose image of b lies on the orbit, as a mask (None
+        when that is all of them), and each of them times the inverse of
+        that point's row, which fixes b: one gather for the whole batch."""
+        if self._inverse is None:
+            self._inverse = _inverse_rows(self.rows)
+        r = self.where[g[:, self.b]]
+        found = None
+        if r.min(initial=0) < 0:
+            found = r >= 0
+            g, r = g[found], r[found]
+        return found, _gather(self._inverse, r, g)
+
+    def grow(self, gens: np.ndarray, new: int) -> list[tuple[int, int, int]]:
+        """Extend the orbit under the generator rows ``gens``, of which
+        the last ``new`` are new to it: the old points under the new
+        generators, then the new points under all of them, breadth first,
+        reading single images off the rows.  The rows
+        u_gamma = u_beta * s along the tree edges are then made with one
+        gather per layer.
+
+        Returns the pairs (s, j, i) with s(points[j]) = points[i] met on
+        the way that are not tree edges.  With the pairs of earlier calls
+        their Schreier generators rows[j] * gens[s] * rows[i]^-1 generate
+        the stabilizer of b (Schreier's lemma); a tree edge's is the
+        identity."""
+        pts, index = self.points, self.index
+        old, k = len(pts), len(gens)
+        parent: list[int] = []
+        via: list[int] = []
+        pairs: list[tuple[int, int, int]] = []
+        layers = []
+        image = [g.item for g in gens]
+        lo, hi, first = 0, old, k - new
+        while lo < hi:
+            for j in range(lo, hi):
+                beta = pts[j]
+                for s in range(first, k):
+                    gamma = image[s](beta)
+                    i = index.get(gamma)
+                    if i is None:
+                        index[gamma] = len(pts)
+                        pts.append(gamma)
+                        parent.append(j)
+                        via.append(s)
+                    else:
+                        pairs.append((s, j, i))
+            lo, hi, first = hi, len(pts), 0
+            if hi > lo:
+                layers.append(slice(lo - old, hi - old))
+        if parent:
+            rows = np.empty((len(pts), self.rows.shape[1]), dtype=self.rows.dtype)
+            rows[:old] = self.rows
+            up = np.asarray(parent, dtype=np.intp)
+            via_a = np.asarray(via, dtype=np.intp)
+            for layer in layers:
+                rows[old + layer.start:old + layer.stop] = _gather(gens, via_a[layer], rows[up[layer]])
+            self.rows = rows
+            self.where[pts[old:]] = np.arange(old, len(pts))
+            self._inverse = None
+        return pairs
+
+
 class StabilizerChain(NamedTuple):
     """A base and strong generating set in its plain form: ``base``
     lists b_0 < b_1 < ..., where b_j is the smallest point moved by the
     pointwise stabilizer G_j of b_0..b_{j-1}, and ``transversals[j]``
-    holds one image row u of G_j for each point of the orbit of b_j,
-    with u(b_j) running over that orbit.  Every element is uniquely a
-    product u_{k-1} * ... * u_1 * u_0 with u_j in ``transversals[j]``,
-    so ``order`` is the product of the transversal sizes."""
+    is a 2-D array in ``_dtype_for(degree)`` with one image row u of G_j
+    for each point of the orbit of b_j, with u(b_j) running over that
+    orbit (the identity first).  Every element is uniquely a product
+    u_{k-1} * ... * u_1 * u_0 with u_j a row of ``transversals[j]``, so
+    ``order`` is the product of the transversal sizes."""
 
     base: tuple[int, ...]
-    transversals: tuple[tuple[tuple[int, ...], ...], ...]
+    transversals: tuple[np.ndarray, ...]
     order: int
 
     def membership(self):
-        """A test whether an image row of this degree is an element: it
-        sifts to the identity through the chain."""
-        keyed = [{u[b]: u for u in t} for b, t in zip(self.base, self.transversals)]
-        sift = _sifter(self.base, keyed)
-        return lambda g: sift(tuple(g))[0] == tuple(range(len(g)))
+        """A test whether image rows of this degree are elements: each
+        sifts to the identity through the chain.  Given one row it
+        returns a bool; given a 2-D batch, one bool per row, from one
+        gather per level for the whole batch."""
+        levels = [_Orbit(b, rows) for b, rows in zip(self.base, self.transversals)]
 
+        def member(g):
+            g = np.asarray(g)
+            batch = g.reshape(-1, g.shape[-1])
+            verdict = np.zeros(len(batch), dtype=bool)
+            alive = np.arange(len(batch))
+            for orbit in levels:
+                found, batch = orbit.strip(batch)
+                if found is not None:
+                    alive = alive[found]
+            verdict[alive[(batch == np.arange(batch.shape[1])).all(axis=1)]] = True
+            return verdict if g.ndim > 1 else bool(verdict[0])
 
-def _sifter(points: Sequence[int], trans: Sequence[dict[int, tuple[int, ...]]]):
-    """``sift(g, first)`` strips g, which fixes the base points before
-    level ``first``, through the chain with base ``points`` and rows
-    ``trans[l]`` keyed by their image of ``points[l]`` (rows may be
-    added, never changed).  It returns the residue, the identity iff g
-    is in the group, and the level where it stopped (or the depth)."""
-    depth = len(points)
-    inv: list[dict[int, tuple[int, ...]]] = [{} for _ in points]
-
-    def sift(g: tuple[int, ...], first: int = 0) -> tuple[tuple[int, ...], int]:
-        for lev in range(first, depth):
-            b = points[lev]
-            beta = g[b]
-            if beta != b:
-                u = trans[lev].get(beta)
-                if u is None:
-                    return g, lev
-                w = inv[lev].get(beta)
-                if w is None:
-                    # the points sorted by their images: x lands at position u(x)
-                    w = inv[lev][beta] = tuple(sorted(range(len(u)), key=u.__getitem__))
-                g = tuple(map(w.__getitem__, g))
-        return g, depth
-
-    return sift
+        return member
 
 
 def _schreier_sims(
     degree: int,
-    gen_images: Iterable[Sequence[int]],
+    gen_images: Iterable[Sequence[int]] | np.ndarray,
     max_order: int,
     stop_at: int | None = None,
 ) -> StabilizerChain:
     """Deterministic Schreier-Sims (Butler 1991, Seress 2003) over every
-    moved point in ascending order.  That sequence is a base, and the
-    points whose level has a nontrivial orbit are exactly the b_j of
-    :class:`StabilizerChain`.
+    moved point in ascending order, on numpy rows.  That sequence is a
+    base, and the points whose level has a nontrivial orbit are exactly
+    the b_j of :class:`StabilizerChain`.
 
-    Levels are completed from the bottom up: level l is complete when
-    every Schreier generator u_beta * s * u_{s(beta)}^-1 (beta in the
-    orbit, s a strong generator fixing the points before b_l) sifts
-    through the levels below it.  A residue that does not sift becomes
-    a strong generator of the levels down to where it stopped, and work
-    resumes there.  Each pair (beta, s) is met once, when the orbit or
-    the generators grow: a tree edge gives the row u_{s(beta)} = u_beta
-    * s, a pair with u_beta * s = u_{s(beta)} gives the identity, the
-    pair (b_l, s) with s fixing b_l gives s, a strong generator of the
-    next level, and only the other pairs are queued for sifting.  Orbits
-    only grow and keep their rows, so a Schreier generator that sifted
-    once is never sifted again.
+    Each strong generator h is kept once, with the range of levels
+    first..last it generates: it fixes the base points before ``last``
+    and moves b_last or maps it off the orbit.  Levels are completed
+    from the bottom up: level l is complete when every Schreier
+    generator of it sifts through the levels below.  A level's pending
+    Schreier generators u_beta * s (beta in the orbit, s a strong
+    generator of the level) are sifted as one batch: one gather per
+    level with a nontrivial orbit, and one comparison per run of levels
+    with a trivial one, where a row must fix the points.  For each level
+    where residues stopped, the first of them becomes a strong generator
+    of the levels down to there, the other residues wait at level l, and
+    work resumes at the deepest level with pending rows.  Each pair
+    (beta, s) is met once, when the orbit or the generators grow
+    (:meth:`_Orbit.grow`): a tree edge gives the row u_{s(beta)} =
+    u_beta * s, and the pair (b_l, s) with s fixing b_l gives s, a strong
+    generator of the next level, a pair with u_beta * s = u_{s(beta)}
+    gives the identity, and only the other pairs are queued.
+    Orbits only grow and keep their rows, so a Schreier generator that
+    sifted once is never sifted again.
 
     The product of the orbit sizes never exceeds the group order, so
     the routine raises ``OrderBoundExceeded`` as soon as it passes
@@ -244,67 +374,103 @@ def _schreier_sims(
     one of order ``stop_at``, it returns as soon as the product reaches
     ``stop_at``: the two groups are then equal, each orbit is a whole
     basic orbit, and the chain is already complete."""
-    ident = tuple(range(degree))
-    gens = list(dict.fromkeys(g for g in map(tuple, gen_images) if g != ident))
-    points = sorted({x for g in gens for x, y in enumerate(g) if x != y})
+    dt = _dtype_for(degree)
+    ident = np.arange(degree, dtype=dt)
+    if not isinstance(gen_images, np.ndarray):
+        gen_images = list(gen_images)
+    rows = np.asarray(gen_images, dtype=dt).reshape(-1, degree)
+    rows = rows[(rows != ident).any(axis=1)]
+    first: dict[bytes, int] = {}
+    for k, g in enumerate(rows):
+        first.setdefault(g.tobytes(), k)
+    rows = rows[list(first.values())]
+    points = np.flatnonzero((rows != ident).any(axis=0))
     depth = len(points)
-    strong: list[list[tuple[int, ...]]] = [[] for _ in points]
-    trans = [{b: ident} for b in points]
-    sift = _sifter(points, trans)
-    # Schreier generators not yet known to sift, as u_beta * s: sifted from
-    # their level, they first lose u_{s(beta)}
-    pending: list[list[tuple[int, ...]]] = [[] for _ in points]
+    strong = rows[:0]
+    spans: list[tuple[int, int]] = []  # the levels first..last of each strong generator
+    orbits: dict[int, _Orbit] = {}
+    live: list[int] = []  # the levels of ``orbits``, ascending
+    # Schreier generators of each level not yet known to sift, as batches
+    # of u_beta * s: sifted from their level, they first lose u_{s(beta)}
+    pending: dict[int, list[np.ndarray]] = {}
 
-    def add_generator(h: tuple[int, ...], first: int, last: int) -> bool:
-        """Make h a strong generator of levels first..last and extend
-        their orbits; h fixes the base points before ``first``.  Whether
-        the orbit sizes now multiply to ``stop_at``."""
-        for lev in range(first, last + 1):
-            gens_l, u, todo = strong[lev], trans[lev], pending[lev]
-            gens_l.append(h)
-            b = points[lev]
-            # h on the old points, then every generator on the new ones
-            pairs = [(beta, h) for beta in u]
-            for beta, s in pairs:
-                gamma = s[beta]
-                us = tuple(map(s.__getitem__, u[beta]))
-                if gamma not in u:
-                    u[gamma] = us
-                    pairs += [(gamma, t) for t in gens_l]
-                elif us != u[gamma] and not beta == gamma == b:
-                    todo.append(us)
-        size = prod(map(len, trans))
+    def add_generators(hs: np.ndarray, lasts: Sequence[int], first: int) -> bool:
+        """Make each row hs[k] a strong generator of levels first..lasts[k]
+        and extend their orbits; hs[k] fixes the base points before
+        lasts[k].  Whether the orbit sizes now multiply to ``stop_at``."""
+        nonlocal strong
+        known = len(spans)
+        strong = np.concatenate([strong, hs])
+        spans.extend((first, last) for last in lasts)
+        top = max(lasts)
+        for lev in sorted(set(lasts).union(lev for lev in live if first <= lev <= top)):
+            ids = [k for k, (lo, hi) in enumerate(spans) if lo <= lev <= hi]
+            new = sum(k >= known for k in ids)
+            orbit = orbits.get(lev)
+            if orbit is None:
+                orbit = orbits[lev] = _Orbit(int(points[lev]), ident[None, :])
+                bisect.insort(live, lev)
+            gens = strong[ids]
+            # the pair (b, s) with s fixing b gives s, a strong generator of the next level
+            pairs = [pair for pair in orbit.grow(gens, new) if pair[1] or pair[2]]
+            if pairs:
+                s, j, i = np.asarray(pairs, dtype=np.intp).T
+                schreier = _gather(gens, s, orbit.rows[j])
+                # u_beta * s = u_{s(beta)}: the Schreier generator is the identity
+                schreier = schreier[(schreier != orbit.rows[i]).any(axis=1)]
+                if len(schreier):
+                    pending.setdefault(lev, []).append(schreier)
+        size = prod(len(orbits[lev].points) for lev in live)
         if size > max_order:
             raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
         return size == stop_at
 
-    def residue(lev: int) -> tuple[tuple[int, ...], int] | None:
-        """The first pending Schreier generator of level ``lev`` that
-        does not sift, stripped as far as it goes, and its level; or None."""
-        todo = pending[lev]
-        while todo:
-            left = sift(todo[-1], lev)
-            if left[1] < depth:
-                return left
-            todo.pop()
-        return None
+    def sift(g: np.ndarray, first: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The rows g, which fix the base points before level ``first``,
+        that do not sift to the identity through the levels from
+        ``first`` on: batches of them, stripped as far as they go, with
+        the level where each stopped."""
+        left, stops = [], []
+        lev = first
+        for nxt in live[bisect.bisect_left(live, first):] + [depth]:
+            if nxt > lev:
+                run = points[lev:nxt]
+                moved = g[:, run] != run
+                hit = moved.any(axis=1)
+                if hit.any():
+                    left.append(g[hit])
+                    stops.append(lev + moved[hit].argmax(axis=1))
+                    g = g[~hit]
+            if nxt == depth or not len(g):
+                break
+            found, stripped = orbits[nxt].strip(g)
+            if found is not None:
+                left.append(g[~found])
+                stops.append(np.full(len(g) - len(stripped), nxt))
+            g = stripped
+            lev = nxt + 1
+        return left, stops
 
-    full = any(add_generator(g, 0, next(lev for lev, b in enumerate(points) if g[b] != b))
-               for g in gens)
-    lev = depth - 1
-    while lev >= 0 and not full:
-        left = residue(lev)
-        if left is None:
-            lev -= 1
-        else:
-            h, stop = left
-            full = add_generator(h, lev + 1, stop)
-            lev = stop
-    levels = [lev for lev, u in enumerate(trans) if len(u) > 1]
+    full = False
+    if len(rows):
+        full = add_generators(rows, (rows[:, points] != points).argmax(axis=1).tolist(), 0)
+    while pending and not full:
+        lev = max(pending)
+        batch = pending.pop(lev)
+        left, stops = sift(np.concatenate(batch) if len(batch) > 1 else batch[0], lev)
+        if left:
+            left, stops = np.concatenate(left), np.concatenate(stops).tolist()
+            # a new strong generator for each level where a residue stopped
+            chosen: dict[int, int] = {}
+            for k, stop in enumerate(stops):
+                chosen.setdefault(stop, k)
+            if len(chosen) < len(stops):
+                pending[lev] = [np.delete(left, list(chosen.values()), axis=0)]
+            full = add_generators(left[list(chosen.values())], list(chosen), lev + 1)
     return StabilizerChain(
-        tuple(points[lev] for lev in levels),
-        tuple(tuple(trans[lev].values()) for lev in levels),
-        prod(len(trans[lev]) for lev in levels),
+        tuple(int(points[lev]) for lev in live),
+        tuple(orbits[lev].rows for lev in live),
+        prod(len(orbits[lev].points) for lev in live),
     )
 
 
@@ -741,6 +907,7 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name or f"G<{degree}>"
         self.max_order = max_order
+        self._rows: np.ndarray | None = None
         self._chain: StabilizerChain | None = None
         self._eng: _Engine | None = None
         self._lattice = None
@@ -748,21 +915,27 @@ class PermGroup:
     # -- element access --------------------------------------------------
 
     @property
+    def generator_rows(self) -> np.ndarray:
+        """The generators' image rows, one ``(len(generators), degree)``
+        array in ``_dtype_for(degree)``, built once."""
+        if self._rows is None:
+            self._rows = np.asarray(
+                [g.images for g in self.generators], dtype=_dtype_for(self.degree)
+            ).reshape(-1, self.degree)
+        return self._rows
+
+    @property
     def stabilizer_chain(self) -> StabilizerChain:
         """Base and transversals, computed once; raises
         ``OrderBoundExceeded`` for a group above ``max_order``."""
         if self._chain is None:
-            self._chain = _schreier_sims(
-                self.degree, (g.images for g in self.generators), self.max_order
-            )
+            self._chain = _schreier_sims(self.degree, self.generator_rows, self.max_order)
         return self._chain
 
     @property
     def engine(self) -> _Engine:
         if self._eng is None:
-            self._eng = _Engine(
-                self.degree, [g.images for g in self.generators], self.stabilizer_chain
-            )
+            self._eng = _Engine(self.degree, self.generator_rows, self.stabilizer_chain)
         return self._eng
 
     @property
@@ -819,25 +992,41 @@ def _derived_order(group: PermGroup) -> int:
     """|G'|, from stabilizer chains: G' is the normal closure in G of
     the commutators of G's generators.  Each round adds, as generators,
     the conjugates by G's generators of the last round's new generators
-    that do not sift through the chain of the generators so far.  G' <= G,
-    so a chain whose orbit sizes multiply to |G| stops there: G' = G."""
-    gens = [np.asarray(g.images) for g in group.generators]
-    inv = [np.argsort(g) for g in gens]
-    # image rows of [a, b] = a^-1 b^-1 a b and of g^-1 h g (left factor first)
-    new = [tuple(b[a[ib[ia]]].tolist())
-           for i, (a, ia) in enumerate(zip(gens, inv)) for b, ib in zip(gens[:i], inv[:i])]
-    seeds: list[tuple[int, ...]] = []
+    that do not sift through the chain of the generators so far, all
+    conjugated and sifted as one batch.  G' <= G, so a chain whose orbit
+    sizes multiply to |G| stops there: G' = G."""
+    gens = group.generator_rows
+    inv = _inverse_rows(gens)
+    a, b = np.tril_indices(len(gens), -1)
+    # [a, b] = a^-1 b^-1 a b, and below g^-1 h g (left factor first)
+    new = _compose(_compose(_compose(inv[a], inv[b]), gens[a]), gens[b])
+    seeds = new
     while True:
-        seeds += new
         chain = _schreier_sims(group.degree, seeds, group.order, stop_at=group.order)
         if chain.order == group.order:
             return chain.order
-        member = chain.membership()
-        conjugates = (tuple(g[np.asarray(h)[ig]].tolist())
-                      for h in new for g, ig in zip(gens, inv))
-        new = [c for c in dict.fromkeys(conjugates) if not member(c)]
-        if not new:
+        conjugates = _compose(_compose(inv[None], new[:, None]), gens[None])
+        conjugates = conjugates.reshape(-1, group.degree)
+        new = conjugates[~chain.membership()(conjugates)]
+        if not len(new):
             return chain.order
+        seeds = np.concatenate([seeds, new])
+
+
+def _orbit_roots(gens: np.ndarray) -> np.ndarray:
+    """The least point of each point's orbit under the generator rows
+    ``gens``: labels shrink along the generators and their inverses, and
+    jump to the label of their label, until nothing changes."""
+    maps = np.concatenate([gens, _inverse_rows(gens)])
+    label = np.arange(gens.shape[1])
+    while True:
+        new = label
+        for g in maps:
+            new = np.minimum(new, new[g])
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
 
 
 def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
@@ -846,60 +1035,37 @@ def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
     C_X(S) keeps S-stabilizers, so it fixes each point outside Delta,
     the points beta with S_beta = S_gamma for some gamma != beta, and
     C_X(S) = C_K(S) for K the pointwise stabilizer of those points.  An
-    S-orbit O with first point r lies in Delta, with the orbit of every
-    such gamma, when Fix(S_r) (fixed by every Schreier generator) holds
-    another point whose orbit has |O| points; only those points are
-    tested.  K is the tail of a chain of X relabelled with Delta last."""
+    S-orbit O with least point r lies in Delta, with the orbit of every
+    such gamma, when Fix(S_r) holds another point whose orbit has |O|
+    points: S_r is generated by the Schreier generators of O
+    (:meth:`_Orbit.grow`), and only those points are tested.  K is the
+    tail of a chain of X relabelled with Delta last."""
     n = group.degree
     dt = _dtype_for(n)
-    images = [g.images for g in socle.generators]
-    s_rows = [np.asarray(img, dtype=dt) for img in images]
-    orbit_of = [-1] * n
-    orbits: list[list[int]] = []
-    for r in range(n):
-        if orbit_of[r] < 0:
-            orbit_of[r] = len(orbits)
-            orbits.append([r])
-            for beta in orbits[-1]:  # grows as the loop runs
-                for img in images:
-                    if orbit_of[img[beta]] < 0:
-                        orbit_of[img[beta]] = len(orbits) - 1
-                        orbits[-1].append(img[beta])
-    orbit_of = np.asarray(orbit_of)
-    size = np.asarray([len(orbit) for orbit in orbits])[orbit_of]
-    in_delta = np.zeros(len(orbits), dtype=bool)
-    for i, orbit in enumerate(orbits):
-        if in_delta[i]:
+    s_rows = socle.generator_rows
+    root = _orbit_roots(s_rows)
+    size = np.bincount(root, minlength=n)[root]
+    in_delta = np.zeros(n, dtype=bool)
+    for r in np.flatnonzero(root == np.arange(n)).tolist():
+        if in_delta[r]:
             continue
-        # row j: the images, under some u with u(r) = orbit[j], of the points
-        # whose orbit has |O| points (u runs along the orbit's BFS tree)
-        where = {beta: j for j, beta in enumerate(orbit)}
-        rows = [np.flatnonzero(size == len(orbit)).astype(dt)] + [None] * (len(orbit) - 1)
-        for beta in orbit:
-            for img, s in zip(images, s_rows):
-                if rows[where[img[beta]]] is None:
-                    rows[where[img[beta]]] = s[rows[where[beta]]]
-        table = np.stack(rows)
-        fix = np.ones(table.shape[1], dtype=bool)
-        for img, s in zip(images, s_rows):
-            # u_beta * s * u_{s(beta)}^-1 fixes x iff s(u_beta(x)) = u_{s(beta)}(x)
-            fix &= (s[table] == table[[where[img[b]] for b in orbit]]).all(axis=0)
+        orbit = _Orbit(r, np.arange(n, dtype=dt)[None, :])
+        s, j, i = np.asarray(orbit.grow(s_rows, len(s_rows)), dtype=np.intp).reshape(-1, 3).T
+        # u_j * s * u_i^-1 fixes x iff s(u_j(x)) = u_i(x)
+        same = np.flatnonzero(size == size[r])
+        u = orbit.rows[:, same]
+        fix = (_gather(s_rows, s, u[j]) == u[i]).all(axis=0)
         if fix.sum() > 1:
-            in_delta[orbit_of[rows[0][fix]]] = True
-    delta = np.flatnonzero(in_delta[orbit_of]).tolist()
-    if not delta:
+            in_delta |= np.isin(root, root[same[fix]])
+    if not in_delta.any():
         return True
-    order = np.argsort(np.isin(np.arange(n), delta), kind="stable")
+    order = np.argsort(in_delta, kind="stable")
     label = np.argsort(order).astype(dt)
-
-    def relabel(g: Permutation) -> np.ndarray:
-        return label[np.asarray(g.images)[order]]
-
-    chain = _schreier_sims(n, (relabel(g).tolist() for g in group.generators), group.order)
-    cut = n - len(delta)
+    chain = _schreier_sims(n, label[group.generator_rows[:, order]], group.order)
+    cut = n - int(in_delta.sum())
     k_rows = _transversal_product(chain.transversals[sum(b < cut for b in chain.base):], n)
     commute = np.ones(len(k_rows), dtype=bool)
-    for s in map(relabel, socle.generators):
+    for s in label[s_rows[:, order]]:
         commute &= (s[k_rows] == k_rows[:, s]).all(axis=1)
     return int(commute.sum()) == 1
 
@@ -921,17 +1087,18 @@ class AlmostSimpleSpec:
         self.socle = socle
         self.name = name or group.name
         self._socle_ids: frozenset[int] | None = None
-        in_group = group.stabilizer_chain.membership()
-        if socle.degree != group.degree or not all(in_group(s.images) for s in socle.generators):
+        if socle.degree != group.degree:
+            raise InvalidParameter(f"socle generators not inside {group.name}")
+        s_rows = socle.generator_rows
+        if not group.stabilizer_chain.membership()(s_rows).all():
             raise InvalidParameter(f"socle generators not inside {group.name}")
         # S <= X, so |S| divides |X| unless the two chains disagree
         if group.order % socle.order:
             raise InvalidParameter("socle closure does not match socle order")
-        in_socle = socle.stabilizer_chain.membership()
-        x_rows = [np.asarray(g.images) for g in group.generators]
-        s_rows = [np.asarray(s.images) for s in socle.generators]
-        conjugates = (g[s[np.argsort(g)]] for g in x_rows for s in s_rows)
-        if not all(in_socle(c.tolist()) for c in conjugates):
+        # g^-1 s g for every generator g of X and s of S (left factor first)
+        x_rows = group.generator_rows
+        conjugates = _compose(_compose(_inverse_rows(x_rows)[:, None], s_rows[None]), x_rows[:, None])
+        if not socle.stabilizer_chain.membership()(conjugates.reshape(-1, group.degree)).all():
             raise InvalidParameter("socle is not normal in the group")
         if socle.is_abelian:
             raise InvalidParameter("socle must be nonabelian")

@@ -195,12 +195,11 @@ class FactorDescriptor:
             if b == 0:
                 raise InvalidParameter("zero coefficients must not be stored")
         if self.kind.family == "cyclic":
-            allowed = self.kind.q ** self.multiplicity
+            q, r = self.kind.q, self.multiplicity
             for n, b in self.coeffs:
-                if n != allowed:
-                    raise InvalidParameter(
-                        f"cyclic factor may only carry index {allowed}, got {n}"
-                    )
+                # q^r is formed only once q^r <= n is known, so a huge r costs nothing
+                if padic_valuation(n, q) != r or n != q**r:
+                    raise InvalidParameter(f"cyclic factor may only carry index {q}^{r}, got {n}")
                 if b > 0:
                     raise InvalidParameter(
                         "cyclic factor coefficient is minus a complement count"
@@ -460,6 +459,9 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     finite candidate set; constant and geometric families only exclude
     the primes dividing their stated values.  Without an arithmetic
     family the primes up to ``probe_bound`` (an int >= 1) are tried.
+    The first step is factored by trial division up to the larger of
+    ``probe_bound`` and 10^4; a cofactor left that is not prime makes
+    the report inexact, with a note, rather than the search unbounded.
     """
     if probe_bound < 1:
         raise InvalidParameter(f"probe_bound must be >= 1, got {probe_bound}")
@@ -469,17 +471,12 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     violated_at = inf_values[0] if inf_values else None
 
     arith = [f for f in fams if isinstance(f, ArithmeticExponents)]
-    excluded: set[int] = set()
-    for f in fams:
-        if isinstance(f, ConstantExponents):
-            excluded.update(prime_factors(f.value)) if f.value > 1 else None
-        elif isinstance(f, GeometricExponents):
-            if f.start > 1:
-                excluded.update(prime_factors(f.start))
-            excluded.update(prime_factors(f.ratio))
+    # a prime dividing one of these divides a term; nothing is factored
+    stated = [f.value for f in fams if isinstance(f, ConstantExponents)]
+    stated += [v for f in fams if isinstance(f, GeometricExponents) for v in (f.start, f.ratio)]
 
     def divides_no_term(p: int) -> bool:
-        if p in excluded:
+        if any(v % p == 0 for v in stated):
             return False
         for f in arith:
             # p divides some start + i*step unless p | step and p does not divide start
@@ -491,10 +488,30 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     note = ""
     exact = True
     if arith:
-        cands = sorted(
-            p for p in prime_factors(arith[0].step) if divides_no_term(p)
-        )
-        witness = cands[0] if cands else None
+        # the witness divides the first step: its prime divisors in
+        # ascending order, by trial division up to the larger of
+        # probe_bound and 10^4; what is left over is 1, a prime (tested
+        # exactly), or not factored
+        rest = arith[0].step
+        for p in iter_primes():
+            if p * p > rest or p > max(probe_bound, 10_000):
+                break
+            if rest % p == 0:
+                if divides_no_term(p):
+                    witness = p
+                    break
+                while rest % p == 0:
+                    rest //= p
+        if witness is None and rest > 1:
+            try:
+                prime = is_prime(rest)
+            except InvalidParameter:
+                prime = False
+            if prime:
+                witness = rest if divides_no_term(rest) else None
+            else:
+                exact = False
+                note = f"step factor {rest} is not factored past {max(probe_bound, 10_000)}"
     else:
         for p in iter_primes():
             if p > probe_bound:

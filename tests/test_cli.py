@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pzeta import cli, permgroup
 from pzeta.permgroup import _Engine
@@ -55,6 +57,33 @@ def test_golden_outputs(capsys, golden_name):
     assert code == 0, err
     out = re.sub(r'^  "elapsed_s": [0-9.e-]+$', '  "elapsed_s": 0.0', out, flags=re.M)
     assert out == (GOLDEN_DIR / golden_name).read_text(encoding="utf-8")
+
+
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                   | st.dictionaries(JSON_KEYS, inner) | st.lists(st.integers())),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("golden_name", sorted(GOLDEN_COMMANDS))
+def test_json_writer_matches_json_dumps_on_golden_payloads(capsys, monkeypatch, golden_name):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, text: (payloads.append(payload),
+                                                                   emit(args, payload, text)))
+    code, out, err = run(capsys, "--format", "json", *GOLDEN_COMMANDS[golden_name])
+    assert code == 0, err
+    (payload,) = payloads
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestPg:

@@ -153,3 +153,121 @@ def test_divide_ends_in_a_documented_exit(fuzz_dir, text):
         p, d = (DirichletPolynomial.from_json_dict(data[k]) for k in ("p", "d"))
         quotient = DirichletPolynomial.from_json_dict(json.loads(out)["quotient"])
         assert _oracle_mul(quotient, d) == p
+
+
+# -- replay and smlcheck ------------------------------------------------------
+
+ALL_EXITS = (0, 2, 3, 4, 5, 6)
+EXIT_PREFIXES = {2: "input error: ", 3: "budget: ", 5: "hypothesis violated: ",
+                 6: "not divisible: "}
+
+small_int_st = st.integers(-3, 60)
+big_int_st = st.one_of(st.integers(2**62, 2**70), st.integers(10**30, 10**40))
+int_field_st = st.one_of(encoded(small_int_st), encoded(small_int_st), encoded(big_int_st),
+                         bad_scalar_st)
+q_st = st.sampled_from([3, 5, 7, 9, 11, 13, 4, 1, -7, 10**20 + 39])
+kind_st = st.one_of(
+    st.fixed_dictionaries({"cyclic": st.one_of(encoded(st.sampled_from([2, 3, 5, 7, 4, 1, 0])),
+                                                bad_scalar_st)}),
+    st.fixed_dictionaries({"psl2": st.fixed_dictionaries({
+        "q": encoded(q_st),
+        "variant": st.sampled_from(["psl", "pgl", "PGL", "x", 1]),
+    })}),
+    st.sampled_from([{}, {"other": 1}, [3], 3, None]),
+)
+
+
+def _window_index(q, multiple, r):
+    """An odd multiple of q raised to the r-th power: the shape replay expects."""
+    return ((2 * multiple + 1) * q) ** r
+
+
+coeff_st = st.one_of(
+    st.fixed_dictionaries({"n": encoded(st.integers(1, 10**4)), "b": encoded(st.integers(-50, 50))}),
+    st.builds(lambda q, m, r, b: {"n": _window_index(q, m, r), "b": b},
+              st.sampled_from([5, 7, 11]), st.integers(0, 6), st.integers(1, 3),
+              encoded(st.integers(-50, 50))),
+    st.fixed_dictionaries({"n": int_field_st, "b": int_field_st}),
+    st.sampled_from([[3, -1], 3, {}, {"n": 3}]),
+)
+descriptor_st = st.one_of(
+    st.fixed_dictionaries({
+        "id": encoded(st.integers(0, 5)),
+        "kind": kind_st,
+        "r": st.one_of(encoded(st.integers(1, 3)), int_field_st),
+        "coeffs": st.one_of(st.lists(coeff_st, max_size=4), bad_scalar_st),
+    }),
+    bad_scalar_st,
+)
+probe_st = {"probe_bound": st.one_of(encoded(st.integers(1, 10**4)), int_field_st)}
+replay_st = st.one_of(
+    st.fixed_dictionaries({"factors": st.lists(descriptor_st, max_size=4)}, optional=probe_st),
+    st.sampled_from([[], 3, None, {"factors": 3}, {"factors": [3]}, {}]),
+).map(json.dumps)
+
+family_st = st.one_of(
+    encoded(st.integers(-3, 10**6)),
+    encoded(big_int_st),
+    st.fixed_dictionaries({"const": int_field_st},
+                          optional={"count": int_field_st,
+                                    "infinite": st.sampled_from([True, False, 1, "false"])}),
+    st.fixed_dictionaries({"arith": st.fixed_dictionaries({"start": int_field_st,
+                                                           "step": int_field_st})}),
+    st.fixed_dictionaries({"geom": st.fixed_dictionaries({"start": int_field_st,
+                                                          "ratio": int_field_st})}),
+    st.sampled_from([True, None, 1.5, [], {}, {"what": 1}, {"arith": [1, 2]}]),
+)
+smlcheck_st = st.one_of(
+    st.fixed_dictionaries({"families": st.lists(family_st, max_size=5)}, optional=probe_st),
+    st.sampled_from([[], 3, None, {"families": 3}, {}]),
+).map(json.dumps)
+
+
+def check_any_documented_exit(code, out, err):
+    assert code in ALL_EXITS, err
+    if code:
+        assert out == "" and err.startswith(EXIT_PREFIXES.get(code, "")), err
+    else:
+        json.loads(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(replay_st, raw_text_st))
+def test_replay_ends_in_a_documented_exit(fuzz_dir, text):
+    code, out, err = run_capped(fuzz_dir, "replay", text)
+    check_any_documented_exit(code, out, err)
+    event(f"exit {code}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(smlcheck_st, raw_text_st))
+def test_smlcheck_ends_in_a_documented_exit(fuzz_dir, text):
+    code, out, err = run_capped(fuzz_dir, "smlcheck", text)
+    check_any_documented_exit(code, out, err)
+    event(f"exit {code}")
+
+
+# inputs that once ran past the cap: a prime stated value or step of 19
+# digits (trial division), a 21-digit q (trial-division primality) and
+# r = 2^62 (q^r formed before the index was compared)
+PINNED = [
+    ("smlcheck", {"families": [{"const": 2**61 - 1}]}, 0),
+    ("smlcheck", {"families": [2**61 - 1, 10**30 + 7]}, 0),
+    ("smlcheck", {"families": [{"arith": {"start": 1, "step": 2**61 - 1}}]}, 0),
+    ("smlcheck", {"families": [{"arith": {"start": 1, "step": (2**61 - 1) * (2**31 - 1)}}],
+                  "probe_bound": 100}, 0),
+    ("replay", {"factors": [{"id": 0, "kind": {"psl2": {"q": 10**20 + 39, "variant": "pgl"}},
+                             "r": 1, "coeffs": [{"n": 3, "b": "-2"}]}]}, 0),
+    ("replay", {"factors": [{"id": 0, "kind": {"cyclic": 2}, "r": 2**62, "coeffs": []}]}, 0),
+    ("replay", {"factors": [{"id": 0, "kind": {"cyclic": 2}, "r": 2**62,
+                             "coeffs": [{"n": 8, "b": "-1"}]}]}, 2),
+    ("replay", {"factors": [{"id": 0, "kind": {"cyclic": 10**25 + 13}, "r": 1,
+                             "coeffs": []}]}, 2),
+]
+
+
+@pytest.mark.parametrize("command, data, code", PINNED)
+def test_pinned_hostile_inputs_end_in_time(fuzz_dir, command, data, code):
+    got, out, err = run_capped(fuzz_dir, command, json.dumps(data))
+    check_any_documented_exit(got, out, err)
+    assert got == code, err

@@ -3,6 +3,7 @@ structure, quotients and the projective-line constructions."""
 
 import hashlib
 import json
+import random
 import time
 import tracemalloc
 from functools import lru_cache
@@ -56,7 +57,7 @@ from pzeta.permgroup import (
     format_group_file,
 )
 from pzeta.zeta import chief_factorization
-from helpers import group, psl2
+from helpers import group, psl2, tuple_schreier_sims
 
 
 class TestPermutation:
@@ -1040,7 +1041,62 @@ CHAIN_GROUPS = {
 }
 
 
+def _orbit_sets(base, transversals) -> list[list[int]]:
+    return [sorted(int(u[b]) for u in trans) for b, trans in zip(base, transversals)]
+
+
+def _check_against_tuple_oracle(degree: int, gens, cap: int, rng: random.Random) -> None:
+    """The numpy chain and the tuple-row oracle agree on the base, the
+    orbit of each base point, the order, the chain stopped at the order,
+    the order bound, and membership of sampled rows (random permutations
+    and random words in the generators), one row and one batch at a time."""
+    try:
+        ref = tuple_schreier_sims(degree, gens, cap)
+    except OrderBoundExceeded as exc:
+        with pytest.raises(OrderBoundExceeded, match=str(exc)):
+            _schreier_sims(degree, gens, cap)
+        return
+    chain = _schreier_sims(degree, gens, cap)
+    assert (chain.base, chain.order) == (ref.base, ref.order)
+    assert _orbit_sets(chain.base, chain.transversals) == _orbit_sets(ref.base, ref.transversals)
+    assert all(t.dtype == permgroup._dtype_for(degree) for t in chain.transversals)
+    stopped = _schreier_sims(degree, gens, cap, stop_at=ref.order)
+    ref_stopped = tuple_schreier_sims(degree, gens, cap, stop_at=ref.order)
+    assert (stopped.base, stopped.order) == (ref_stopped.base, ref_stopped.order) == (ref.base, ref.order)
+    assert (_orbit_sets(stopped.base, stopped.transversals)
+            == _orbit_sets(ref_stopped.base, ref_stopped.transversals))
+    samples = [rng.sample(range(degree), degree) for _ in range(12)]
+    for _ in range(12):
+        word = list(range(degree))
+        for g in rng.choices(list(gens) or [word], k=rng.randint(1, 6)):
+            word = [g[x] for x in word]
+        samples.append(word)
+    expected = [ref.membership()(row) for row in samples]
+    member = chain.membership()
+    assert member(np.asarray(samples)).tolist() == expected
+    assert [member(row) for row in samples[::5]] == expected[::5]
+
+
 class TestStabilizerChain:
+    @pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))
+    def test_matches_tuple_oracle(self, name):
+        grp = CHAIN_GROUPS[name]()
+        gens = [g.images for g in grp.generators]
+        _check_against_tuple_oracle(grp.degree, gens, DEFAULT_MAX_GROUP_ORDER, random.Random(name))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda d: st.tuples(
+                st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+            )
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_random_generating_sets_match_tuple_oracle(self, data, rng):
+        degree, gens = data
+        _check_against_tuple_oracle(degree, gens, 5040, rng)
+
     @pytest.mark.parametrize("name", sorted(CHAIN_GROUPS))
     def test_table_matches_bfs(self, name):
         grp = CHAIN_GROUPS[name]()
@@ -1255,6 +1311,42 @@ class TestAlmostSimpleValidation:
             tracemalloc.stop()
         assert g._eng is None
         assert peak < 1 << 20  # a table of 10^6 rows alone is 12 MB
+
+
+def _diagonal_a5(copies: int) -> PermGroup:
+    """A5 acting diagonally on ``copies`` copies of 5 points."""
+    gens = [Permutation([5 * c + y for c in range(copies) for y in g.images])
+            for g in alternating(5).generators]
+    return PermGroup(5 * copies, gens, name=f"A5 on {copies} copies")
+
+
+def _traced_peak(work) -> int:
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWideAndRegularChains:
+    """Chain rows take the element table's dtype, so chains of wide or
+    regular groups stay within a few element tables' worth of memory
+    (table: order x degree x itemsize)."""
+
+    def test_wide_diagonal_pair_validates_in_a_few_tables(self):
+        group = _diagonal_a5(4000)
+        table_bytes = 60 * group.degree * np.dtype(permgroup._dtype_for(group.degree)).itemsize
+        peak = _traced_peak(lambda: AlmostSimpleSpec(group, group))
+        assert group.order == 60 and group._eng is None
+        assert peak < 6 * table_bytes  # 2.4 MB table; the tuple rows peaked at 31 MB
+
+    def test_regular_chain_in_a_few_tables(self):
+        group = cyclic(300)
+        peak = _traced_peak(lambda: group.stabilizer_chain)
+        (trans,) = group.stabilizer_chain.transversals
+        assert trans.shape == (300, 300) and trans.dtype == np.uint16
+        assert peak < 6 * 300 * 300 * 2
 
 
 def _derived_order_by_full_chains(group: PermGroup) -> int:
