@@ -48,6 +48,10 @@ _INT_KEY_LIMIT = 1 << 62
 # Points per block of the int64 flat indices of a chain's gathers, which
 # bounds their memory at 8 times this many bytes.
 _INDEX_ELEMENTS = 1 << 14
+# Breadth-first trees of at most this many layers get their rows one
+# layer at a time (about 6 numpy calls a layer); deeper ones by pointer
+# jumping (about 13 calls a doubling), which is cheaper from here on.
+_LAYERED_DEPTH = 8
 
 
 class Permutation:
@@ -257,7 +261,9 @@ class _Orbit:
         generators, then the new points under all of them, breadth first,
         reading single images off the rows.  The rows
         u_gamma = u_beta * s along the tree edges are then made with one
-        gather per layer.
+        gather per layer, or, past ``_LAYERED_DEPTH`` layers (a long cycle
+        of one generator), by pointer jumping with one gather per doubling
+        of the depth.
 
         Returns the pairs (s, j, i) with s(points[j]) = points[i] met on
         the way that are not tree edges.  With the pairs of earlier calls
@@ -289,12 +295,25 @@ class _Orbit:
             if hi > lo:
                 layers.append(slice(lo - old, hi - old))
         if parent:
-            rows = np.empty((len(pts), self.rows.shape[1]), dtype=self.rows.dtype)
-            rows[:old] = self.rows
             up = np.asarray(parent, dtype=np.intp)
             via_a = np.asarray(via, dtype=np.intp)
-            for layer in layers:
-                rows[old + layer.start:old + layer.stop] = _gather(gens, via_a[layer], rows[up[layer]])
+            if len(layers) <= _LAYERED_DEPTH:
+                rows = np.empty((len(pts), self.rows.shape[1]), dtype=self.rows.dtype)
+                rows[:old] = self.rows
+                for layer in layers:
+                    rows[old + layer.start:old + layer.stop] = _gather(
+                        gens, via_a[layer], rows[up[layer]])
+            else:
+                # u_v = u_up[v] * w[v] for each new point v, from the tree
+                # edges on, until every up[v] is an old point
+                w = gens[via_a]
+                deep = np.flatnonzero(up >= old)
+                while len(deep):
+                    above = up[deep] - old
+                    w[deep] = _gather(w, deep, w[above])
+                    up[deep] = up[above]
+                    deep = deep[up[deep] >= old]
+                rows = np.concatenate([self.rows, _gather(w, np.arange(len(w)), self.rows[up])])
             self.rows = rows
             self.where[pts[old:]] = np.arange(old, len(pts))
             self._inverse = None
