@@ -1,4 +1,5 @@
-"""Small exact number-theory helpers (trial division scale).
+"""Small exact number-theory helpers (trial division scale, with
+Miller-Rabin and Pollard's rho where inputs may be large).
 
 Indices of Dirichlet polynomial terms can be astronomically large
 (they are often perfect powers of moderate integers), so nothing here
@@ -8,7 +9,8 @@ may silently overflow: everything is plain Python int arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import InvalidParameter
 
@@ -18,6 +20,8 @@ from .errors import InvalidParameter
 # (J. Sorenson and J. Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# Product of differences taken per gcd in Brent's rho.
+_RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
@@ -65,6 +69,65 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor among
+    ``_MR_BASES``: Brent's variant of Pollard's rho (R. P. Brent, BIT 20
+    (1980) 176-184) on x -> x^2 + c from x = 2, with c = 1, 2, ... until
+    a cycle gives one."""
+    for c in count(1):
+        x = ys = y = 2
+        g = q = r = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError("unreachable")
+
+
+def prime_factors_rho(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of ``1 <= n < 3.3 * 10^24``, ascending:
+    the first 13 primes by division, the rest split by Brent's rho and
+    each part tested by ``is_prime``, so the answer is exact.  Past
+    3.3 * 10^24 ``is_prime`` is not exact, and ``InvalidParameter`` is
+    raised instead."""
+    if n < 1:
+        raise ValueError("prime_factors_rho needs n >= 1")
+    if n >= _MR_EXACT_BELOW:
+        raise InvalidParameter(f"cannot factor {n} exactly (past 3.3 * 10^24)")
+    found = set()
+    for p in _MR_BASES:
+        if n % p == 0:
+            found.add(p)
+            while n % p == 0:
+                n //= p
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            found.add(m)
+        else:
+            d = _rho_divisor(m)
+            parts += [d, m // d]
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)

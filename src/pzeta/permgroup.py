@@ -48,10 +48,6 @@ _INT_KEY_LIMIT = 1 << 62
 # Points per block of the int64 flat indices of a chain's gathers, which
 # bounds their memory at 8 times this many bytes.
 _INDEX_ELEMENTS = 1 << 14
-# Breadth-first trees of at most this many layers get their rows one
-# layer at a time (about 6 numpy calls a layer); deeper ones by pointer
-# jumping (about 13 calls a doubling), which is cheaper from here on.
-_LAYERED_DEPTH = 8
 
 
 class Permutation:
@@ -176,12 +172,12 @@ def _dtype_for(degree: int):
     return np.uint32
 
 
-def _row_blocks(rows: int, degree: int):
+def _row_blocks(rows: int, degree: int) -> list[slice]:
     """Slices of at most ``_INDEX_ELEMENTS`` points each (one row at
     least) covering ``rows`` image rows: the flat int64 indices of a
     gather or scatter are made one block at a time."""
     step = max(1, _INDEX_ELEMENTS // max(degree, 1))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)] if rows > step else [slice(0, rows)]
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _inverse_rows(rows: np.ndarray) -> np.ndarray:
@@ -191,29 +187,22 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     inv = np.empty_like(rows)
     flat = inv.reshape(-1)
     values = np.arange(n, dtype=rows.dtype)
-    if rows.size <= _INDEX_ELEMENTS:
-        flat[rows + (np.arange(m) * n)[:, None]] = values
-        return inv
+    offsets = np.arange(0, m * n, n)[:, None]
     for block in _row_blocks(m, n):
-        offsets = np.arange(block.start, min(block.stop, m)) * n
-        flat[rows[block] + offsets[:, None]] = values
+        flat[rows[block] + offsets[block]] = values
     return inv
 
 
 def _gather(table: np.ndarray, which: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Rows ``table[which[i]][points[i]]`` for each i (``which`` an intp
-    array): the row of points
-    i mapped by row which[i] of the 2-D array ``table``, as one flat take
-    per block of rows.  For image rows this is "apply points[i], then
-    table[which[i]]"."""
-    n = table.shape[1]
+    array): the row of points i mapped by row which[i] of the 2-D array
+    ``table``, as one flat take per block of rows.  For image rows this
+    is "apply points[i], then table[which[i]]"."""
     flat = table.reshape(-1)
-    offsets = which * n
-    if points.size <= _INDEX_ELEMENTS:
-        return flat.take(points + offsets[:, None])
+    offsets = (which * table.shape[1])[:, None]
     out = np.empty(points.shape, dtype=table.dtype)
-    for block in _row_blocks(len(points), points.shape[1]):
-        out[block] = flat.take(points[block] + offsets[block, None])
+    for block in _row_blocks(*points.shape):
+        out[block] = flat.take(points[block] + offsets[block])
     return out
 
 
@@ -227,7 +216,7 @@ class _Orbit:
     """One level of a stabilizer chain: the orbit of the base point b.
     ``rows[i]`` (a 2-D array in ``_dtype_for(degree)``) maps b to
     ``points[i]``, and ``index`` (a dict) and ``where`` (an array over
-    the points, -1 off the orbit) give the row of each point.
+    the points, 0 off the orbit) give the row of each point.
     ``rows[0]`` is the identity.  The inverse rows are made when the
     level is first sifted through after it grew."""
 
@@ -238,45 +227,44 @@ class _Orbit:
         self.rows = rows
         self.points: list[int] = rows[:, b].tolist()
         self.index = dict(zip(self.points, range(len(rows))))
-        self.where = np.full(rows.shape[1], -1, dtype=np.intp)
+        self.where = np.zeros(rows.shape[1], dtype=np.intp)
         self.where[self.points] = np.arange(len(rows))
         self._inverse: np.ndarray | None = None
 
-    def strip(self, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """The rows g whose image of b lies on the orbit, as a mask (None
-        when that is all of them), and each of them times the inverse of
-        that point's row, which fixes b: one gather for the whole batch."""
+    def strip(self, g: np.ndarray) -> np.ndarray:
+        """Each row g times the inverse of the row of its image of b, so
+        that it fixes b, or g itself when that image is off the orbit:
+        one gather for the whole batch.  A row that moves b keeps moving
+        it through the strips of the levels below, whose rows fix b."""
         if self._inverse is None:
             self._inverse = _inverse_rows(self.rows)
-        r = self.where[g[:, self.b]]
-        found = None
-        if r.min(initial=0) < 0:
-            found = r >= 0
-            g, r = g[found], r[found]
-        return found, _gather(self._inverse, r, g)
+        return _gather(self._inverse, self.where[g[:, self.b]], g)
 
-    def grow(self, gens: np.ndarray, new: int) -> list[tuple[int, int, int]]:
+    def grow(self, gens: np.ndarray, new: int) -> list[int]:
         """Extend the orbit under the generator rows ``gens``, of which
         the last ``new`` are new to it: the old points under the new
         generators, then the new points under all of them, breadth first,
         reading single images off the rows.  The rows
-        u_gamma = u_beta * s along the tree edges are then made with one
-        gather per layer, or, past ``_LAYERED_DEPTH`` layers (a long cycle
-        of one generator), by pointer jumping with one gather per doubling
-        of the depth.
+        u_gamma = u_beta * s along the tree edges are then made by
+        pointer jumping: each new point holds the product of the edges
+        down from an ancestor, and one gather a round doubles that path,
+        so a tree of depth d takes ceil(log2(d)) rounds.
 
         Returns the pairs (s, j, i) with s(points[j]) = points[i] met on
-        the way that are not tree edges.  With the pairs of earlier calls
-        their Schreier generators rows[j] * gens[s] * rows[i]^-1 generate
-        the stabilizer of b (Schreier's lemma); a tree edge's is the
-        identity."""
+        the way that are not tree edges, as one flat list.  With the
+        pairs of earlier calls their Schreier generators
+        rows[j] * gens[s] * rows[i]^-1 generate the stabilizer of b
+        (Schreier's lemma); a tree edge's is the identity."""
         pts, index = self.points, self.index
         old, k = len(pts), len(gens)
-        parent: list[int] = []
+        # for each new point: its generator edge, the new ancestor its
+        # product starts from (-1 for an old one), and that old point
         via: list[int] = []
-        pairs: list[tuple[int, int, int]] = []
-        layers = []
+        up: list[int] = []
+        top: list[int] = []
+        pairs: list[int] = []
         image = [g.item for g in gens]
+        depth = 0
         lo, hi, first = 0, old, k - new
         while lo < hi:
             for j in range(lo, hi):
@@ -287,34 +275,23 @@ class _Orbit:
                     if i is None:
                         index[gamma] = len(pts)
                         pts.append(gamma)
-                        parent.append(j)
                         via.append(s)
+                        up.append(j - old if j >= old else -1)
+                        top.append(top[j - old] if j >= old else j)
                     else:
-                        pairs.append((s, j, i))
+                        pairs += (s, j, i)
             lo, hi, first = hi, len(pts), 0
-            if hi > lo:
-                layers.append(slice(lo - old, hi - old))
-        if parent:
-            up = np.asarray(parent, dtype=np.intp)
-            via_a = np.asarray(via, dtype=np.intp)
-            if len(layers) <= _LAYERED_DEPTH:
-                rows = np.empty((len(pts), self.rows.shape[1]), dtype=self.rows.dtype)
-                rows[:old] = self.rows
-                for layer in layers:
-                    rows[old + layer.start:old + layer.stop] = _gather(
-                        gens, via_a[layer], rows[up[layer]])
-            else:
-                # u_v = u_up[v] * w[v] for each new point v, from the tree
-                # edges on, until every up[v] is an old point
-                w = gens[via_a]
-                deep = np.flatnonzero(up >= old)
-                while len(deep):
-                    above = up[deep] - old
-                    w[deep] = _gather(w, deep, w[above])
-                    up[deep] = up[above]
-                    deep = deep[up[deep] >= old]
-                rows = np.concatenate([self.rows, _gather(w, np.arange(len(w)), self.rows[up])])
-            self.rows = rows
+            depth += hi > lo
+        if via:
+            m = len(via)
+            # the identity in the last row stands for the old ancestor
+            w = np.concatenate([gens[via], self.rows[:1]])
+            jump = np.asarray(up + [-1], dtype=np.intp)
+            whole = np.arange(m + 1)
+            for _ in range((depth - 1).bit_length()):
+                w = _gather(w, whole, w[jump])
+                jump = jump[jump]
+            self.rows = np.concatenate([self.rows, _gather(w, whole[:m], self.rows[top])])
             self.where[pts[old:]] = np.arange(old, len(pts))
             self._inverse = None
         return pairs
@@ -344,13 +321,9 @@ class StabilizerChain(NamedTuple):
         def member(g):
             g = np.asarray(g)
             batch = g.reshape(-1, g.shape[-1])
-            verdict = np.zeros(len(batch), dtype=bool)
-            alive = np.arange(len(batch))
             for orbit in levels:
-                found, batch = orbit.strip(batch)
-                if found is not None:
-                    alive = alive[found]
-            verdict[alive[(batch == np.arange(batch.shape[1])).all(axis=1)]] = True
+                batch = orbit.strip(batch)
+            verdict = (batch == np.arange(batch.shape[1])).all(axis=1)
             return verdict if g.ndim > 1 else bool(verdict[0])
 
         return member
@@ -369,23 +342,22 @@ def _schreier_sims(
 
     Each strong generator h is kept once, with the range of levels
     first..last it generates: it fixes the base points before ``last``
-    and moves b_last or maps it off the orbit.  Levels are completed
-    from the bottom up: level l is complete when every Schreier
-    generator of it sifts through the levels below.  A level's pending
-    Schreier generators u_beta * s (beta in the orbit, s a strong
-    generator of the level) are sifted as one batch: one gather per
-    level with a nontrivial orbit, and one comparison per run of levels
-    with a trivial one, where a row must fix the points.  For each level
-    where residues stopped, the first of them becomes a strong generator
-    of the levels down to there, the other residues wait at level l, and
-    work resumes at the deepest level with pending rows.  Each pair
-    (beta, s) is met once, when the orbit or the generators grow
-    (:meth:`_Orbit.grow`): a tree edge gives the row u_{s(beta)} =
-    u_beta * s, and the pair (b_l, s) with s fixing b_l gives s, a strong
-    generator of the next level, a pair with u_beta * s = u_{s(beta)}
-    gives the identity, and only the other pairs are queued.
-    Orbits only grow and keep their rows, so a Schreier generator that
-    sifted once is never sifted again.
+    and moves b_last.  Levels are completed from the bottom up: level l
+    is complete when every Schreier generator of it sifts through the
+    levels below.  A level's pending Schreier generators u_beta * s
+    (beta in the orbit, s a strong generator of the level) are sifted
+    as one batch, with one gather per level with a nontrivial orbit;
+    a row whose image of a base point is off that level's orbit passes
+    it unchanged.  What is left and not the identity stopped at the
+    first base point it moves.  For each level where residues stopped,
+    the first of them becomes a strong generator of the levels down to
+    there, the other residues wait at level l, and work resumes at the
+    deepest level with pending rows.  Each pair (beta, s) is met once,
+    when the orbit or the generators grow (:meth:`_Orbit.grow`): a tree
+    edge gives the row u_{s(beta)} = u_beta * s, a pair with
+    u_beta * s = u_{s(beta)} gives the identity, and only the other
+    pairs are queued.  Orbits only grow and keep their rows, so a
+    Schreier generator that sifted once is never sifted again.
 
     The product of the orbit sizes never exceeds the group order, so
     the routine raises ``OrderBoundExceeded`` as soon as it passes
@@ -398,13 +370,12 @@ def _schreier_sims(
     if not isinstance(gen_images, np.ndarray):
         gen_images = list(gen_images)
     rows = np.asarray(gen_images, dtype=dt).reshape(-1, degree)
-    rows = rows[(rows != ident).any(axis=1)]
     first: dict[bytes, int] = {}
     for k, g in enumerate(rows):
         first.setdefault(g.tobytes(), k)
+    first.pop(ident.tobytes(), None)
     rows = rows[list(first.values())]
     points = np.flatnonzero((rows != ident).any(axis=0))
-    depth = len(points)
     strong = rows[:0]
     spans: list[tuple[int, int]] = []  # the levels first..last of each strong generator
     orbits: dict[int, _Orbit] = {}
@@ -430,10 +401,9 @@ def _schreier_sims(
                 orbit = orbits[lev] = _Orbit(int(points[lev]), ident[None, :])
                 bisect.insort(live, lev)
             gens = strong[ids]
-            # the pair (b, s) with s fixing b gives s, a strong generator of the next level
-            pairs = [pair for pair in orbit.grow(gens, new) if pair[1] or pair[2]]
+            pairs = orbit.grow(gens, new)
             if pairs:
-                s, j, i = np.asarray(pairs, dtype=np.intp).T
+                s, j, i = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
                 schreier = _gather(gens, s, orbit.rows[j])
                 # u_beta * s = u_{s(beta)}: the Schreier generator is the identity
                 schreier = schreier[(schreier != orbit.rows[i]).any(axis=1)]
@@ -444,48 +414,35 @@ def _schreier_sims(
             raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
         return size == stop_at
 
-    def sift(g: np.ndarray, first: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def sift(g: np.ndarray, first: int) -> tuple[np.ndarray, list[int]]:
         """The rows g, which fix the base points before level ``first``,
         that do not sift to the identity through the levels from
-        ``first`` on: batches of them, stripped as far as they go, with
-        the level where each stopped."""
-        left, stops = [], []
-        lev = first
-        for nxt in live[bisect.bisect_left(live, first):] + [depth]:
-            if nxt > lev:
-                run = points[lev:nxt]
-                moved = g[:, run] != run
-                hit = moved.any(axis=1)
-                if hit.any():
-                    left.append(g[hit])
-                    stops.append(lev + moved[hit].argmax(axis=1))
-                    g = g[~hit]
-            if nxt == depth or not len(g):
-                break
-            found, stripped = orbits[nxt].strip(g)
-            if found is not None:
-                left.append(g[~found])
-                stops.append(np.full(len(g) - len(stripped), nxt))
-            g = stripped
-            lev = nxt + 1
-        return left, stops
+        ``first`` on, stripped as far as they go, and the level where
+        each stopped: that of the first base point it moves."""
+        for lev in live[bisect.bisect_left(live, first):]:
+            g = orbits[lev].strip(g)
+        run = points[first:]
+        moved = g[:, run] != run
+        if not moved.any():
+            return g[:0], []
+        hit = moved.any(axis=1)
+        return g[hit], (first + moved[hit].argmax(axis=1)).tolist()
 
     full = False
     if len(rows):
         full = add_generators(rows, (rows[:, points] != points).argmax(axis=1).tolist(), 0)
     while pending and not full:
         lev = max(pending)
-        batch = pending.pop(lev)
-        left, stops = sift(np.concatenate(batch) if len(batch) > 1 else batch[0], lev)
-        if left:
-            left, stops = np.concatenate(left), np.concatenate(stops).tolist()
+        left, stops = sift(np.concatenate(pending.pop(lev)), lev)
+        if len(left):
             # a new strong generator for each level where a residue stopped
             chosen: dict[int, int] = {}
             for k, stop in enumerate(stops):
                 chosen.setdefault(stop, k)
-            if len(chosen) < len(stops):
-                pending[lev] = [np.delete(left, list(chosen.values()), axis=0)]
-            full = add_generators(left[list(chosen.values())], list(chosen), lev + 1)
+            keep = list(chosen.values())
+            if len(keep) < len(left):
+                pending[lev] = [np.delete(left, keep, axis=0)]
+            full = add_generators(left[keep], list(chosen), lev + 1)
     return StabilizerChain(
         tuple(int(points[lev]) for lev in live),
         tuple(orbits[lev].rows for lev in live),

@@ -36,6 +36,7 @@ from .numtheory import (
     iter_primes,
     padic_valuation,
     prime_factors,
+    prime_factors_rho,
     strip_primes_up_to,
 )
 from .permgroup import PermGroup
@@ -460,8 +461,10 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     the primes dividing their stated values.  Without an arithmetic
     family the primes up to ``probe_bound`` (an int >= 1) are tried.
     The first step is factored by trial division up to the larger of
-    ``probe_bound`` and 10^4; a cofactor left that is not prime makes
-    the report inexact, with a note, rather than the search unbounded.
+    ``probe_bound`` and 10^4, and the cofactor left by Pollard's rho
+    (:func:`prime_factors_rho`); only a cofactor past 3.3 * 10^24, where
+    primality is not decided exactly, makes the report inexact, with a
+    note.
     """
     if probe_bound < 1:
         raise InvalidParameter(f"probe_bound must be >= 1, got {probe_bound}")
@@ -490,11 +493,12 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     if arith:
         # the witness divides the first step: its prime divisors in
         # ascending order, by trial division up to the larger of
-        # probe_bound and 10^4; what is left over is 1, a prime (tested
-        # exactly), or not factored
+        # probe_bound and 10^4, then those of the cofactor left, split by
+        # Pollard's rho below 3.3 * 10^24; a larger cofactor is not factored
+        bound = max(probe_bound, 10_000)
         rest = arith[0].step
         for p in iter_primes():
-            if p * p > rest or p > max(probe_bound, 10_000):
+            if p * p > rest or p > bound:
                 break
             if rest % p == 0:
                 if divides_no_term(p):
@@ -504,14 +508,12 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
                     rest //= p
         if witness is None and rest > 1:
             try:
-                prime = is_prime(rest)
+                primes = prime_factors_rho(rest)
             except InvalidParameter:
-                prime = False
-            if prime:
-                witness = rest if divides_no_term(rest) else None
-            else:
                 exact = False
-                note = f"step factor {rest} is not factored past {max(probe_bound, 10_000)}"
+                note = f"step factor {rest} past 3.3 * 10^24 is not factored"
+            else:
+                witness = next((p for p in primes if divides_no_term(p)), None)
     else:
         for p in iter_primes():
             if p > probe_bound:

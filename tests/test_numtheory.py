@@ -13,8 +13,10 @@ from pzeta.numtheory import (
     largest_prime_factor,
     padic_valuation,
     prime_factors,
+    prime_factors_rho,
     strip_primes_up_to,
 )
+from pzeta.errors import InvalidParameter
 
 
 def test_is_prime_small():
@@ -25,6 +27,23 @@ def test_prime_factors():
     assert prime_factors(1) == ()
     assert prime_factors(360) == (2, 3, 5)
     assert prime_factors(29**3) == (29,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**9))
+def test_prime_factors_rho_matches_trial_division(n):
+    assert prime_factors_rho(n) == prime_factors(n)
+
+
+def test_prime_factors_rho_splits_large_cofactors():
+    # prime powers, and products of primes too large for trial division
+    assert prime_factors_rho(43**3 * 1009**2) == (43, 1009)
+    assert prime_factors_rho(3 * 10007 * 10009) == (3, 10007, 10009)
+    p, q = 1_000_000_000_039, 1_000_000_000_061
+    assert prime_factors_rho(p * q) == (p, q)
+    assert prime_factors_rho(2**61 - 1) == (2**61 - 1,)
+    with pytest.raises(InvalidParameter, match="past 3.3"):
+        prime_factors_rho((2**61 - 1) * (2**31 - 1))
 
 
 def test_integer_nth_root_exact_on_huge_powers():

@@ -236,6 +236,23 @@ class TestSmlConditions:
     def test_exactness_flag(self):
         assert check_sml_conditions([2, 4]).exact
 
+    def test_step_with_prime_factors_past_trial_division_is_exact(self):
+        # 10007 and 10009 lie past the trial-division bound of 10^4
+        step = 3 * 10007 * 10009
+        verdict = check_sml_conditions([ArithmeticExponents(3, step)])
+        assert verdict.exact and verdict.note == ""
+        assert verdict.condition_ii_witness == 10007
+        verdict = check_sml_conditions([ArithmeticExponents(3 * 10007, step)])
+        assert verdict.exact and verdict.condition_ii_witness == 10009
+        verdict = check_sml_conditions([ArithmeticExponents(step, step)])
+        assert verdict.exact and verdict.condition_ii_witness is None
+
+    def test_step_cofactor_past_exact_primality_is_inexact(self):
+        step = (2**61 - 1) * (2**31 - 1)
+        verdict = check_sml_conditions([ArithmeticExponents(1, step)])
+        assert not verdict.exact and verdict.condition_ii_witness is None
+        assert verdict.note == f"step factor {step} past 3.3 * 10^24 is not factored"
+
     @pytest.mark.parametrize("bound", [0, -5])
     def test_probe_bound_below_one_is_rejected(self, bound):
         with pytest.raises(InvalidParameter, match=f"probe_bound must be >= 1, got {bound}"):
