@@ -364,7 +364,11 @@ def _schreier_sims(
     ``max_order``, before any further work.  For a group known to lie in
     one of order ``stop_at``, it returns as soon as the product reaches
     ``stop_at``: the two groups are then equal, each orbit is a whole
-    basic orbit, and the chain is already complete."""
+    basic orbit, and the chain is already complete.  Every group lies in
+    the symmetric group on its moved points, so the same holds when the
+    product reaches the factorial of their number: the chain of a full
+    symmetric group stops there, without the sifts that would confirm
+    each level."""
     dt = _dtype_for(degree)
     ident = np.arange(degree, dtype=dt)
     if not isinstance(gen_images, np.ndarray):
@@ -376,6 +380,13 @@ def _schreier_sims(
     first.pop(ident.tobytes(), None)
     rows = rows[list(first.values())]
     points = np.flatnonzero((rows != ident).any(axis=0))
+    # |Sym(points)|, the order of the largest group on the moved points,
+    # or the first partial product past max_order, which no chain reaches
+    symmetric = 1
+    for k in range(2, len(points) + 1):
+        if symmetric > max_order:
+            break
+        symmetric *= k
     strong = rows[:0]
     spans: list[tuple[int, int]] = []  # the levels first..last of each strong generator
     orbits: dict[int, _Orbit] = {}
@@ -387,7 +398,8 @@ def _schreier_sims(
     def add_generators(hs: np.ndarray, lasts: Sequence[int], first: int) -> bool:
         """Make each row hs[k] a strong generator of levels first..lasts[k]
         and extend their orbits; hs[k] fixes the base points before
-        lasts[k].  Whether the orbit sizes now multiply to ``stop_at``."""
+        lasts[k].  Whether the orbit sizes now multiply to ``stop_at``
+        or to the order of the symmetric group on the moved points."""
         nonlocal strong
         known = len(spans)
         strong = np.concatenate([strong, hs])
@@ -412,7 +424,7 @@ def _schreier_sims(
         size = prod(len(orbits[lev].points) for lev in live)
         if size > max_order:
             raise OrderBoundExceeded(f"group order exceeds bound {max_order}")
-        return size == stop_at
+        return size in (stop_at, symmetric)
 
     def sift(g: np.ndarray, first: int) -> tuple[np.ndarray, list[int]]:
         """The rows g, which fix the base points before level ``first``,
