@@ -284,14 +284,16 @@ class _Orbit:
             depth += hi > lo
         if via:
             m = len(via)
-            # the identity in the last row stands for the old ancestor
-            w = np.concatenate([gens[via], self.rows[:1]])
-            jump = np.asarray(up + [-1], dtype=np.intp)
-            whole = np.arange(m + 1)
-            for _ in range((depth - 1).bit_length()):
-                w = _gather(w, whole, w[jump])
-                jump = jump[jump]
-            self.rows = np.concatenate([self.rows, _gather(w, whole[:m], self.rows[top])])
+            w = gens[via]
+            if depth > 1:
+                # the identity in the last row stands for the old ancestor
+                w = np.concatenate([w, self.rows[:1]])
+                jump = np.asarray(up + [-1], dtype=np.intp)
+                whole = np.arange(m + 1)
+                for _ in range((depth - 1).bit_length()):
+                    w = _gather(w, whole, w[jump])
+                    jump = jump[jump]
+            self.rows = np.concatenate([self.rows, _gather(w, np.arange(m), self.rows[top])])
             self.where[pts[old:]] = np.arange(old, len(pts))
             self._inverse = None
         return pairs
