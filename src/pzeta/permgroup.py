@@ -172,14 +172,6 @@ def _dtype_for(degree: int):
     return np.uint32
 
 
-def _row_blocks(rows: int, degree: int) -> list[slice]:
-    """Slices of at most ``_INDEX_ELEMENTS`` points each (one row at
-    least) covering ``rows`` image rows: the flat int64 indices of a
-    gather or scatter are made one block at a time."""
-    step = max(1, _INDEX_ELEMENTS // max(degree, 1))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
 def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     """The inverse of each image row of a 2-D array, by one scatter per
     block of rows."""
@@ -188,8 +180,9 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     flat = inv.reshape(-1)
     values = np.arange(n, dtype=rows.dtype)
     offsets = np.arange(0, m * n, n)[:, None]
-    for block in _row_blocks(m, n):
-        flat[rows[block] + offsets[block]] = values
+    step = max(1, _INDEX_ELEMENTS // n)
+    for lo in range(0, m, step):
+        flat[rows[lo:lo + step] + offsets[lo:lo + step]] = values
     return inv
 
 
@@ -199,10 +192,11 @@ def _gather(table: np.ndarray, which: np.ndarray, points: np.ndarray) -> np.ndar
     ``table``, as one flat take per block of rows.  For image rows this
     is "apply points[i], then table[which[i]]"."""
     flat = table.reshape(-1)
-    offsets = (which * table.shape[1])[:, None]
+    offsets = which[:, None] * table.shape[1]
     out = np.empty(points.shape, dtype=table.dtype)
-    for block in _row_blocks(*points.shape):
-        out[block] = flat.take(points[block] + offsets[block])
+    step = max(1, _INDEX_ELEMENTS // points.shape[1])
+    for lo in range(0, len(points), step):
+        out[lo:lo + step] = flat.take(points[lo:lo + step] + offsets[lo:lo + step])
     return out
 
 
@@ -228,7 +222,8 @@ class _Orbit:
         self.points: list[int] = rows[:, b].tolist()
         self.index = dict(zip(self.points, range(len(rows))))
         self.where = np.zeros(rows.shape[1], dtype=np.intp)
-        self.where[self.points] = np.arange(len(rows))
+        if len(rows) > 1:
+            self.where[self.points] = np.arange(len(rows))
         self._inverse: np.ndarray | None = None
 
     def strip(self, g: np.ndarray) -> np.ndarray:
@@ -381,7 +376,7 @@ def _schreier_sims(
         first.setdefault(g.tobytes(), k)
     first.pop(ident.tobytes(), None)
     rows = rows[list(first.values())]
-    points = np.flatnonzero((rows != ident).any(axis=0))
+    points = (rows != ident).any(axis=0).nonzero()[0]
     # |Sym(points)|, the order of the largest group on the moved points,
     # or the first partial product past max_order, which no chain reaches
     symmetric = 1
