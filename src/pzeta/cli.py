@@ -168,7 +168,7 @@ def _budget(args) -> Budget:
 
 
 def _load_group(args) -> PermGroup:
-    if args.builtin:
+    if args.builtin is not None:  # "" too, which names no builtin
         return builtin_group(args.builtin, p=args.p)
     with open(args.file, encoding="utf-8") as fh:
         return parse_group_file(fh.read())

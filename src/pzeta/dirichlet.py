@@ -6,29 +6,30 @@ the nonzero coefficient ``a_n``.  Addition is coefficientwise and
 multiplication is Dirichlet convolution (indices multiply), so the
 coefficient of ``n`` in a product is ``sum_{d*e=n} a_d b_e``.
 
-Three value types live here:
+One store holds terms: :class:`DirichletPolynomial`, finitely
+supported, canonical (no stored zeros), immutable; structural equality
+is mathematical equality.  Two value types build on it:
 
-* :class:`DirichletPolynomial` - finitely supported, canonical
-  (no stored zeros), immutable.  Structural equality is mathematical
-  equality.
-* :class:`TruncatedSeries` - an explicit finite window onto a formal
-  Dirichlet series: all coefficients with index ``<= bound`` are exact.
-  Windows are closed under sums and products, because a product index
-  exceeds the bound as soon as one factor index does.
+* :class:`TruncatedSeries` - a bound and the polynomial of the terms
+  with index ``<= bound``: an explicit finite window onto a formal
+  Dirichlet series whose coefficients there are exact.  Windows are
+  closed under sums and products, because a product index exceeds the
+  bound as soon as one factor index does.
 * :class:`RationalSeries` - a formal quotient of two polynomials whose
   denominator has constant coefficient +-1, so the expansion has
   integer coefficients.
 
 Coefficients are Python ints wherever they are returned.
-Every product runs on one kernel, ``_convolve``, over numpy columns,
-ascending indices beside their coefficients: each step sorts the
-scaled prefixes of one operand and sums the runs of equal indices.
-Truncated products (:func:`truncated_product` and ``TruncatedSeries``
-multiplication) cut at their bound; a ``DirichletPolynomial`` product
-is the truncated one at bound ``max_a * max_b``, which cuts no term.
-A ``DirichletPolynomial`` built by the kernel keeps its two columns,
-so a chain of products hands each result to the next as columns, and
-builds its term map of Python ints only on first read.
+Every product runs through one routine, ``_product(a, b, bound)``, on
+one kernel, ``_convolve``, over numpy columns, ascending indices beside
+their coefficients: the terms of ``a`` up to the bound are the columns,
+those of ``b`` the window, and each step sorts the scaled prefixes of
+the columns and sums the runs of equal indices.  Truncated products
+(:func:`truncated_product` and ``TruncatedSeries`` multiplication) cut
+at their bound; a ``DirichletPolynomial`` product is the truncated one
+at bound ``max_a * max_b``, which cuts no term.  Every product keeps its
+two columns, so a chain of products hands each result to the next as
+columns, and builds its term map of Python ints only on first read.
 A column is int64 only while a bound proven in Python ints keeps every
 value below 2^63 (the indices: the bound; the coefficients: the sum,
 over the other operand's terms b, of |b| times the largest |running|
@@ -40,10 +41,10 @@ Exact division eliminates by ascending index from a heap of pending
 remainder indices, popping each remainder entry once.
 
 Public constructors validate every term; results computed in this module
-skip that through the private ``_trusted`` classmethods, which only sort
-the term map and drop zeros, or the ``_from_columns`` classmethods,
-which take sorted, zero-free columns: ``TruncatedSeries`` reads them
-back into a term map at once, ``DirichletPolynomial`` when first read.
+skip that through ``DirichletPolynomial._trusted``, which only sorts the
+term map and drops zeros, or ``DirichletPolynomial._from_columns``,
+which keeps sorted, zero-free columns and reads them into a term map
+when first read.
 """
 
 from __future__ import annotations
@@ -124,18 +125,11 @@ def _column(values: Sequence[int], magnitude: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if magnitude < _INT64_LIMIT else object)
 
 
-def _columns(terms: Iterable[tuple[int, int]], bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index and coefficient columns of the nonempty ascending ``terms``
-    of an operand of a product at ``bound``."""
-    ns, cs = zip(*terms)
-    return _column(ns, bound), _column(cs, max(map(abs, cs)))
-
-
 def _convolve(
     idx: np.ndarray, coef: np.ndarray, window: list[tuple[int, int]], bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Columns of the product, truncated at ``bound``, of the series with
-    ascending indices ``idx`` (nonempty, int64 only if ``bound`` < 2^63)
+    ascending indices ``idx`` (int64 only if ``bound`` < 2^63)
     and coefficients ``coef`` by the ascending terms ``window`` (indices
     <= bound): ascending indices and their nonzero coefficients.
 
@@ -299,30 +293,30 @@ class DirichletPolynomial:
         return (-self)._combine(other, 1)
 
     def __mul__(self, other) -> "DirichletPolynomial":
-        """The product on ``_convolve``, truncated at ``max_a * max_b``,
-        which cuts no term: the longer operand becomes the columns, the
-        shorter the window.  The result keeps its columns, so in a chain
-        ``p1 * p2 * ...`` each running product enters the next step as
-        columns, and no term map is built until one is read."""
+        """The product at bound ``max_a * max_b``, which cuts no term: the
+        longer operand becomes the columns, the shorter the window (see
+        ``_product``)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = (self, o) if len(self) >= len(o) else (o, self)
         if not b:
             return ZERO
-        bound = a.max_index * b.max_index
-        return DirichletPolynomial._from_columns(
-            *_convolve(*a._operand(bound), list(b.items()), bound)
-        )
+        return _product(a, b, a.max_index * b.max_index)
 
     def _operand(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
-        """The columns of this nonzero polynomial as the longer operand of
-        a product at ``bound``: the kept ones, the index column taken to
-        Python ints once ``bound`` reaches 2^63 as ``_columns`` would
-        build it; else built from the term map."""
+        """The columns of the terms up to ``bound``, as the column operand
+        of a product at ``bound``: the kept ones, cut there, with the index
+        column taken to Python ints once ``bound`` reaches 2^63 as
+        ``_column`` would build it; else built from the term map."""
         if self._cols is None:
-            return _columns(self._terms.items(), bound)
+            terms = _window(self._terms.items(), bound)
+            ns, cs = zip(*terms) if terms else ((), ())
+            return _column(ns, bound), _column(cs, max(map(abs, cs), default=0))
         idx, coef = self._cols
+        if len(idx) and int(idx[-1]) > bound:  # so bound < idx[-1] fits idx's dtype
+            cut = int(np.searchsorted(idx, bound, side="right"))
+            idx, coef = idx[:cut], coef[:cut]
         if bound >= _INT64_LIMIT and idx.dtype != object:
             idx = idx.astype(object)
         return idx, coef
@@ -387,6 +381,16 @@ class DirichletPolynomial:
 
 ONE = DirichletPolynomial.one()
 ZERO = DirichletPolynomial.zero()
+
+
+def _product(a: DirichletPolynomial, b: DirichletPolynomial, bound: int) -> DirichletPolynomial:
+    """``a * b`` truncated at ``bound``, on ``_convolve``: the terms of
+    ``a`` up to the bound are the columns (``a._operand``), those of
+    ``b`` the window.  The product keeps its columns."""
+    window = _window(b.items(), bound)
+    if not window:
+        return ZERO
+    return DirichletPolynomial._from_columns(*_convolve(*a._operand(bound), window, bound))
 
 
 def prime_projection(p: DirichletPolynomial, primes: Iterable[int]) -> DirichletPolynomial:
@@ -480,96 +484,79 @@ def divide_exact(
 
 class TruncatedSeries:
     """Exact window onto a formal Dirichlet series: terms with index
-    ``<= bound`` only.  Arithmetic keeps every retained coefficient
-    exact; combining two windows truncates to the smaller bound."""
+    ``<= bound`` only, held as one :class:`DirichletPolynomial`.
+    Arithmetic keeps every retained coefficient exact; combining two
+    windows truncates to the smaller bound."""
 
-    __slots__ = ("_bound", "_terms")
+    __slots__ = ("_bound", "_poly")
 
     def __init__(self, bound: int, terms: TermMap = ()):
         _check_bound(bound)
-        canon = _canonical_terms(terms)
-        bad = [n for n in canon if n > bound]
+        poly = DirichletPolynomial(terms)
+        bad = [n for n in poly.support() if n > bound]
         if bad:
             raise ValueError(f"terms beyond bound {bound}: {bad[:3]}")
         self._bound = bound
-        self._terms = canon
-
-    @classmethod
-    def _trusted(cls, bound: int, acc: dict[int, int]) -> "TruncatedSeries":
-        out = cls.__new__(cls)
-        out._bound = bound
-        out._terms = _sorted_nonzero(acc)
-        return out
-
-    @classmethod
-    def _from_columns(cls, bound: int, idx: np.ndarray, coef: np.ndarray) -> "TruncatedSeries":
-        """From ascending index and nonzero coefficient columns, read back
-        into Python ints."""
-        out = cls.__new__(cls)
-        out._bound = bound
-        out._terms = dict(zip(idx.tolist(), coef.tolist()))
-        return out
+        self._poly = poly
 
     @classmethod
     def from_polynomial(cls, p: DirichletPolynomial, bound: int) -> "TruncatedSeries":
         _check_bound(bound)
-        return cls(bound, _window(p.items(), bound))
+        return _series(bound, DirichletPolynomial._trusted(dict(_window(p.items(), bound))))
 
     @property
     def bound(self) -> int:
         return self._bound
 
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        return self._poly.terms()
 
     def coefficient(self, n: int) -> int:
         if n > self._bound:
             raise ValueError(f"index {n} beyond truncation bound {self._bound}")
-        return self._terms.get(n, 0)
+        return self._poly.coefficient(n)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(self._terms)
+        return self._poly.support()
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        bound = min(self._bound, other._bound)
-        acc = {n: a for n, a in self._terms.items() if n <= bound}
-        for n, a in other._terms.items():
-            if n <= bound:
-                acc[n] = acc.get(n, 0) + a
-        return TruncatedSeries._trusted(bound, acc)
+        return TruncatedSeries.from_polynomial(
+            self._poly + other._poly, min(self._bound, other._bound)
+        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         bound = min(self._bound, other._bound)
-        terms, window = _window(self._terms.items(), bound), _window(other._terms.items(), bound)
-        if not terms or not window:
-            return TruncatedSeries._trusted(bound, {})
-        idx, coef = _columns(terms, bound)
-        return TruncatedSeries._from_columns(bound, *_convolve(idx, coef, window, bound))
+        return _series(bound, _product(self._poly, other._poly, bound))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._bound == other._bound and self._terms == other._terms
+        return self._bound == other._bound and self._poly == other._poly
 
     def __hash__(self) -> int:
-        return hash((self._bound, tuple(self._terms.items())))
+        return hash((self._bound, tuple(self._poly.items())))
 
     def __str__(self) -> str:
-        poly = DirichletPolynomial._trusted(self._terms)
-        return f"{poly} + O(n > {self._bound})"
+        return f"{self._poly} + O(n > {self._bound})"
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries(bound={self._bound}, terms={self._terms!r})"
+        return f"TruncatedSeries(bound={self._bound}, terms={self._poly._terms!r})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "bound": self._bound,
-            "terms": [{"n": n, "a": str(a)} for n, a in self._terms.items()],
-        }
+        return {"bound": self._bound, **self._poly.to_json_dict()}
+
+
+def _series(bound: int, poly: DirichletPolynomial) -> TruncatedSeries:
+    """The window at ``bound`` held by ``poly``, whose indices are all
+    <= bound, without the public constructor's checks."""
+    out = TruncatedSeries.__new__(TruncatedSeries)
+    out._bound = bound
+    out._poly = poly
+    return out
 
 
 def truncated_product(
@@ -585,13 +572,13 @@ def truncated_product(
     depend on factor order.
 
     The running product stays in two columns across the steps (see
-    ``_convolve``): a factor term n2 meets only the running terms up to
+    ``_product``): a factor term n2 meets only the running terms up to
     ``bound // n2``, so the cost is the number of products within the
     bound, not |product| * |factor| per step.  The factors multiply in
     ascending order of their second index (ties in the caller's order),
     so a factor whose terms lie far up comes late, and the terms it adds
-    pass through few later steps.  The term map is built once, at the
-    end.
+    pass through few later steps.  No term map is built until the result
+    is read.
     """
     _check_bound(bound)
     factors = list(factors)
@@ -602,12 +589,12 @@ def truncated_product(
             )
     live = [(f.support()[1], f) for f in factors if len(f) > 1]
     live.sort(key=lambda t: t[0])  # stable: ties keep the caller's order
-    idx, coef = _column([1], bound), np.ones(1, dtype=np.int64)
+    running = ONE
     for second, f in live:
         if second > bound:
             break  # so is every later factor's
-        idx, coef = _convolve(idx, coef, _window(f.items(), bound), bound)
-    return TruncatedSeries._from_columns(bound, idx, coef)
+        running = _product(running, f, bound)
+    return _series(bound, running)
 
 
 class RationalSeries:
@@ -707,4 +694,4 @@ def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
                 acc -= b * out.get(n // d, 0)
         if acc:
             out[n] = acc * u
-    return TruncatedSeries._trusted(bound, out)
+    return _series(bound, DirichletPolynomial._trusted(out))

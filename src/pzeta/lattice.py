@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotNormal, OrderBoundExceeded
 from .numtheory import integer_nth_root, prime_factors
-from .permgroup import PermGroup, Permutation, _Engine
+from .permgroup import PermGroup, Permutation, _Engine, _orbit_roots
 
 
 @dataclass(frozen=True)
@@ -361,6 +361,14 @@ class SubgroupLattice(_NodePoset):
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
+        if group.degree > budget.max_order:
+            # |G| is at least its largest orbit, found without the chain,
+            # whose first level may hold that many rows of degree points
+            largest = int(np.bincount(_orbit_roots(group.generator_rows)).max())
+            if largest > budget.max_order:
+                raise OrderBoundExceeded(
+                    f"order at least {largest} exceeds lattice budget {budget.max_order}"
+                )
         budget.check_order(group.order)  # the order comes without the table
         super().__init__(group.engine, budget, (group.engine.id_idx,), ())
         self.trivial_id = 0

@@ -186,16 +186,6 @@ def integer_nth_root(n: int, r: int) -> int | None:
     return x if x**r == n else None
 
 
-def is_prime_power(n: int) -> bool:
-    """True when n = p**k for a single prime p, k >= 1."""
-    return n > 1 and len(prime_factors(n)) == 1
-
-
-def largest_prime_factor(n: int) -> int | None:
-    fac = prime_factors(n) if n > 1 else ()
-    return fac[-1] if fac else None
-
-
 def strip_primes_up_to(n: int, bound: int) -> int:
     """Divide out every prime factor <= bound; returns the cofactor.
 

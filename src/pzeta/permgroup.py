@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import re
 from math import gcd, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -1049,9 +1049,13 @@ def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
     chain = _schreier_sims(n, label[group.generator_rows[:, order]], group.order)
     cut = n - int(in_delta.sum())
     k_rows = _transversal_product(chain.transversals[sum(b < cut for b in chain.base):], n)
+    # s * k = k * s, compared a block of K's rows at a time
     commute = np.ones(len(k_rows), dtype=bool)
+    step = max(1, _INDEX_ELEMENTS // n)
     for s in label[s_rows[:, order]]:
-        commute &= (s[k_rows] == k_rows[:, s]).all(axis=1)
+        for lo in range(0, len(k_rows), step):
+            k = k_rows[lo:lo + step]
+            commute[lo:lo + step] &= (s[k] == k[:, s]).all(axis=1)
     return int(commute.sum()) == 1
 
 
@@ -1261,38 +1265,40 @@ def builtin_group(name: str, p: int | None = None) -> PermGroup:
     """Resolve a builtin group name: ``S4``, ``A5``, ``C7``, ``D8``
     (dihedral, by group order), ``Q8``, ``C2xC2``, ``PSL(2,7)`` /
     ``PSL2_7``, direct products like ``A5xC2``, and ``Cp`` with an
-    explicit prime parameter."""
+    explicit prime parameter.  A degree above ``DEFAULT_MAX_GROUP_ORDER``
+    is rejected before any permutation is built."""
+    factors = [_builtin_factor(part, p) for part in name.split("x")]
+    degree = sum(d for d, _ in factors)
+    if degree > DEFAULT_MAX_GROUP_ORDER:
+        raise ValueError(f"builtin {name!r}: degree {degree} exceeds {DEFAULT_MAX_GROUP_ORDER}")
+    grp = factors[0][1]()
+    for _, build in factors[1:]:
+        grp = direct_product(grp, build())
+    return grp
+
+
+def _builtin_factor(name: str, p: int | None) -> tuple[int, Callable[[], PermGroup]]:
+    """The degree of the builtin group ``name`` (not a product) and a
+    function that builds it."""
     s = name.strip()
     if s in ("Cp", "Cn"):
         if p is None:
             raise ValueError(f"builtin {s} needs the order parameter p")
-        return cyclic(p)
+        return p, lambda: cyclic(p)
     m = _PSL_RE.match(s)
     if m:
-        kind = (m.group(1) or m.group(3)).lower()
         q = int(m.group(2) or m.group(4))
-        return make_psl2(q, kind).group
-    if "x" in s:
-        parts = s.split("x")
-        grp = builtin_group(parts[0], p)
-        for part in parts[1:]:
-            grp = direct_product(grp, builtin_group(part, p))
-        return grp
-    m = re.fullmatch(r"S(\d+)", s)
-    if m:
-        return symmetric(int(m.group(1)))
-    m = re.fullmatch(r"A(\d+)", s)
-    if m:
-        return alternating(int(m.group(1)))
-    m = re.fullmatch(r"C(\d+)", s)
-    if m:
-        return cyclic(int(m.group(1)))
+        kind = psl2_variant(q, m.group(1) or m.group(3))  # the checks that build nothing
+        return q + 1, lambda: make_psl2(q, kind).group
     if s == "Q8":
-        return quaternion8()
-    m = re.fullmatch(r"D(\d+)", s)
+        return 8, quaternion8
+    m = re.fullmatch(r"([SACD])(\d+)", s)
     if m:
-        order = int(m.group(1))
-        return klein_four() if order == 4 else dihedral(order)
+        n = int(m.group(2))
+        if m.group(1) == "D":
+            return (4, klein_four) if n == 4 else (n // 2, lambda: dihedral(n))
+        build = {"S": symmetric, "A": alternating, "C": cyclic}[m.group(1)]
+        return max(n, 1), lambda: build(n)
     raise ValueError(f"unknown builtin group {name!r}")
 
 

@@ -1,22 +1,32 @@
-"""Hostile input for the ``product`` and ``divide`` commands.
+"""Hostile input for the ``product`` and ``divide`` commands, for
+``replay`` and ``smlcheck``, and for the group commands ``pg``,
+``factorize`` and ``moebius``.
 
 Hypothesis writes JSON files, well formed or not: empty, zero and
 non-unital polynomials, wrong shapes, indices and coefficients past 2^63,
 bounds from 1 to 10^12 and past 2^63.  Through ``cli.main`` every file
 must end in exit 0, 2 or 6 within a wall-clock cap, never in a traceback
 or a hang, and every product that succeeds must equal the loop oracle.
-Supports stay small, so the whole file runs in seconds.
+Group files (degree up to 40, up to three cycle lines, malformed lines)
+and builtin names must end in exit 0, 2 or 3.  Supports stay small, so
+the whole file runs in seconds.  Builtins whose rows would not fit in
+memory run in a child process under an address-space limit.
 """
 
 import io
 import json
+import os
+import resource
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import pzeta
 from pzeta import DirichletPolynomial, cli
 from pzeta.dirichlet import int_from_json
 from test_dirichlet import _oracle_mul, _oracle_truncated_product
@@ -271,3 +281,139 @@ def test_pinned_hostile_inputs_end_in_time(fuzz_dir, command, data, code):
     got, out, err = run_capped(fuzz_dir, command, json.dumps(data))
     check_any_documented_exit(got, out, err)
     assert got == code, err
+
+
+# -- pg, factorize and moebius ------------------------------------------------
+
+GROUP_COMMANDS = ("pg", "factorize", "moebius")
+
+
+def run_group_capped(command, source):
+    """Under budgets a tenth of the defaults: a product of builtins or a
+    group file within the default budget can take the walk to 20000
+    subgroups, seconds each, while these keep every example far inside
+    the cap and still reach exits 0, 2 and 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), wall_clock_cap(CAP_S):
+        code = cli.main(["--format", "json", "--budget-order", "1000",
+                         "--budget-subgroups", "2000", command, *source])
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_group_exit(command, code, out, err):
+    assert code in (0, 2, 3), err
+    if code:
+        assert out == "" and err.startswith(EXIT_PREFIXES[code]), err
+        return
+    data = json.loads(out)
+    if command == "pg":
+        # P_G(0) = sum of mu(H) over all H: 0 unless G is trivial
+        terms = [(t["n"], int(t["a"])) for t in data["zeta"]["terms"]]
+        assert terms[0] == (1, 1)
+        assert all(data["order"] % n == 0 for n, _ in terms)
+        assert sum(a for _, a in terms) == (data["order"] == 1)
+    elif command == "factorize":
+        assert data["product_ok"] is True
+    else:
+        assert len(data["moebius"]) == len(data["nodes"]) and data["moebius"][-1] == 1
+
+
+def _cycle_text(cycles):
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
+
+@st.composite
+def group_file_st(draw):
+    """A degree line (sometimes malformed) and up to three generator
+    lines of small cycles, a few of them past the degree, repeated or
+    not cycle notation at all; comments and blank lines between."""
+    degree = draw(st.integers(1, 40))
+    head = draw(st.sampled_from(
+        [f"degree {degree}"] * 8 + ["degree 0", "degree -3", "degree x", "deg 4",
+                                    "degree 2000000", ""]
+    ))
+    point_st = st.one_of(st.integers(0, degree - 1), st.integers(0, degree - 1),
+                         st.integers(0, degree + 2))
+    cycle_st = st.lists(point_st, min_size=2, max_size=5, unique=True)
+    line_st = st.one_of(
+        st.lists(cycle_st, min_size=1, max_size=3).map(_cycle_text),
+        st.lists(cycle_st, min_size=1, max_size=3).map(_cycle_text),
+        st.sampled_from(["()", "(0 1", "0 1)", "(a b)", "((0 1))", "(0 -1)", "# note", "",
+                         "(0 0)", "(1.5 2)"]),
+    )
+    lines = draw(st.lists(line_st, max_size=3))
+    return "\n".join(["# fuzz", head, *lines]) + "\n"
+
+
+# small families only: S7's and A7's lattices take seconds; an orbit
+# past the order budget is refused before the chain is built, and a
+# degree past the group bound before any row is
+builtin_name_st = st.one_of(
+    st.builds(lambda k, n: f"{k}{n}", st.sampled_from("SA"),
+              st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 9, 12])),
+    st.builds(lambda k, n: f"{k}{n}", st.sampled_from("CD"), st.integers(0, 60)),
+    st.builds(lambda k, n: f"{k}{n}", st.sampled_from("SACD"), st.integers(2001, 3000)),
+    st.builds(lambda k, n: f"{k}{n}", st.sampled_from("SACD"), st.integers(10**6 + 1, 10**12)),
+    st.sampled_from(["Q8", "C2xC2", "PSL(2,7)", "PGL2_7", "PSL(2,4)", "PSL(2,1000003)",
+                     "PSL(2,9)", "E8", "", "x", "A5x", "S3 x C2", "Cp", "Cn", "C999999xC2"]),
+)
+builtin_source_st = st.one_of(
+    st.lists(builtin_name_st, min_size=1, max_size=3).map(lambda ns: ["--builtin", "x".join(ns)]),
+    st.builds(lambda p: ["--builtin", "Cp", "--p", str(p)],
+              st.one_of(st.integers(-3, 60), st.integers(10**6 + 1, 10**12))),
+)
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+@settings(max_examples=60, deadline=None)
+@given(text=group_file_st())
+def test_group_file_ends_in_a_documented_exit(fuzz_dir, command, text):
+    path = fuzz_dir / "in.grp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_group_capped(command, ["--file", str(path)])
+    check_group_exit(command, code, out, err)
+    event(f"exit {code}")
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+@settings(max_examples=60, deadline=None)
+@given(source=builtin_source_st)
+def test_builtin_ends_in_a_documented_exit(command, source):
+    code, out, err = run_group_capped(command, source)
+    check_group_exit(command, code, out, err)
+    event(f"exit {code}")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+# degrees past the group bound (exit 2), and regular groups whose one
+# orbit already passes the lattice budget, so that the chain, whose
+# first level holds degree x degree points, is never built (exit 3);
+# they once ended in a MemoryError or took seconds and most of a gigabyte
+PINNED_BUILTINS = [
+    ("C1000000000", 2, "degree 1000000000 exceeds 1000000"),
+    ("S50000000", 2, "degree 50000000 exceeds 1000000"),
+    ("C2000000", 2, "degree 2000000 exceeds 1000000"),
+    ("C100000", 3, "order at least 100000 exceeds lattice budget 10000"),
+    ("C12000", 3, "order at least 12000 exceeds lattice budget 10000"),
+]
+
+
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+@pytest.mark.parametrize("name, code, message", PINNED_BUILTINS)
+def test_pinned_hostile_builtins_end_in_time(command, name, code, message):
+    """In a child process under a 3 GB address-space limit, so that a
+    regression fails this test instead of exhausting the host."""
+    src = os.path.dirname(os.path.dirname(pzeta.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PZETA_BUDGET_ORDER", None)
+    got = subprocess.run(
+        [sys.executable, "-m", "pzeta.cli", command, "--builtin", name],
+        capture_output=True, text=True, timeout=CAP_S, env=env,
+        preexec_fn=_limit_address_space,
+    )
+    assert got.returncode == code, got.stderr
+    assert got.stdout == "" and got.stderr.startswith(EXIT_PREFIXES[code])
+    assert message in got.stderr

@@ -562,6 +562,20 @@ def test_series_mul_matches_oracle(a, b):
     assert repr(b * a) == repr(_oracle_series_mul(b, a))
 
 
+@settings(max_examples=200, deadline=None)
+@given(series_st(), series_st(), series_st())
+def test_series_mul_chain_matches_oracle(a, b, c):
+    """A product's window keeps its columns; as the left operand of a
+    product at a smaller bound they are cut there."""
+    want = _oracle_series_mul(_oracle_series_mul(a, b), c)
+    for got in ((a * b) * c, c * (a * b), a * (b * c)):
+        assert repr(got) == repr(want)
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert all(type(n) is int and type(x) is int for n, x in got.terms().items())
+
+
 # indices up to 2^40 put products at or above 2^63 on the object index
 # column; coefficients up to 2^70 take the coefficients off int64
 wide_poly_st = st.builds(

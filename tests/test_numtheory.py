@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from pzeta.numtheory import (
     integer_nth_root,
     is_prime,
-    is_prime_power,
-    largest_prime_factor,
     padic_valuation,
     prime_factors,
     prime_factors_rho,
@@ -81,17 +79,7 @@ def test_integer_nth_root_exact_on_powers_and_neighbours(root, r):
     assert integer_nth_root(n + 1, r) is None
 
 
-def test_prime_power_detection():
-    assert is_prime_power(8) and is_prime_power(27) and is_prime_power(7)
-    assert not is_prime_power(1) and not is_prime_power(12)
-
-
 def test_valuation_and_stripping():
     assert padic_valuation(3**20 * 7**20, 7) == 20
     assert strip_primes_up_to(3**20 * 7**20, 7) == 1
     assert strip_primes_up_to(11 * 3**5, 7) == 11
-
-
-def test_largest_prime_factor():
-    assert largest_prime_factor(1) is None
-    assert largest_prime_factor(84) == 7

@@ -1341,6 +1341,14 @@ class TestWideAndRegularChains:
         assert group.order == 60 and group._eng is None
         assert peak < 6 * table_bytes  # 2.4 MB table; the tuple rows peaked at 31 MB
 
+    def test_wide_centralizer_compares_rows_in_blocks(self):
+        """Delta is every point, so K is all of X: its rows meet S's
+        generators a block at a time, not as whole-table copies."""
+        group = _diagonal_a5(4000)
+        table_bytes = 60 * group.degree * np.dtype(permgroup._dtype_for(group.degree)).itemsize
+        peak = _traced_peak(lambda: AlmostSimpleSpec(group, group))
+        assert peak < 3.5 * table_bytes  # whole-table comparisons peaked at 4.6 tables
+
     def test_regular_chain_in_a_few_tables(self):
         group = cyclic(300)
         peak = _traced_peak(lambda: group.stabilizer_chain)
