@@ -34,7 +34,6 @@ from .lattice import (
     ChiefStep,
     SubgroupLattice,
     all_chief_series_ids,
-    centralizer_quotient,
     chief_series_ids,
     chief_steps,
     factor_group,
@@ -83,15 +82,12 @@ from .zeta import (
     WTableRow,
     ZetaReport,
     chief_factorization,
-    generating_probability,
-    generating_probability_bruteforce,
     generation_counts,
     minimal_odd_index_table,
     odd_supplement_indices,
     predicted_minimal_odd_index,
     probabilistic_zeta,
     supplement_zeta,
-    verify_shift_coefficients,
     zeta_from_lattice,
     zeta_report,
 )

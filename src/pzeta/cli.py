@@ -43,15 +43,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .lattice import Budget
-from .permgroup import (
-    AlmostSimpleSpec,
-    PermGroup,
-    builtin_group,
-    make_psl2,
-    parse_group_file,
-    psl2_order,
-    psl2_variant,
-)
+from .permgroup import PermGroup, builtin_group, parse_group_file
 from .rationality import (
     ArithmeticExponents,
     ConstantExponents,
@@ -64,6 +56,7 @@ from .zeta import (
     chief_factorization,
     minimal_odd_index_table,
     odd_supplement_indices,
+    psl2_within_budget,
     supplement_zeta,
     zeta_report,
 )
@@ -240,19 +233,9 @@ def _cmd_pg(args) -> int:
     return EXIT_OK
 
 
-def _psl2_within_budget(args) -> tuple[AlmostSimpleSpec, Budget]:
-    """X = PSL/PGL(2,q) and the budget, refused by the budget's order
-    before ``make_psl2`` tests q for primality or builds a permutation:
-    an odd q >= 5 whose closed-form order is over the budget exits 3
-    whether or not it is prime."""
-    variant = psl2_variant(args.q, args.variant)
-    budget = _budget(args)
-    budget.check_order(psl2_order(args.q, variant))
-    return make_psl2(args.q, variant), budget
-
-
 def _cmd_pxs(args) -> int:
-    spec, budget = _psl2_within_budget(args)
+    budget = _budget(args)
+    spec = psl2_within_budget(args.q, args.variant, budget)
     poly = supplement_zeta(spec, budget)
     payload = {
         "group": spec.name,
@@ -264,7 +247,8 @@ def _cmd_pxs(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    spec, budget = _psl2_within_budget(args)
+    budget = _budget(args)
+    spec = psl2_within_budget(args.q, args.variant, budget)
     report = odd_supplement_indices(spec, budget, include_even=args.include_even)
     lines = [f"group {report.group} (socle order {report.socle_order})"]
     for d in report.details:

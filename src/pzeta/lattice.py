@@ -294,6 +294,12 @@ class _NodePoset:
     def class_of(self, i: int) -> int:
         return self._class_of[i]
 
+    def is_maximal(self, i: int) -> bool:
+        """Whether node i is a maximal subgroup: its row of proper
+        overgroups (exact, as the family is upward closed) is the top
+        alone."""
+        return self._overgroups(i) == [self.top_id]
+
     def _parent_of(self, i: int) -> tuple[int, int] | None:
         """Node i's parent (p, k), or None for a class representative;
         the first call inside a class finds the parents of all its
@@ -464,12 +470,7 @@ class SubgroupLattice(_NodePoset):
     def maximal_node_ids(self) -> list[int]:
         """Maximal subgroups, ascending.  Maximality is a class
         property, so only representatives' rows are read."""
-        return sorted(
-            i
-            for members in self.classes
-            if self._overgroups(members[0]) == [self.top_id]
-            for i in members
-        )
+        return sorted(i for members in self.classes if self.is_maximal(members[0]) for i in members)
 
     def frattini_node_id(self) -> int:
         """Intersection of all maximal subgroups (the whole group if
@@ -799,23 +800,3 @@ def _simple_factor_order(lat: SubgroupLattice, upper: int, lower: int, factor_or
         if all(lat._fs[m].issuperset(eng.conj_set(mgens, u).tolist()) for u in ugens):
             return t
     return factor_order
-
-
-def centralizer_quotient(lat: SubgroupLattice, upper: int, lower: int) -> PermGroup:
-    """G / C_G(N_upper / N_lower): the monolithic primitive group
-    attached to a chief factor.  The centralizer consists of the
-    elements whose commutator with every generator of N_upper lands in
-    N_lower.  Public API; the chief factorization does not call it."""
-    if not (lat.is_normal(upper) and lat.is_normal(lower)):
-        raise NotNormal("chief factor bounds must be normal nodes")
-    eng = lat.engine
-    in_lower = np.zeros(eng.order, dtype=bool)
-    in_lower[list(lat.node_elements(lower))] = True
-    mask = eng.commutes_into(lat.node_generators(upper), in_lower)
-    cent = [int(x) for x in np.flatnonzero(mask)]
-    degree, gen_rows, _ = eng.quotient_action(cent)
-    return PermGroup(
-        degree,
-        [Permutation(r) for r in gen_rows],
-        name=f"{lat.group.name}.L({upper},{lower})",
-    )

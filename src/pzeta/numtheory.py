@@ -1,5 +1,6 @@
-"""Small exact number-theory helpers (trial division scale, with
-Miller-Rabin and Pollard's rho where inputs may be large).
+"""Small exact number-theory helpers: Miller-Rabin primality, and one
+factoring routine, trial division up to 1000 with Brent's rho on the
+cofactor, so large indices factor in bounded time.
 
 Indices of Dirichlet polynomial terms can be astronomically large
 (they are often perfect powers of moderate integers), so nothing here
@@ -22,6 +23,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # Product of differences taken per gcd in Brent's rho.
 _RHO_BATCH = 128
+# Trial division bound of prime_factors: 1000^2 = DEFAULT_MAX_GROUP_ORDER,
+# so every group order and element order is factored by division alone.
+_TRIAL_BOUND = 1000
 
 
 def is_prime(n: int) -> bool:
@@ -52,23 +56,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime divisors of ``n >= 1``, ascending."""
-    if n < 1:
-        raise ValueError("prime_factors needs n >= 1")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _rho_divisor(n: int) -> int:
@@ -103,23 +90,26 @@ def _rho_divisor(n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def prime_factors_rho(n: int) -> tuple[int, ...]:
-    """Distinct prime divisors of ``1 <= n < 3.3 * 10^24``, ascending:
-    the first 13 primes by division, the rest split by Brent's rho and
-    each part tested by ``is_prime``, so the answer is exact.  Past
-    3.3 * 10^24 ``is_prime`` is not exact, and ``InvalidParameter`` is
-    raised instead."""
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of ``n >= 1``, ascending, exactly: trial
+    division by the numbers up to ``_TRIAL_BOUND``, then the cofactor
+    split by Brent's rho and each part tested by ``is_prime``.  A part
+    past 3.3 * 10^24 cannot be tested exactly, and ``InvalidParameter``
+    is raised instead."""
     if n < 1:
-        raise ValueError("prime_factors_rho needs n >= 1")
-    if n >= _MR_EXACT_BELOW:
-        raise InvalidParameter(f"cannot factor {n} exactly (past 3.3 * 10^24)")
+        raise ValueError("prime_factors needs n >= 1")
+    out = []
+    d = 2
+    while d * d <= n and d <= _TRIAL_BOUND:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if d * d > n:  # n is 1 or prime
+        return tuple(out + [n] if n > 1 else out)
     found = set()
-    for p in _MR_BASES:
-        if n % p == 0:
-            found.add(p)
-            while n % p == 0:
-                n //= p
-    parts = [n] if n > 1 else []
+    parts = [n]
     while parts:
         m = parts.pop()
         if is_prime(m):
@@ -127,7 +117,7 @@ def prime_factors_rho(n: int) -> tuple[int, ...]:
         else:
             d = _rho_divisor(m)
             parts += [d, m // d]
-    return tuple(sorted(found))
+    return tuple(out + sorted(found))
 
 
 @lru_cache(maxsize=None)

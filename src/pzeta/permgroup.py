@@ -683,27 +683,17 @@ class _Engine:
         of ``ids`` in their orbit under the group generated by the maps
         x -> x*r (r in ``right``) and x -> c^-1*x*c (c in ``conj``).
 
-        Min-label propagation over ranks that put ``ids`` first: rank x
-        for x in ids, order + x for any other x.  Each label is the rank
-        of an element in the same orbit and never grows.  A pass takes,
-        along every map, the smaller of a label and the label of the
-        image, then jumps pointers once (each label becomes the label of
-        the element it ranks); a pass that changes nothing leaves the
-        least rank of every orbit on all of it, and x in ids is least of
-        ids in its orbit when its label is x."""
+        Min-label propagation (``_min_labels``) over ranks that put
+        ``ids`` first: rank x for x in ids, order + x for any other x.
+        At the fixpoint x in ids is least of ids in its orbit when its
+        label is x."""
         n = self.order
         maps = [self._column("mul", r) for r in right]
         maps += [self._column("conj", c) for c in conj]
         labels = np.arange(n, 2 * n)
         labels[ids] = ids
-        while True:
-            new = labels
-            for col in maps:
-                new = np.minimum(new, new.take(col))
-            new = new.take(new, mode="wrap")  # the element of rank r is r mod n
-            if (new == labels).all():
-                return ids[labels[ids] == ids]
-            labels = new
+        labels = _min_labels(labels, maps)
+        return ids[labels[ids] == ids]
 
     # -- element statistics ---------------------------------------------
 
@@ -998,20 +988,29 @@ def _derived_order(group: PermGroup) -> int:
         seeds = np.concatenate([seeds, new])
 
 
+def _min_labels(labels: np.ndarray, maps) -> np.ndarray:
+    """Min-label propagation to a fixpoint.  ``labels[x]`` is the rank
+    of an element in x's orbit under the maps (x -> ``col[x]`` for each
+    col in ``maps``), where the element of rank r is r mod len(labels).
+    A pass takes, along every map, the smaller of a label and the label
+    of the image, then jumps pointers once (each label becomes the label
+    of the element it ranks); labels never grow, and a pass that changes
+    nothing leaves the least rank of every orbit on all of it."""
+    while True:
+        new = labels
+        for col in maps:
+            new = np.minimum(new, new.take(col))
+        new = new.take(new, mode="wrap")
+        if (new == labels).all():
+            return labels
+        labels = new
+
+
 def _orbit_roots(gens: np.ndarray) -> np.ndarray:
     """The least point of each point's orbit under the generator rows
-    ``gens``: labels shrink along the generators and their inverses, and
-    jump to the label of their label, until nothing changes."""
+    ``gens`` and their inverses."""
     maps = np.concatenate([gens, _inverse_rows(gens)])
-    label = np.arange(gens.shape[1])
-    while True:
-        new = label
-        for g in maps:
-            new = np.minimum(new, new[g])
-        new = new[new]
-        if (new == label).all():
-            return label
-        label = new
+    return _min_labels(np.arange(gens.shape[1]), maps)
 
 
 def _centralizer_is_trivial(group: PermGroup, socle: PermGroup) -> bool:
@@ -1117,9 +1116,17 @@ class AlmostSimpleSpec:
 # ---------------------------------------------------------------------------
 
 
+def _check_degree(name: str, degree: int) -> None:
+    """Refuse a degree above ``DEFAULT_MAX_GROUP_ORDER`` before any
+    image list is built."""
+    if degree > DEFAULT_MAX_GROUP_ORDER:
+        raise ValueError(f"{name}: degree {degree} exceeds {DEFAULT_MAX_GROUP_ORDER}")
+
+
 def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
+    _check_degree(f"C{n}", n)
     if n == 1:
         return PermGroup(1, [], name="C1")
     images = [(i + 1) % n for i in range(n)]
@@ -1129,6 +1136,7 @@ def cyclic(n: int) -> PermGroup:
 def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("symmetric group degree must be >= 1")
+    _check_degree(f"S{n}", n)
     if n == 1:
         return PermGroup(1, [], name="S1")
     gens = [Permutation.from_cycles(n, [(0, 1)])]
@@ -1138,6 +1146,7 @@ def symmetric(n: int) -> PermGroup:
 
 
 def alternating(n: int) -> PermGroup:
+    _check_degree(f"A{n}", n)
     if n < 3:
         return PermGroup(max(n, 1), [], name=f"A{n}")
     gens = [Permutation.from_cycles(n, [(0, 1, 2)])]
@@ -1152,6 +1161,7 @@ def dihedral(order: int) -> PermGroup:
     if order < 6 or order % 2 != 0:
         raise ValueError("dihedral constructor takes an even order >= 6")
     n = order // 2
+    _check_degree(f"D{order}", n)
     rot = Permutation([(i + 1) % n for i in range(n)])
     ref = Permutation([(n - i) % n for i in range(n)])
     return PermGroup(n, [rot, ref], name=f"D{order}")

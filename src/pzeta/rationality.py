@@ -36,7 +36,6 @@ from .numtheory import (
     iter_primes,
     padic_valuation,
     prime_factors,
-    prime_factors_rho,
     strip_primes_up_to,
 )
 from .permgroup import PermGroup
@@ -461,8 +460,8 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     the primes dividing their stated values.  Without an arithmetic
     family the primes up to ``probe_bound`` (an int >= 1) are tried.
     The first step is factored by trial division up to the larger of
-    ``probe_bound`` and 10^4, and the cofactor left by Pollard's rho
-    (:func:`prime_factors_rho`); only a cofactor past 3.3 * 10^24, where
+    ``probe_bound`` and 10^4, and the cofactor left by
+    :func:`prime_factors`; only a cofactor past 3.3 * 10^24, where
     primality is not decided exactly, makes the report inexact, with a
     note.
     """
@@ -494,7 +493,7 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
         # the witness divides the first step: its prime divisors in
         # ascending order, by trial division up to the larger of
         # probe_bound and 10^4, then those of the cofactor left, split by
-        # Pollard's rho below 3.3 * 10^24; a larger cofactor is not factored
+        # prime_factors below 3.3 * 10^24; a larger cofactor is not factored
         bound = max(probe_bound, 10_000)
         rest = arith[0].step
         for p in iter_primes():
@@ -508,7 +507,7 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
                     rest //= p
         if witness is None and rest > 1:
             try:
-                primes = prime_factors_rho(rest)
+                primes = prime_factors(rest)
             except InvalidParameter:
                 exact = False
                 note = f"step factor {rest} past 3.3 * 10^24 is not factored"

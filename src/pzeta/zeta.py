@@ -3,9 +3,9 @@
 For a finite group G the coefficients ``a_n = sum mu_G(H)`` over the
 subgroups of index n assemble into the Dirichlet polynomial
 ``P_G(s) = sum a_n / n^s``.  Evaluating at a positive integer k gives
-the exact probability that k uniform random elements generate G, which
-this module exploits both as an oracle (via an independent counting
-argument) and in tests.
+the exact probability that k uniform random elements generate G;
+``generation_counts`` counts the generating tuples independently of mu,
+for tests and the benchmark's expected values.
 
 On top of that sit the quantities specific to almost simple groups X
 with socle S: the supplement zeta function ``P_{X,S}`` summing only
@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product as iter_product
 
-from .dirichlet import DirichletPolynomial, divide_exact, power_shift, prime_projection
+from .dirichlet import DirichletPolynomial, divide_exact
 from .errors import BudgetExceeded, InvalidParameter, NotNormal, OrderBoundExceeded
 from .lattice import (
     DEFAULT_BUDGET,
@@ -33,7 +31,6 @@ from .lattice import (
     chief_steps,
     overgroups_of_seed,
 )
-from .numtheory import prime_factors
 from .permgroup import AlmostSimpleSpec, PermGroup, make_psl2, psl2_order, psl2_variant
 
 
@@ -117,7 +114,7 @@ def zeta_report(group: PermGroup, budget: Budget | None = None) -> ZetaReport:
 
 
 # ---------------------------------------------------------------------------
-# generation probability oracle (independent of the Moebius function)
+# generation counts (independent of the Moebius function)
 # ---------------------------------------------------------------------------
 
 
@@ -135,29 +132,6 @@ def generation_counts(lat: SubgroupLattice, k: int) -> list[int]:
     for i in order_asc:
         t[i] = lat.node_order(i) ** k - sum(t[j] for j in lat.strict_subgroups(i))
     return t
-
-
-def generating_probability(
-    group: PermGroup, k: int, budget: Budget | None = None
-) -> Fraction:
-    """Exact probability that k independent uniform elements generate
-    the group; equals the zeta polynomial evaluated at s = k."""
-    lat = group.subgroup_lattice(budget)
-    counts = generation_counts(lat, k)
-    return Fraction(counts[lat.top_id], group.order**k)
-
-
-def generating_probability_bruteforce(group: PermGroup, k: int) -> Fraction:
-    """Direct tuple enumeration; only for very small groups."""
-    eng = group.engine
-    if eng.order**k > 300_000:
-        raise ValueError("brute-force enumeration only supported for tiny groups")
-    hits = 0
-    for tup in iter_product(range(eng.order), repeat=k):
-        closed = eng.closure(tup)
-        if closed is not None and len(closed) == eng.order:
-            hits += 1
-    return Fraction(hits, eng.order**k)
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +203,22 @@ def odd_supplement_indices(
     fixed Sylow 2-subgroup, whole conjugacy classes, holds them all;
     that keeps groups with a few thousand elements cheap.  Supplement,
     index and maximality are class invariants, so one representative
-    per class is read, maximal exactly when its row (the family is
-    upward closed) is the top alone.  ``include_even=True`` is a
-    non-table extension that seeds the same walk with the trivial
-    subgroup, i.e. inspects every class of subgroups.
+    per class is read (``is_maximal``).  ``include_even=True`` is a
+    non-table extension that reads every class of X's own subgroup
+    lattice instead.
     """
     budget = budget or DEFAULT_BUDGET
-    budget.check_order(spec.group.order)  # refuse before the table and sylow2()
-    eng = spec.group.engine
-    seed, seed_gens = ((eng.id_idx,), ()) if include_even else eng.sylow2()
-    fam = overgroups_of_seed(eng, seed, seed_gens, budget)
+    order = spec.group.order
+    budget.check_order(order)  # refuse before the table and sylow2()
+    if include_even:
+        fam = spec.group.subgroup_lattice(budget)
+    else:
+        fam = overgroups_of_seed(spec.group.engine, *spec.group.engine.sylow2(), budget)
     by_index: dict[int, list[bool]] = {}  # index -> maximality of each class
     for members in fam.classes:
         h = fam.nodes[members[0]]
         if _is_supplement(h, spec):
-            maximal = fam._overgroups(members[0]) == [fam.top_id]
-            by_index.setdefault(eng.order // len(h), []).append(maximal)
+            by_index.setdefault(order // len(h), []).append(fam.is_maximal(members[0]))
     details = []
     omega = []
     for m in sorted(by_index):
@@ -292,6 +266,17 @@ def predicted_minimal_odd_index(q: int, variant: str = "psl") -> int:
     return q * (q - 1) // 2 if q % 4 == 3 else q * (q + 1) // 2
 
 
+def psl2_within_budget(q: int, variant: str, budget: Budget) -> AlmostSimpleSpec:
+    """X = PSL/PGL(2,q), refused by the budget's order before
+    ``make_psl2`` tests q for primality or builds a permutation: after
+    ``make_psl2``'s cheap checks (``psl2_variant``), an odd q >= 5 whose
+    closed-form order is over the budget raises ``OrderBoundExceeded``
+    whether or not it is prime."""
+    v = psl2_variant(q, variant)
+    budget.check_order(psl2_order(q, v))
+    return make_psl2(q, v)
+
+
 @dataclass(frozen=True)
 class WTableRow:
     q: int
@@ -331,9 +316,7 @@ def minimal_odd_index_table(
             v = variant.lower()
             note = ""
             try:
-                psl2_variant(q, v)  # make_psl2's cheap checks, before the budget's
-                budget.check_order(psl2_order(q, v))  # before building the group
-                computed = odd_supplement_indices(make_psl2(q, v), budget).minimum
+                computed = odd_supplement_indices(psl2_within_budget(q, v, budget), budget).minimum
             except (BudgetExceeded, OrderBoundExceeded) as exc:
                 computed, note = None, str(exc)
             predicted = predicted_minimal_odd_index(q, v)
@@ -481,30 +464,3 @@ def chief_factor_multiset(group: PermGroup, budget: Budget | None = None):
         sorted(tuple(divide_exact(qzetas[lo], qzetas[up]).items()) for up, lo in zip(c, c[1:]))
         for c in all_chief_series_ids(lat)
     ]
-
-
-# ---------------------------------------------------------------------------
-# shift-coefficient consistency
-# ---------------------------------------------------------------------------
-
-
-def verify_shift_coefficients(
-    spec: AlmostSimpleSpec,
-    r: int,
-    primes,
-    budget: Budget | None = None,
-) -> bool:
-    """Check that projecting away ``primes`` commutes with the power
-    substitution on the supplement zeta function: each surviving term
-    c_m / m^s must land at index m^r with coefficient c_m * m^(r-1)."""
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("r must be an int >= 1")
-    socle_primes = set(prime_factors(spec.socle.order))
-    ps = frozenset(primes)
-    if not ps & socle_primes:
-        raise ValueError("prime set must contain a divisor of the socle order")
-    pxs = supplement_zeta(spec, budget)
-    base = prime_projection(pxs, ps)
-    shifted = prime_projection(power_shift(pxs, r), ps)
-    expected = DirichletPolynomial({m**r: c * m ** (r - 1) for m, c in base.items()})
-    return shifted == expected

@@ -4,7 +4,9 @@ lattice work across test modules is paid once per session)."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -13,6 +15,7 @@ from pzeta import (
     DirichletPolynomial,
     PermGroup,
     builtin_group,
+    generation_counts,
     make_psl2,
 )
 from pzeta.errors import OrderBoundExceeded
@@ -62,6 +65,46 @@ def random_unit_lead(rng: random.Random) -> DirichletPolynomial:
         n = rng.randint(m0 + 1, 18)
         terms.setdefault(n, rng.randint(-5, 5))
     return DirichletPolynomial(terms)
+
+
+# -- independent oracles for P_G(k) and for factoring ----------------------------
+
+
+def generating_probability(group: PermGroup, k: int) -> Fraction:
+    """The probability that k uniform elements generate the group, from
+    ``generation_counts`` (inclusion-exclusion over every node of the
+    lattice), which never reads a Moebius value."""
+    lat = group.subgroup_lattice()
+    return Fraction(generation_counts(lat, k)[lat.top_id], group.order**k)
+
+
+def generating_probability_bruteforce(group: PermGroup, k: int) -> Fraction:
+    """Direct tuple enumeration; only for very small groups."""
+    eng = group.engine
+    if eng.order**k > 300_000:
+        raise ValueError("brute-force enumeration only supported for tiny groups")
+    hits = 0
+    for tup in iter_product(range(eng.order), repeat=k):
+        closed = eng.closure(tup)
+        if closed is not None and len(closed) == eng.order:
+            hits += 1
+    return Fraction(hits, eng.order**k)
+
+
+def trial_division_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of ``n >= 1`` by trial division up to
+    sqrt(n): the reference for ``numtheory.prime_factors``."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 # -- tuple-row stabilizer chains: an oracle for permgroup._schreier_sims -------

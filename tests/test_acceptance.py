@@ -6,7 +6,8 @@ Criteria:
      (exact integers; q in {17, 19, 23, 29, 31, 37, 41, 43, 47} as slow-tagged
      extended rows),
   2. zeta evaluation equals the independent generation-probability
-     oracle on the whole small-group corpus (exact rationals),
+     oracle (``generation_counts``, which never reads mu) on the whole
+     small-group corpus (exact rationals),
   3. chief factorization multiplies back to the zeta polynomial exactly,
      with Frattini factors trivial and abelian factors matching the
      independently counted complement numbers,
@@ -27,7 +28,6 @@ from pzeta import (
     chief_factorization,
     descriptor_from_supplement_poly,
     divide_exact,
-    generating_probability,
     minimal_odd_index_table,
     odd_supplement_indices,
     power_shift,
@@ -40,6 +40,7 @@ from pzeta import (
 from pzeta.zeta import chief_factor_multiset
 from helpers import (
     CORPUS_NAMES,
+    generating_probability,
     group,
     psl2,
     random_polynomial,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pzeta import cli, permgroup
+from pzeta import cli, permgroup, zeta
 from pzeta.permgroup import _Engine
 from pzeta.zeta import WTableRow
 
@@ -508,7 +508,7 @@ class TestOmega:
         def fail(*args):
             raise AssertionError("make_psl2 called for a group over the budget")
 
-        monkeypatch.setattr(cli, "make_psl2", fail)
+        monkeypatch.setattr(zeta, "make_psl2", fail)
         code, _, err = run(capsys, command, "--q", q, "--variant", variant)
         assert code == 3 and err == message
 

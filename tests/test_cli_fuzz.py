@@ -396,6 +396,8 @@ PINNED_BUILTINS = [
     ("C1000000000", 2, "degree 1000000000 exceeds 1000000"),
     ("S50000000", 2, "degree 50000000 exceeds 1000000"),
     ("C2000000", 2, "degree 2000000 exceeds 1000000"),
+    # each factor is within the bound; only the product's total is not
+    ("C600000xC600000", 2, "builtin 'C600000xC600000': degree 1200000 exceeds 1000000"),
     ("C100000", 3, "order at least 100000 exceeds lattice budget 10000"),
     ("C12000", 3, "order at least 12000 exceeds lattice budget 10000"),
 ]

@@ -127,7 +127,9 @@ class TestAgainstReferenceWalk:
         eng = psl2(q, variant).group.engine
         _check_family(eng, *eng.sylow2())
 
-    # the trivial seed is the walk behind ``omega --include-even``
+    # the trivial seed is the walk behind ``SubgroupLattice``, and so
+    # behind ``omega --include-even``; here it runs through the seeded
+    # entry point ``overgroups_of_seed``
     @pytest.mark.parametrize("variant", ["psl", "pgl"])
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_trivial_seed_family(self, q, variant):

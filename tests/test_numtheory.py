@@ -11,10 +11,10 @@ from pzeta.numtheory import (
     is_prime,
     padic_valuation,
     prime_factors,
-    prime_factors_rho,
     strip_primes_up_to,
 )
 from pzeta.errors import InvalidParameter
+from helpers import trial_division_factors
 
 
 def test_is_prime_small():
@@ -29,19 +29,21 @@ def test_prime_factors():
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**9))
-def test_prime_factors_rho_matches_trial_division(n):
-    assert prime_factors_rho(n) == prime_factors(n)
+def test_prime_factors_matches_trial_division(n):
+    assert prime_factors(n) == trial_division_factors(n)
 
 
-def test_prime_factors_rho_splits_large_cofactors():
+def test_prime_factors_splits_large_cofactors():
     # prime powers, and products of primes too large for trial division
-    assert prime_factors_rho(43**3 * 1009**2) == (43, 1009)
-    assert prime_factors_rho(3 * 10007 * 10009) == (3, 10007, 10009)
+    assert prime_factors(43**3 * 1009**2) == (43, 1009)
+    assert prime_factors(3 * 10007 * 10009) == (3, 10007, 10009)
     p, q = 1_000_000_000_039, 1_000_000_000_061
-    assert prime_factors_rho(p * q) == (p, q)
-    assert prime_factors_rho(2**61 - 1) == (2**61 - 1,)
+    assert prime_factors(p * q) == (p, q)
+    assert prime_factors(2**61 - 1) == (2**61 - 1,)
+    # small primes come off by division, whatever the size of n
+    assert prime_factors(2**200 * 3**50) == (2, 3)
     with pytest.raises(InvalidParameter, match="past 3.3"):
-        prime_factors_rho((2**61 - 1) * (2**31 - 1))
+        prime_factors((2**61 - 1) * (2**31 - 1))
 
 
 def test_integer_nth_root_exact_on_huge_powers():

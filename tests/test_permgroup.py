@@ -28,7 +28,6 @@ from pzeta import (
     alternating,
     all_chief_series_ids,
     builtin_group,
-    centralizer_quotient,
     chief_series_ids,
     chief_steps,
     cyclic,
@@ -157,6 +156,14 @@ class TestBuiltins:
     def test_dihedral_is_nonabelian_of_right_order(self):
         d12 = dihedral(12)
         assert d12.order == 12 and not d12.is_abelian
+
+    @pytest.mark.parametrize("build", [cyclic, symmetric, alternating, dihedral],
+                             ids=lambda f: f.__name__)
+    def test_constructor_refuses_a_huge_degree_at_once(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds {DEFAULT_MAX_GROUP_ORDER}"):
+            build(10**9)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGroupFile:
@@ -648,45 +655,6 @@ def _a5_wr_c2() -> PermGroup:
         Permutation.from_cycles(10, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]),
     ]
     return PermGroup(10, gens, name="A5wrC2")
-
-
-class TestCentralizerQuotient:
-    def test_s4_bottom_factor_gives_s3(self):
-        # V4 is self-centralizing in S4, so the monolithic group of the
-        # bottom factor V4/1 is S4/V4 of order 6, nonabelian
-        lat = group("S4").subgroup_lattice()
-        chain = chief_series_ids(lat)  # S4 > A4 > V4 > 1
-        monolith = centralizer_quotient(lat, chain[2], chain[3])
-        assert monolith.order == 6 and not monolith.is_abelian
-
-    def test_s4_abelian_c3_factor_gives_c2(self):
-        # A4/V4 is abelian, so all of A4 centralizes it and L = S4/A4
-        lat = group("S4").subgroup_lattice()
-        chain = chief_series_ids(lat)
-        monolith = centralizer_quotient(lat, chain[1], chain[2])
-        assert monolith.order == 2
-
-    def test_nonabelian_factor_in_product(self):
-        # A5 x C2 has the nonabelian chief factor A5; its centralizer is
-        # the C2 direct factor, so the monolithic group is A5 itself
-        lat = group("A5xC2").subgroup_lattice()
-        a5_node = next(
-            i for i in lat.normal_node_ids() if lat.node_order(i) == 60
-        )
-        monolith = centralizer_quotient(lat, a5_node, lat.trivial_id)
-        assert monolith.order == 60 and not monolith.is_abelian
-
-    def test_simple_group_gives_itself(self):
-        lat = group("A5").subgroup_lattice()
-        chain = chief_series_ids(lat)
-        monolith = centralizer_quotient(lat, chain[0], chain[1])
-        assert monolith.order == 60
-
-    def test_abelian_group_gives_trivial(self):
-        lat = group("C6").subgroup_lattice()
-        chain = chief_series_ids(lat)
-        monolith = centralizer_quotient(lat, chain[0], chain[1])
-        assert monolith.order == 1
 
 
 class TestProjectiveConstructions:

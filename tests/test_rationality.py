@@ -3,6 +3,7 @@ symbolic factor data."""
 
 import json
 import random
+import time
 
 import pytest
 
@@ -353,3 +354,15 @@ class TestPrimeSupport:
     def test_index_primes(self):
         assert index_primes(group("A5")) == frozenset({2, 3, 5})
         assert index_primes(group("C12")) == frozenset({2, 3})
+
+    def test_large_prime_indices_factor_in_bounded_time(self):
+        prime = 10**19 + 51  # trial division to its root would take about 10^9 steps
+        p, q = 1_000_000_000_039, 1_000_000_000_061
+        start = time.perf_counter()
+        assert prime_support(D({1: 1, prime: -1})).primes == frozenset({prime})
+        assert prime_support(D({1: 1, 6 * p * q: 2})).primes == frozenset({2, 3, p, q})
+        assert time.perf_counter() - start < 10.0
+
+    def test_undecided_index_is_refused(self):
+        with pytest.raises(InvalidParameter, match="past 3.3"):
+            prime_support(D({1: 1, (2**61 - 1) * (2**31 - 1): 1}))

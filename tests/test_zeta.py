@@ -4,6 +4,8 @@ the chief factorization."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pzeta import (
     Budget,
@@ -11,16 +13,14 @@ from pzeta import (
     PermGroup,
     chief_factorization,
     chief_steps,
-    generating_probability,
-    generating_probability_bruteforce,
     make_psl2,
     minimal_odd_index_table,
     odd_supplement_indices,
+    power_shift,
     predicted_minimal_odd_index,
     prime_projection,
     probabilistic_zeta,
     supplement_zeta,
-    verify_shift_coefficients,
     zeta_report,
 )
 from pzeta.errors import InvalidParameter, NotNormal, OrderBoundExceeded
@@ -28,7 +28,7 @@ from pzeta.lattice import all_chief_series_ids, chief_series_ids, overgroups_of_
 from pzeta.permgroup import _Engine
 from pzeta.rationality import check_sml_conditions
 from pzeta.zeta import OddIndexDetail, _is_supplement, interval_zeta
-from helpers import group, psl2
+from helpers import generating_probability, generating_probability_bruteforce, group, psl2
 
 D = DirichletPolynomial
 
@@ -61,6 +61,9 @@ class TestZetaPolynomial:
 
 
 class TestGenerationOracle:
+    """P_G(k) against the ``generation_counts`` oracle, which never
+    reads a Moebius value, and that oracle against direct counting."""
+
     def test_s3_pairs(self):
         assert generating_probability(group("S3"), 2) == Fraction(1, 2)
 
@@ -202,6 +205,14 @@ class TestOddSupplementIndices:
         with pytest.raises(OrderBoundExceeded, match="order 50616 exceeds lattice budget 30000"):
             odd_supplement_indices(spec, Budget(max_order=30000))
         assert spec.group._eng is None and spec.socle._eng is None
+
+    @pytest.mark.parametrize("q,variant", [(q, v) for q in (5, 7, 11) for v in ("psl", "pgl")])
+    def test_include_even_reads_the_group_lattice(self, q, variant):
+        spec = make_psl2(q, variant)
+        rep = odd_supplement_indices(spec, include_even=True)
+        lat = spec.group._lattice
+        assert lat is not None and spec.group.subgroup_lattice() is lat
+        assert rep.details == _node_loop_details(spec, include_even=True)
 
     @pytest.mark.parametrize(
         "q,variant,include_even",
@@ -415,27 +426,45 @@ class TestIntervalOracles:
                     assert rec.complement_count == complements, (name, chain, upper)
 
 
+def _shifted_by_hand(poly, r):
+    """Each term c_m / m^s moved to index m^r with coefficient
+    c_m * m^(r-1), written out term by term."""
+    return D({m**r: c * m ** (r - 1) for m, c in poly.items()})
+
+
 class TestShiftCoefficientConsistency:
+    """Projecting away primes commutes with the power substitution: each
+    surviving term c_m / m^s of ``P_{X,S}`` lands at index m^r with
+    coefficient c_m * m^(r-1)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 60), st.integers(-9, 9), max_size=8),
+        st.integers(1, 4),
+        st.sets(st.sampled_from([2, 3, 5, 7, 11])),
+    )
+    def test_projection_commutes_with_shift(self, terms, r, primes):
+        p = D(terms)
+        projected = prime_projection(p, primes)
+        assert prime_projection(power_shift(p, r), primes) == power_shift(projected, r)
+        assert power_shift(projected, r) == _shifted_by_hand(projected, r)
+
     def test_identity_shift(self):
-        assert verify_shift_coefficients(psl2(5, "psl"), 1, {2})
+        pxs = supplement_zeta(psl2(5, "psl"))
+        assert prime_projection(power_shift(pxs, 1), {2}) == _shifted_by_hand(
+            prime_projection(pxs, {2}), 1
+        )
 
     def test_full_projection_kills_everything(self):
-        spec = psl2(5, "psl")
-        assert prime_projection(supplement_zeta(spec), {2, 3, 5}).is_one()
-        assert verify_shift_coefficients(spec, 2, {2, 3, 5})
+        pxs = supplement_zeta(psl2(5, "psl"))
+        assert prime_projection(pxs, {2, 3, 5}).is_one()
+        assert prime_projection(power_shift(pxs, 2), {2, 3, 5}).is_one()
 
     def test_psl27_square_shift(self):
-        spec = psl2(7, "psl")
-        assert verify_shift_coefficients(spec, 2, {2})
-        poly = supplement_zeta(spec)
-        from pzeta import power_shift
-
+        poly = supplement_zeta(psl2(7, "psl"))
         shifted = prime_projection(power_shift(poly, 2), {2})
+        assert shifted == _shifted_by_hand(prime_projection(poly, {2}), 2)
         assert shifted.coefficient(21**2) == poly.coefficient(21) * 21
-
-    def test_rejects_prime_set_missing_socle_divisor(self):
-        with pytest.raises(ValueError):
-            verify_shift_coefficients(psl2(5, "psl"), 2, {11})
 
 
 class TestFiniteChiefSeriesConditions:
