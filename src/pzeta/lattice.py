@@ -5,21 +5,28 @@ double cosets and normalizers as in Cannon, Cox & Holt, "Computing the
 subgroup lattice of a permutation group", J. Symbolic Comput. 2001):
 grow the set of conjugacy-class representatives by extending each known
 subgroup K with one extra element.  Every cover H of K (K maximal in H)
-is <K, e> for some e of prime-power order outside K, since H is
-generated by its prime-power elements, and any generator of <e> can
-stand for e.  Two candidates need not both be tried when one lies in
-the orbit of the other under the group generated by x -> k1*x*k2 (k1,
-k2 in K) and x -> n^-1*x*n (n in N_G(K)):
+is <K, f> for some f of order p^a outside K with f^p in K: H is
+generated by its prime-power elements, so some e of order p^a lies in
+H outside K, and f can be the last of e, e^p, e^(p^2), ... outside K.
+Any generator c of <f> can stand for f, and c^p lies in K as well, so
+only candidates c with c^p in K are tried.  Two candidates need not
+both be tried when one lies in the orbit of the other under the group
+generated by x -> k1*x*k2 (k1, k2 in K), x -> n^-1*x*n (n in N_G(K))
+and the power maps x -> x^j(|x|), j(n) a unit mod n:
 
 * <K, k1*e*k2> = <K, e>;
 * <K, e^n> = <K, e>^n, a conjugate, and every new class is expanded
-  into its full conjugacy orbit when it is found.
+  into its full conjugacy orbit when it is found;
+* <K, e^j> = <K, e>, as e^j generates <e>.  So candidates stand for
+  cyclic subgroups rather than elements: conjugate cyclic subgroups
+  whose least generators lie in different element classes share an
+  orbit.
 
 So K is extended by one prime-power cyclic generator per orbit that
-meets them outside K, the least one, and the final node list contains
-every subgroup exactly once.  K's normalizer costs nothing when K is
-normal (G's generators) or self-normalizing (K's own), since its order
-is |G| divided by the size of K's class.
+meets the candidates c outside K with c^p in K, the least one, and the
+final node list contains every subgroup exactly once.  K's normalizer
+costs nothing when K is normal (G's generators) or self-normalizing
+(K's own), since its order is |G| divided by the size of K's class.
 
 One poset type serves the full lattice and the overgroup family: the
 walk is the constructor of ``_NodePoset``, which starts from a seed
@@ -95,6 +102,8 @@ class _Tracker:
         # closures by purpose: extending a class by a candidate, growing
         # a normalizer
         self.closures = {"candidate": 0, "normalizer": 0}
+        # (subgroups, closures, elapsed seconds) as each class begins
+        self.marks: list[tuple[int, dict, float]] = []
 
     def stats(self) -> dict:
         return {
@@ -103,6 +112,9 @@ class _Tracker:
             "closures": dict(self.closures),
             "elapsed_s": round(time.monotonic() - self.start, 3),
         }
+
+    def mark(self) -> None:
+        self.marks.append((self.subgroups, dict(self.closures), time.monotonic() - self.start))
 
     def check(self):
         if self.subgroups > self.budget.max_subgroups:
@@ -159,9 +171,11 @@ class _NodePoset:
     The constructor is the walk of the module docstring.  Classes are
     extended smallest first (the seed's class grows upward, orbits fill
     sideways), a representative K by the least prime-power cyclic
-    generator (``pp_cyclic_generator_reps``) outside K in each orbit of
-    x -> x*k (k in K) and conjugation by N_G(K).  A new subgroup is
-    registered with its whole conjugacy class.  ``classes`` hold
+    generator c (``pp_cyclic_generator_reps``) outside K with c^p in K
+    (``pp_rep_pth_powers``) in each orbit of x -> x*k (k in K),
+    conjugation by N_G(K) and the engine's power maps.  A new subgroup
+    is registered with its whole conjugacy class, one breadth-first
+    layer of conjugates at a time.  ``classes`` hold
     ascending node ids and are ordered by their smallest id.  The walk
     keys a subgroup by its sorted element tuple; the frozensets ``_fs``
     that containment reads are built once per node, after the walk.
@@ -178,7 +192,9 @@ class _NodePoset:
     ``stats`` holds the walk's counts: subgroups, classes, closures by
     purpose (``candidate`` extensions and ``normalizer`` growth) and
     elapsed seconds, plus the overgroup ``rows`` scanned and relabelled
-    so far."""
+    so far.  The counts as each class began are kept too, so that
+    ``SubgroupLattice.check_budget`` can tell what a walk under a
+    smaller budget would have raised."""
 
     def __init__(
         self,
@@ -194,10 +210,12 @@ class _NodePoset:
         node_gens: list[tuple[int, ...]] = []
         node_ids: dict[tuple[int, ...], int] = {}
         classes: list[list[int]] = []
+        rep_ids: list[np.ndarray] = []  # each class representative's elements
 
         g_gens = engine.gen_indices
         # images[k][i]: the id of node i conjugated by g_gens[k]
         images: list[list[int]] = [[] for _ in g_gens]
+        conj_table = engine.conj_table(g_gens)
 
         def add(elements: tuple[int, ...], gens: tuple[int, ...]):
             tracker.subgroups += 1
@@ -208,20 +226,44 @@ class _NodePoset:
 
         def register(rep: tuple[int, ...], gens: tuple[int, ...]) -> int:
             """Add a new subgroup and all its conjugates as one class, and
-            record each member's image under every generator."""
+            record each member's image under every generator.  The class
+            grows one breadth-first layer at a time.  A layer is one array
+            of rows, each a member's elements followed by its generators;
+            one gather conjugates it by every G-generator, one row-wise
+            sort of the element columns and one ``tolist`` make every key,
+            and the rows of the members found are the next layer."""
             cid = len(classes)
             members = [len(nodes)]
+            tracker.mark()
             add(rep, gens)
-            # grows while conjugates are found; over all classes, members
-            # are visited in id order, so each image list is indexed by id
-            for nid in members:
-                arr = np.asarray(nodes[nid], dtype=np.int64)
-                for g, image in zip(g_gens, images):
-                    conj = tuple(np.sort(engine.conj_set(arr, g)).tolist())
-                    if conj not in node_ids:
-                        members.append(len(nodes))
-                        add(conj, tuple(engine.conj_elem(x, g) for x in node_gens[nid]))
-                    image.append(node_ids[conj])
+            size = len(rep)
+            layer = np.asarray([rep + gens], dtype=np.int64)
+            rep_ids.append(layer[0, :size])
+            start = 0
+            # over all classes, members are visited in id order, so each
+            # image list is indexed by id
+            while start < len(members):
+                stop = len(members)
+                n = stop - start
+                # conj[k, r]: layer row r conjugated by g_gens[k]
+                conj = conj_table.take(layer, axis=1)
+                keys = np.sort(conj[:, :, :size], axis=2).tolist()
+                found = []  # k * n + r for each new member, by id
+                for r in range(n):
+                    for k, image in enumerate(images):
+                        key = tuple(keys[k][r])
+                        j = node_ids.get(key)
+                        if j is None:
+                            j = len(nodes)
+                            members.append(j)
+                            add(key, ())
+                            found.append(k * n + r)
+                        image.append(j)
+                if found:
+                    layer = conj.reshape(-1, layer.shape[1]).take(found, axis=0)
+                    for j, row in zip(members[stop:], layer[:, size:].tolist()):
+                        node_gens[j] = tuple(row)
+                start = stop
             classes.append(members)
             tracker.classes = len(classes)
             return cid
@@ -234,17 +276,18 @@ class _NodePoset:
             register(top, tuple(g_gens))
 
         candidates = np.asarray(engine.pp_cyclic_generator_reps(), dtype=np.int64)
+        pth = engine.pp_rep_pth_powers()
 
         while heap:
             size, cid = heapq.heappop(heap)
             if size == order:
                 continue
-            rep = nodes[classes[cid][0]]
             kgens = node_gens[classes[cid][0]]
-            k_ids = np.asarray(rep, dtype=np.int64)
+            k_ids = rep_ids[cid]
             in_k = np.zeros(order, dtype=bool)
             in_k[k_ids] = True
-            outside = candidates[~in_k[candidates]]
+            # covers only: a candidate outside K whose p-th power lies in K
+            outside = candidates[in_k[pth] & ~in_k[candidates]]
             if len(outside) > 1:
                 n_size = order // len(classes[cid])
                 conj = _conjugators(engine, tracker, kgens, k_ids, in_k, n_size)
@@ -282,6 +325,7 @@ class _NodePoset:
         self.top_id = len(nodes) - 1
         self.stats = tracker.stats()
         self.stats["rows"] = {"scanned": 0, "relabelled": 0}
+        self._marks = tracker.marks
 
     @property
     def node_count(self) -> int:
@@ -367,20 +411,34 @@ class SubgroupLattice(_NodePoset):
 
     def __init__(self, group: PermGroup, budget: Budget):
         self.group = group
-        if group.degree > budget.max_order:
-            # |G| is at least its largest orbit, found without the chain,
-            # whose first level may hold that many rows of degree points
-            largest = int(np.bincount(_orbit_roots(group.generator_rows)).max())
-            if largest > budget.max_order:
-                raise OrderBoundExceeded(
-                    f"order at least {largest} exceeds lattice budget {budget.max_order}"
-                )
-        budget.check_order(group.order)  # the order comes without the table
+        _check_order(group, budget)
         super().__init__(group.engine, budget, (group.engine.id_idx,), ())
         self.trivial_id = 0
         assert len(self.nodes[self.top_id]) == self.engine.order
         self._subgroups_strict: list[list[int]] | None = None
         self._mu = self._compute_moebius()
+
+    def check_budget(self, budget: Budget | None = None) -> None:
+        """Raise what building this lattice afresh under ``budget`` would
+        raise: the order refusal, else ``BudgetExceeded`` on the subgroup
+        count.  The walk does not depend on the budget, so its
+        (max_subgroups + 1)-th subgroup is the same, and the stats are
+        those kept as that subgroup's class began.  The time hint is not
+        re-applied, since no work is done."""
+        budget = budget or DEFAULT_BUDGET
+        _check_order(self.group, budget)
+        n = max(budget.max_subgroups, 0) + 1
+        if self.node_count < n:
+            return
+        c = bisect_left(self._marks, n, key=lambda mark: mark[0]) - 1
+        _, closures, elapsed = self._marks[c]
+        stats = {
+            "subgroups": n,
+            "classes": c,
+            "closures": dict(closures),
+            "elapsed_s": round(elapsed, 3),
+        }
+        raise BudgetExceeded(f"more than {budget.max_subgroups} subgroups", stats)
 
     # -- basic queries ---------------------------------------------------
 
@@ -493,10 +551,15 @@ class SubgroupLattice(_NodePoset):
         return [(i, j) for i in range(self.node_count) for j in covers[i]]
 
     def _scan_covers(self, i: int) -> list[int]:
+        """Node i's covers.  Its row ascends, so a node k strictly
+        between i and j comes before j, and so does a cover of i below
+        k: j is a cover iff no row of the covers found so far holds it."""
         covers: list[int] = []
-        for j in self._overgroups(i):  # ascending: any k between comes first
-            if not any(self._fs[k] < self._fs[j] for k in covers):
+        above: set[int] = set()
+        for j in self._overgroups(i):
+            if j not in above:
                 covers.append(j)
+                above.update(self._overgroups(j))
         return covers
 
     # -- derived groups ------------------------------------------------------
@@ -549,6 +612,20 @@ class SubgroupLattice(_NodePoset):
             f"SubgroupLattice({self.group.name!r}, nodes={self.node_count}, "
             f"classes={self.class_count})"
         )
+
+
+def _check_order(group: PermGroup, budget: Budget) -> None:
+    """Refuse, before any element table, a group above the budget's
+    order."""
+    if group.degree > budget.max_order:
+        # |G| is at least its largest orbit, found without the chain,
+        # whose first level may hold that many rows of degree points
+        largest = int(np.bincount(_orbit_roots(group.generator_rows)).max())
+        if largest > budget.max_order:
+            raise OrderBoundExceeded(
+                f"order at least {largest} exceeds lattice budget {budget.max_order}"
+            )
+    budget.check_order(group.order)  # the order comes without the table
 
 
 def subgroup_lattice(group: PermGroup, budget: Budget | None = None) -> SubgroupLattice:

@@ -536,6 +536,8 @@ class _Engine:
         self._column_bytes = 0
         self._orders: np.ndarray | None = None
         self._pp_reps: tuple[int, ...] | None = None
+        self._pp_pth: np.ndarray | None = None
+        self._power_maps: tuple[np.ndarray, ...] | None = None
 
     # -- element lookup ---------------------------------------------------
 
@@ -609,6 +611,12 @@ class _Engine:
         """Indices of g^-1 * i * g for each i in ids."""
         return self._column("conj", g)[ids]
 
+    def conj_table(self, gens: Sequence[int]) -> np.ndarray:
+        """Row k holds the index of g^-1 * i * g for every element i, g =
+        gens[k]: one gather conjugates a set by all of ``gens``."""
+        cols = [self._column("conj", g) for g in gens]
+        return np.array(cols, dtype=np.int32).reshape(len(gens), self.order)
+
     def commutators_with(self, n: int) -> np.ndarray:
         """Index of the commutator [n, x] = n^-1 * x^-1 * n * x for every
         element x."""
@@ -681,7 +689,8 @@ class _Engine:
     ) -> np.ndarray:
         """The elements of ``ids`` (ascending indices) that are the least
         of ``ids`` in their orbit under the group generated by the maps
-        x -> x*r (r in ``right``) and x -> c^-1*x*c (c in ``conj``).
+        x -> x*r (r in ``right``), x -> c^-1*x*c (c in ``conj``) and the
+        power maps (``power_maps``), which keep every cyclic subgroup.
 
         Min-label propagation (``_min_labels``) over ranks that put
         ``ids`` first: rank x for x in ids, order + x for any other x.
@@ -690,6 +699,7 @@ class _Engine:
         n = self.order
         maps = [self._column("mul", r) for r in right]
         maps += [self._column("conj", c) for c in conj]
+        maps += self.power_maps()
         labels = np.arange(n, 2 * n)
         labels[ids] = ids
         labels = _min_labels(labels, maps)
@@ -708,20 +718,38 @@ class _Engine:
             m += 1
 
     def _cyclic_structure(self) -> None:
-        """Element orders, and one generator per cyclic subgroup of
-        prime-power order, from one walk over the powers of every element.
+        """Element orders, one generator per cyclic subgroup of prime-power
+        order with its p-th power, and the power maps, from one walk over
+        the powers of every element.
 
         The generators of <i> are its powers i^m with gcd(m, |i|) = 1.
         When |i| is a power of p, those are the i^m with p not dividing m
         over any |i| consecutive exponents, so a running minimum per
         prime p finds the smallest index among them; that element
-        represents the subgroup."""
+        represents the subgroup.
+
+        A power map x -> x^j(|x|), with j(n) a unit mod n, permutes the
+        elements and sends each x to a generator of <x>.  The first map
+        takes j(n) = g_p, the least primitive root mod p, when n is a
+        power of an odd prime p (g_p generates the units mod every p^a
+        for p < 40487, and is a unit mod p^a always), and j(n) = -1
+        otherwise.  When some element has order 2^a >= 8, a second map
+        takes j(n) = 3 for n a power of 2 (3 and -1 generate the units
+        mod 2^a) and j(n) = 1 otherwise.  The walk keeps i^m for every
+        step m that is a prime of |G| or a g_p, before its early stop:
+        the last step, m = exponent, may be one of them (C2 x C2 stops at
+        m = 2)."""
         ids = np.arange(self.order)
         orders = np.zeros(self.order, dtype=np.int64)
         primes = prime_factors(self.order)
         low = {p: ids.copy() for p in primes}
+        roots = {p: _primitive_root(p) for p in primes if p > 2}
+        steps = set(primes).union(roots.values(), [3])
+        powers = {}
         for m, pts in self._base_powers(ids):
             idx = self._lookup(pts)
+            if m in steps:
+                powers[m] = idx
             orders[(orders == 0) & (idx == self.id_idx)] = m
             if orders.all():
                 break
@@ -729,12 +757,26 @@ class _Engine:
                 if m % p:
                     np.minimum(low[p], idx, out=low[p])
         reps = np.zeros(self.order, dtype=bool)
+        pth = np.zeros(self.order, dtype=np.int64)
+        maps = [self.inv.copy()]
         for p in primes:
-            p_power = np.zeros(int(orders.max()) + 1, dtype=bool)
-            p_power[[o for o in set(orders.tolist()) if prime_factors(o) == (p,)]] = True
-            reps |= p_power[orders] & (low[p] == ids)
+            p_part = p
+            while self.order % (p_part * p) == 0:
+                p_part *= p
+            # |i| divides |G|, so it is a power of p iff it divides p_part
+            p_power = p_part % orders == 0
+            reps |= p_power & (low[p] == ids)
+            np.copyto(pth, powers[p], where=p_power)
+            if p > 2:
+                np.copyto(maps[0], powers[roots[p]], where=p_power)
+            elif self.order % 8 == 0 and orders.max(initial=1, where=p_power) >= 8:
+                maps.append(np.where(p_power, powers[3], ids))
+        reps[self.id_idx] = False
         self._orders = orders
-        self._pp_reps = tuple(np.flatnonzero(reps).tolist())
+        rep_ids = np.flatnonzero(reps)
+        self._pp_reps = tuple(rep_ids.tolist())
+        self._pp_pth = pth[rep_ids]
+        self._power_maps = tuple(maps)
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
@@ -746,12 +788,28 @@ class _Engine:
         order, ascending: the smallest index among the generators of
         that subgroup.  Lattice enumeration draws its extension
         candidates from these, since every cover H of a subgroup K is
-        generated by K and any generator of one of them (lattice.py
-        tries only one per orbit of K's double cosets under its
-        normalizer)."""
+        generated by K and any generator of one of them whose p-th power
+        lies in K (lattice.py tries only one per orbit of K's double
+        cosets, its normalizer and the power maps)."""
         if self._pp_reps is None:
             self._cyclic_structure()
         return self._pp_reps
+
+    def pp_rep_pth_powers(self) -> np.ndarray:
+        """c^p for each c of ``pp_cyclic_generator_reps()``, in the same
+        order, where |c| is a power of the prime p."""
+        if self._pp_pth is None:
+            self._cyclic_structure()
+        return self._pp_pth
+
+    def power_maps(self) -> tuple[np.ndarray, ...]:
+        """One or two permutations x -> x^j(|x|) of the element indices,
+        j(n) a unit mod n (see ``_cyclic_structure``).  Each keeps every
+        cyclic subgroup; together they join the generators of a cyclic
+        subgroup of order p^a, p < 40487, into one orbit."""
+        if self._power_maps is None:
+            self._cyclic_structure()
+        return self._power_maps
 
     # -- structural helpers ----------------------------------------------
 
@@ -950,13 +1008,17 @@ class PermGroup:
     def subgroup_lattice(self, budget=None):
         """Complete subgroup lattice (see :mod:`pzeta.lattice`).
 
-        The first successful computation is cached; the lattice itself
-        does not depend on the budget used to obtain it.
+        The first successful computation is cached.  The lattice does not
+        depend on the budget used to obtain it, but a later call is held
+        to its own budget: it raises what a fresh build under that budget
+        would (``SubgroupLattice.check_budget``).
         """
         if self._lattice is None:
             from .lattice import subgroup_lattice
 
             self._lattice = subgroup_lattice(self, budget)
+        else:
+            self._lattice.check_budget(budget)
         return self._lattice
 
     def __repr__(self) -> str:

@@ -2,9 +2,10 @@
 
 ``_reference_walk`` is the candidate loop the walk replaced: it extends
 each class representative K by one prime-power cyclic generator per
-K-conjugation orbit, with no normalizer and no double cosets.  Both
-walks must list the same subgroups in the same canonical order, with
-the same classes and Moebius values."""
+K-conjugation orbit, with no normalizer, no double cosets, no power
+maps and no rule on p-th powers.  Both walks must list the same
+subgroups in the same canonical order, with the same classes and
+Moebius values."""
 
 import heapq
 
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from pzeta import Budget, BudgetExceeded, PermGroup, symmetric
 from pzeta import cli
 from pzeta.lattice import overgroups_of_seed
+from pzeta.numtheory import prime_factors
+from pzeta.permgroup import _min_labels
 from helpers import group, psl2
 
 
@@ -114,6 +117,12 @@ def _check_family(eng, seed, seed_gens):
     assert [fam.class_of(i) for i in range(fam.node_count)] == class_of
 
 
+# a permutation group of degree <= 7 on up to 3 generators
+GROUPS = st.integers(1, 7).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+)
+
+
 class TestAgainstReferenceWalk:
     @pytest.mark.parametrize(
         "name", ["C12", "Q8", "D12", "S4", "A4xC2", "S5", "A5xC2", "S4xS3", "PGL(2,7)"]
@@ -139,13 +148,7 @@ class TestAgainstReferenceWalk:
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
     )
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda d: st.tuples(
-                st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3)
-            )
-        )
-    )
+    @given(GROUPS)
     def test_random_generating_sets(self, data):
         degree, gens = data
         grp = PermGroup(degree, gens)
@@ -154,13 +157,80 @@ class TestAgainstReferenceWalk:
         _check_family(grp.engine, *grp.engine.sylow2())
 
 
+def _cyclic_subgroups(engine):
+    """<x> for every element x, as a set of indices, from the image rows
+    of x, x^2, ... (x^k applies x k times)."""
+    orders = engine.element_orders().tolist()
+    rows, power = engine.rows, engine.rows
+    cyclic = [{engine.id_idx} for _ in range(engine.order)]
+    for k in range(1, max(orders) + 1):
+        for x, y in enumerate(engine.indices_of_rows(power).tolist()):
+            if k < orders[x]:
+                cyclic[x].add(y)
+        power = np.take_along_axis(rows, power, axis=1)
+    return cyclic
+
+
+class TestCandidateCuts:
+    """The walk's two cuts: candidates merged under the power maps, and
+    only candidates c with c^p in K tried."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(GROUPS)
+    def test_power_maps_and_pth_powers(self, data):
+        degree, gens = data
+        eng = PermGroup(degree, gens).engine
+        orders = eng.element_orders().tolist()
+        cyclic = _cyclic_subgroups(eng)
+        maps = [m.tolist() for m in eng.power_maps()]
+        assert 1 <= len(maps) <= 2
+        for m in maps:
+            assert sorted(m) == list(range(eng.order))
+            for x, y in enumerate(m):  # y generates <x>
+                assert y in cyclic[x] and orders[y] == orders[x]
+        reps = eng.pp_cyclic_generator_reps()
+        assert len(eng.pp_rep_pth_powers()) == len(reps)
+        for c, c_p in zip(reps, eng.pp_rep_pth_powers().tolist()):
+            p = prime_factors(orders[c])[0]
+            y = c
+            for _ in range(p - 1):
+                y = eng.mul(y, c)
+            assert c_p == y
+            # the maps join the generators of <c> into one orbit
+            orbit = {c}
+            frontier = [c]
+            for x in frontier:
+                for m in maps:
+                    if m[x] not in orbit:
+                        orbit.add(m[x])
+                        frontier.append(m[x])
+            assert orbit == {y for y in cyclic[c] if orders[y] == orders[c]}
+
+    def test_psl2_13_tries_one_candidate_for_its_order_13_subgroups(self):
+        # its 14 cyclic subgroups of order 13 are conjugate, but their
+        # least generators lie in both of its classes of order 13
+        eng = group("PSL(2,13)").engine
+        orders = eng.element_orders()
+        reps = np.asarray(eng.pp_cyclic_generator_reps())
+        thirteen = reps[orders[reps] == 13]
+        assert len(thirteen) == 14
+        labels = np.arange(eng.order, 2 * eng.order)
+        labels[thirteen] = thirteen
+        by_conjugation = _min_labels(labels, [eng._column("conj", g) for g in eng.gen_indices])
+        assert len(set(by_conjugation[thirteen].tolist())) == 2
+        assert len(eng.orbit_minima(thirteen, (), eng.gen_indices)) == 1
+
+
 class TestClosureCounts:
     # Deterministic counts of the builtin groups (element indexing and
-    # the walk do not depend on the run): the walk makes 622, 187 and
-    # 477 closures for S6, PGL(2,7) and S4xS3, where the K-conjugation
-    # loop it replaced made 3568, 934 and 1812.
+    # the walk do not depend on the run): the walk makes 458, 115, 460
+    # and 65 closures for S6, PGL(2,7), S4xS3 and PSL(2,13).  Before
+    # the power maps and the c^p in K rule it made 622, 187, 477 and
+    # 228, and the K-conjugation loop it replaced made 3568, 934 and
+    # 1812 for the first three.
     @pytest.mark.parametrize(
-        "name,ceiling", [("S6", 640), ("PGL(2,7)", 200), ("S4xS3", 500)]
+        "name,ceiling",
+        [("S6", 480), ("PGL(2,7)", 120), ("S4xS3", 483), ("PSL(2,13)", 68)],
     )
     def test_builtin_lattices_stay_under_ceiling(self, name, ceiling):
         stats = group(name).subgroup_lattice().stats

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pzeta import (
     Budget,
+    BudgetExceeded,
     DirichletPolynomial,
     PermGroup,
     chief_factorization,
@@ -54,6 +55,22 @@ class TestZetaPolynomial:
         rep = zeta_report(group("S3"))
         assert rep.subgroup_count == 6 and rep.class_count == 4
         assert rep.zeta == KNOWN_ZETAS["S3"]
+
+    def test_cached_lattice_honours_a_later_budget(self):
+        s4 = PermGroup(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+        tight = Budget(max_subgroups=5)
+        with pytest.raises(BudgetExceeded, match="more than 5 subgroups") as before:
+            probabilistic_zeta(s4, tight)
+        assert s4._lattice is None
+        poly = probabilistic_zeta(s4)
+        with pytest.raises(BudgetExceeded, match="more than 5 subgroups") as after:
+            probabilistic_zeta(s4, tight)
+        for e in (before, after):
+            assert e.value.stats["subgroups"] == 6
+        assert after.value.stats["closures"] == before.value.stats["closures"]
+        with pytest.raises(OrderBoundExceeded, match="order 24 exceeds lattice budget 10"):
+            probabilistic_zeta(s4, Budget(max_order=10))
+        assert probabilistic_zeta(s4, Budget(max_subgroups=30)) == poly
 
     def test_a5_two_generation_probability(self):
         # classical value for the alternating group on 5 points
@@ -223,6 +240,22 @@ class TestOddSupplementIndices:
         spec = psl2(q, variant)
         rep = odd_supplement_indices(spec, include_even=include_even)
         assert rep.details == _node_loop_details(spec, include_even)
+
+    def test_cached_lattice_honours_a_later_budget(self):
+        # the same refusal before and after the group's lattice is cached
+        tight = Budget(max_subgroups=10)
+        fresh, cached = make_psl2(7, "pgl"), make_psl2(7, "pgl")
+        with pytest.raises(BudgetExceeded) as before:
+            odd_supplement_indices(fresh, tight, include_even=True)
+        lat = cached.group.subgroup_lattice()
+        with pytest.raises(BudgetExceeded) as after:
+            odd_supplement_indices(cached, tight, include_even=True)
+        assert str(after.value) == str(before.value) == "more than 10 subgroups"
+        stats = {k: v for k, v in before.value.stats.items() if k != "elapsed_s"}
+        assert {k: v for k, v in after.value.stats.items() if k != "elapsed_s"} == stats
+        assert stats["subgroups"] == 11
+        assert cached.group.subgroup_lattice() is lat
+        assert odd_supplement_indices(cached, include_even=True).minimum == 8
 
     def test_even_extension_sees_even_indices(self):
         full = odd_supplement_indices(psl2(5, "psl"), include_even=True)
