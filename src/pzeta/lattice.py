@@ -102,8 +102,6 @@ class _Tracker:
         # closures by purpose: extending a class by a candidate, growing
         # a normalizer
         self.closures = {"candidate": 0, "normalizer": 0}
-        # (subgroups, closures, elapsed seconds) as each class begins
-        self.marks: list[tuple[int, dict, float]] = []
 
     def stats(self) -> dict:
         return {
@@ -112,9 +110,6 @@ class _Tracker:
             "closures": dict(self.closures),
             "elapsed_s": round(time.monotonic() - self.start, 3),
         }
-
-    def mark(self) -> None:
-        self.marks.append((self.subgroups, dict(self.closures), time.monotonic() - self.start))
 
     def check(self):
         if self.subgroups > self.budget.max_subgroups:
@@ -192,9 +187,7 @@ class _NodePoset:
     ``stats`` holds the walk's counts: subgroups, classes, closures by
     purpose (``candidate`` extensions and ``normalizer`` growth) and
     elapsed seconds, plus the overgroup ``rows`` scanned and relabelled
-    so far.  The counts as each class began are kept too, so that
-    ``SubgroupLattice.check_budget`` can tell what a walk under a
-    smaller budget would have raised."""
+    so far."""
 
     def __init__(
         self,
@@ -234,7 +227,6 @@ class _NodePoset:
             and the rows of the members found are the next layer."""
             cid = len(classes)
             members = [len(nodes)]
-            tracker.mark()
             add(rep, gens)
             size = len(rep)
             layer = np.asarray([rep + gens], dtype=np.int64)
@@ -325,7 +317,6 @@ class _NodePoset:
         self.top_id = len(nodes) - 1
         self.stats = tracker.stats()
         self.stats["rows"] = {"scanned": 0, "relabelled": 0}
-        self._marks = tracker.marks
 
     @property
     def node_count(self) -> int:
@@ -417,28 +408,6 @@ class SubgroupLattice(_NodePoset):
         assert len(self.nodes[self.top_id]) == self.engine.order
         self._subgroups_strict: list[list[int]] | None = None
         self._mu = self._compute_moebius()
-
-    def check_budget(self, budget: Budget | None = None) -> None:
-        """Raise what building this lattice afresh under ``budget`` would
-        raise: the order refusal, else ``BudgetExceeded`` on the subgroup
-        count.  The walk does not depend on the budget, so its
-        (max_subgroups + 1)-th subgroup is the same, and the stats are
-        those kept as that subgroup's class began.  The time hint is not
-        re-applied, since no work is done."""
-        budget = budget or DEFAULT_BUDGET
-        _check_order(self.group, budget)
-        n = max(budget.max_subgroups, 0) + 1
-        if self.node_count < n:
-            return
-        c = bisect_left(self._marks, n, key=lambda mark: mark[0]) - 1
-        _, closures, elapsed = self._marks[c]
-        stats = {
-            "subgroups": n,
-            "classes": c,
-            "closures": dict(closures),
-            "elapsed_s": round(elapsed, 3),
-        }
-        raise BudgetExceeded(f"more than {budget.max_subgroups} subgroups", stats)
 
     # -- basic queries ---------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Small exact number-theory helpers: Miller-Rabin primality, and one
 factoring routine, trial division up to 1000 with Brent's rho on the
-cofactor, so large indices factor in bounded time.
+cofactor, so large indices factor in bounded time.  The smoothness test
+``strip_primes_up_to`` divides by the primes up to 1000 and hands any
+cofactor left to that routine, so its work does not grow with the bound.
 
 Indices of Dirichlet polynomial terms can be astronomically large
 (they are often perfect powers of moderate integers), so nothing here
@@ -125,15 +127,6 @@ def primes_up_to(bound: int) -> tuple[int, ...]:
     return tuple(p for p in range(2, bound + 1) if is_prime(p))
 
 
-def iter_primes():
-    """Unbounded ascending prime generator."""
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
-
-
 def padic_valuation(n: int, q: int) -> int:
     """Largest e with q**e dividing n (n >= 1, q prime)."""
     if n < 1:
@@ -179,10 +172,19 @@ def integer_nth_root(n: int, r: int) -> int | None:
 def strip_primes_up_to(n: int, bound: int) -> int:
     """Divide out every prime factor <= bound; returns the cofactor.
 
-    Lets callers test "no prime factor exceeds ``bound``" on huge n
-    without factoring the large part.
+    Lets callers test "no prime factor exceeds ``bound``" on huge n.
+    The primes up to ``min(bound, 1000)`` are divided out first; past
+    1000, the primes up to ``bound`` of the cofactor left come from
+    :func:`prime_factors`, so a cofactor part past 3.3 * 10^24 raises
+    ``InvalidParameter``.
     """
-    for p in primes_up_to(bound):
+    for p in primes_up_to(min(bound, _TRIAL_BOUND)):
         while n % p == 0:
             n //= p
+    if bound > _TRIAL_BOUND and n > 1:
+        for p in prime_factors(n):
+            if p > bound:
+                break
+            while n % p == 0:
+                n //= p
     return n

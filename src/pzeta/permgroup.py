@@ -1008,17 +1008,19 @@ class PermGroup:
     def subgroup_lattice(self, budget=None):
         """Complete subgroup lattice (see :mod:`pzeta.lattice`).
 
-        The first successful computation is cached.  The lattice does not
-        depend on the budget used to obtain it, but a later call is held
-        to its own budget: it raises what a fresh build under that budget
-        would (``SubgroupLattice.check_budget``).
+        The first successful computation is cached, and a later call
+        returns it when its order and node count fit the later budget.
+        Otherwise the lattice is built afresh under that budget.  The
+        walk does not depend on the budget, so that build raises what a
+        first call would, time hint included, after at most the
+        budget's own work.
         """
-        if self._lattice is None:
-            from .lattice import subgroup_lattice
+        from .lattice import DEFAULT_BUDGET, subgroup_lattice
 
+        limits = budget or DEFAULT_BUDGET
+        if (self._lattice is None or self.order > limits.max_order
+                or self._lattice.node_count > limits.max_subgroups):
             self._lattice = subgroup_lattice(self, budget)
-        else:
-            self._lattice.check_budget(budget)
         return self._lattice
 
     def __repr__(self) -> str:

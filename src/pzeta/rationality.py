@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .dirichlet import (
@@ -33,7 +34,6 @@ from .errors import EmptyInput, HypothesisViolated, InvalidParameter
 from .numtheory import (
     integer_nth_root,
     is_prime,
-    iter_primes,
     padic_valuation,
     prime_factors,
     strip_primes_up_to,
@@ -457,13 +457,14 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     asks for a prime dividing no term: for an arithmetic family
     start + i*step that means p | step and p does not divide start, a
     finite candidate set; constant and geometric families only exclude
-    the primes dividing their stated values.  Without an arithmetic
-    family the primes up to ``probe_bound`` (an int >= 1) are tried.
-    The first step is factored by trial division up to the larger of
-    ``probe_bound`` and 10^4, and the cofactor left by
-    :func:`prime_factors`; only a cofactor past 3.3 * 10^24, where
-    primality is not decided exactly, makes the report inexact, with a
-    note.
+    the primes dividing their stated values.  With an arithmetic family
+    the witness is the least prime of the steps' gcd once every prime it
+    shares with a start or a stated value is divided out: its least
+    divisor above 1 up to 10^4, else from :func:`prime_factors`; only a
+    part past 3.3 * 10^24, where primality is not decided exactly, makes
+    the report inexact, with a note.  ``probe_bound`` (an int >= 1)
+    bounds only the search without an arithmetic family, over the
+    integers up to it.
     """
     if probe_bound < 1:
         raise InvalidParameter(f"probe_bound must be >= 1, got {probe_bound}")
@@ -473,55 +474,39 @@ def check_sml_conditions(families, probe_bound: int = 10_000) -> SmlReport:
     violated_at = inf_values[0] if inf_values else None
 
     arith = [f for f in fams if isinstance(f, ArithmeticExponents)]
-    # a prime dividing one of these divides a term; nothing is factored
+    # each of these is a term, or a prime dividing it divides one:
+    # a witness is prime to their lcm
     stated = [f.value for f in fams if isinstance(f, ConstantExponents)]
     stated += [v for f in fams if isinstance(f, GeometricExponents) for v in (f.start, f.ratio)]
-
-    def divides_no_term(p: int) -> bool:
-        if any(v % p == 0 for v in stated):
-            return False
-        for f in arith:
-            # p divides some start + i*step unless p | step and p does not divide start
-            if f.step % p != 0 or f.start % p == 0:
-                return False
-        return True
+    stated += [f.start for f in arith]
+    m = lcm(*stated)
 
     witness = None
     note = ""
     exact = True
     if arith:
-        # the witness divides the first step: its prime divisors in
-        # ascending order, by trial division up to the larger of
-        # probe_bound and 10^4, then those of the cofactor left, split by
-        # prime_factors below 3.3 * 10^24; a larger cofactor is not factored
-        bound = max(probe_bound, 10_000)
-        rest = arith[0].step
-        for p in iter_primes():
-            if p * p > rest or p > bound:
-                break
-            if rest % p == 0:
-                if divides_no_term(p):
-                    witness = p
-                    break
-                while rest % p == 0:
-                    rest //= p
-        if witness is None and rest > 1:
-            try:
-                primes = prime_factors(rest)
-            except InvalidParameter:
-                exact = False
-                note = f"step factor {rest} past 3.3 * 10^24 is not factored"
-            else:
-                witness = next((p for p in primes if divides_no_term(p)), None)
+        # p divides no start + i*step only if p divides every step: the
+        # witness is the least prime of the steps' gcd once the primes it
+        # shares with m are divided out, by trial division up to 10^4,
+        # else from prime_factors below 3.3 * 10^24
+        g = gcd(*(f.step for f in arith))
+        while (d := gcd(g, m)) > 1:
+            g //= d
+        if g > 1:
+            witness = next((d for d in range(2, min(isqrt(g), 10_000) + 1) if g % d == 0), None)
+            if witness is None:
+                try:
+                    witness = prime_factors(g)[0]
+                except InvalidParameter:
+                    exact = False
+                    note = f"step factor {g} past 3.3 * 10^24 is not factored"
     else:
-        for p in iter_primes():
-            if p > probe_bound:
-                exact = False
-                note = f"no witness prime found up to {probe_bound}"
-                break
-            if divides_no_term(p):
-                witness = p
-                break
+        # the least d >= 2 prime to m is a prime: a composite one's least
+        # prime factor would be a smaller such d
+        witness = next((d for d in range(2, probe_bound + 1) if gcd(d, m) == 1), None)
+        if witness is None:
+            exact = False
+            note = f"no witness prime found up to {probe_bound}"
     return SmlReport(
         condition_i_holds=cond_i,
         condition_i_violated_at=violated_at,

@@ -15,6 +15,7 @@ from pzeta.zeta import WTableRow
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = GOLDEN_DIR / "inputs"
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def run(capsys, *args):
@@ -47,6 +48,10 @@ GOLDEN_COMMANDS = {
     "product_PSL2_7_PGL2_7.json": ("product", str(GOLDEN_INPUTS / "product_PSL2_7_PGL2_7.json")),
     # P_S4 * P_A4 divided by P_A4
     "divide_S4A4_by_A4.json": ("divide", str(GOLDEN_INPUTS / "divide_S4A4_by_A4.json")),
+    # the finiteness replay of the demo's mixed C3, C7 and PSL(2,7) factors
+    "replay_mixed_factors.json": ("replay", str(DEMO_DATA / "mixed_factors.json")),
+    # constant, arithmetic and geometric families; the witness 10009 lies past 10^4
+    "smlcheck_mixed.json": ("smlcheck", str(GOLDEN_INPUTS / "smlcheck_mixed.json")),
 }
 
 

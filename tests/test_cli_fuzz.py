@@ -195,7 +195,7 @@ def _window_index(q, multiple, r):
 coeff_st = st.one_of(
     st.fixed_dictionaries({"n": encoded(st.integers(1, 10**4)), "b": encoded(st.integers(-50, 50))}),
     st.builds(lambda q, m, r, b: {"n": _window_index(q, m, r), "b": b},
-              st.sampled_from([5, 7, 11]), st.integers(0, 6), st.integers(1, 3),
+              st.sampled_from([5, 7, 11, 10**20 + 39]), st.integers(0, 6), st.integers(1, 3),
               encoded(st.integers(-50, 50))),
     st.fixed_dictionaries({"n": int_field_st, "b": int_field_st}),
     st.sampled_from([[3, -1], 3, {}, {"n": 3}]),
@@ -258,8 +258,11 @@ def test_smlcheck_ends_in_a_documented_exit(fuzz_dir, text):
 
 
 # inputs that once ran past the cap: a prime stated value or step of 19
-# digits (trial division), a 21-digit q (trial-division primality) and
-# r = 2^62 (q^r formed before the index was compared)
+# digits (trial division), a 21-digit q (trial-division primality), r =
+# 2^62 (q^r formed before the index was compared), a step and probe bound
+# of 19 digits (a prime test per integer up to the bound) and an
+# in-window index under a 21-digit q (a prime test per integer up to q);
+# new entries go last, so the test ids of the others stay
 PINNED = [
     ("smlcheck", {"families": [{"const": 2**61 - 1}]}, 0),
     ("smlcheck", {"families": [2**61 - 1, 10**30 + 7]}, 0),
@@ -273,6 +276,10 @@ PINNED = [
                              "coeffs": [{"n": 8, "b": "-1"}]}]}, 2),
     ("replay", {"factors": [{"id": 0, "kind": {"cyclic": 10**25 + 13}, "r": 1,
                              "coeffs": []}]}, 2),
+    ("smlcheck", {"families": [2, {"arith": {"start": 3, "step": 5134545676905864192}}],
+                  "probe_bound": 4611686018427387904}, 0),
+    ("replay", {"factors": [{"id": 0, "kind": {"psl2": {"q": 10**20 + 39, "variant": "pgl"}},
+                             "r": 1, "coeffs": [{"n": 10**20 + 39, "b": "-2"}]}]}, 0),
 ]
 
 

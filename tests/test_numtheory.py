@@ -85,3 +85,33 @@ def test_valuation_and_stripping():
     assert padic_valuation(3**20 * 7**20, 7) == 20
     assert strip_primes_up_to(3**20 * 7**20, 7) == 1
     assert strip_primes_up_to(11 * 3**5, 7) == 11
+
+
+def _strip_by_every_integer(n, bound):
+    """Division by every integer from 2 to bound: the reference for
+    ``strip_primes_up_to`` (a composite d never divides, as its prime
+    factors went first)."""
+    for d in range(2, bound + 1):
+        while n % d == 0:
+            n //= d
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 1200), max_size=8), st.integers(1, 10**12), st.integers(0, 1000))
+def test_strip_primes_up_to_matches_division_by_every_integer(parts, rest, bound):
+    n = rest
+    for part in parts:
+        n *= part
+    assert strip_primes_up_to(n, bound) == _strip_by_every_integer(n, bound)
+
+
+def test_strip_primes_up_to_past_the_trial_bound():
+    assert strip_primes_up_to(10007 * 10009, 10**4) == 10007 * 10009
+    assert strip_primes_up_to(10007 * 10009, 10**5) == 1
+    assert strip_primes_up_to(3 * 10007 * 10009**2, 10008) == 10009**2
+    # the integers up to the bound are never scanned
+    assert strip_primes_up_to(3 * 1009**4 * 10007, 10**20 + 39) == 1
+    # a cofactor whose parts cannot be tested exactly is refused
+    with pytest.raises(InvalidParameter, match="past 3.3"):
+        strip_primes_up_to((2**61 - 1) * (2**31 - 1), 10**6)

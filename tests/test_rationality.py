@@ -248,6 +248,28 @@ class TestSmlConditions:
         verdict = check_sml_conditions([ArithmeticExponents(step, step)])
         assert verdict.exact and verdict.condition_ii_witness is None
 
+    def test_huge_step_and_probe_bound_end_at_once(self):
+        # a 19-digit step and probe bound: the witness needs no probe up to
+        # either
+        start = time.monotonic()
+        verdict = check_sml_conditions(
+            [2, ArithmeticExponents(3, 5134545676905864192)], probe_bound=2**62
+        )
+        assert verdict.exact and verdict.condition_ii_witness == 7695503
+        assert time.monotonic() - start < 1.0
+
+    def test_witness_divides_every_step_and_no_start_or_stated_value(self):
+        # gcd of the steps is 10007 * 10009; the geometric start excludes 10007
+        verdict = check_sml_conditions([
+            ArithmeticExponents(7, 6 * 10007**2 * 10009),
+            ArithmeticExponents(1, 11 * 10007 * 10009),
+            GeometricExponents(10007, 2),
+        ])
+        assert verdict.exact and verdict.condition_ii_witness == 10009
+        verdict = check_sml_conditions([ArithmeticExponents(10009, 10007 * 10009),
+                                        ArithmeticExponents(1, 10009)])
+        assert verdict.exact and verdict.condition_ii_witness is None
+
     def test_step_cofactor_past_exact_primality_is_inexact(self):
         step = (2**61 - 1) * (2**31 - 1)
         verdict = check_sml_conditions([ArithmeticExponents(1, step)])
@@ -276,6 +298,14 @@ class TestReplay:
         assert all(p == D({1: 1, 5: -1}) for p in rep.h_factors)
         assert not rep.sml.condition_i_holds  # repeated multiplicity 1
         assert rep.min_psl_multiplicity is None and rep.beta is None
+
+    def test_beta_under_a_huge_q(self):
+        # beta's "no prime above q" test must not scan the primes up to q
+        q = 10**20 + 39
+        rep = replay_finiteness_argument(
+            [FactorDescriptor.make(0, FactorKind.psl2(q, "pgl"), 1, {q: -2})]
+        )
+        assert rep.beta == rep.witness == q and rep.c_beta == -2
 
     def test_mixed_cyclic_and_psl2(self):
         pgl7 = supplement_zeta(psl2(7, "pgl"))

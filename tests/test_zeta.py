@@ -68,6 +68,13 @@ class TestZetaPolynomial:
         for e in (before, after):
             assert e.value.stats["subgroups"] == 6
         assert after.value.stats["closures"] == before.value.stats["closures"]
+        # a later time hint applies as it does to a fresh build
+        hinted = Budget(max_subgroups=5, time_hint_s=0.0)
+        with pytest.raises(BudgetExceeded) as fresh:
+            probabilistic_zeta(PermGroup(4, [[1, 0, 2, 3], [1, 2, 3, 0]]), hinted)
+        with pytest.raises(BudgetExceeded) as cached:
+            probabilistic_zeta(s4, hinted)
+        assert str(cached.value) == str(fresh.value) == "time hint 0.0s exceeded"
         with pytest.raises(OrderBoundExceeded, match="order 24 exceeds lattice budget 10"):
             probabilistic_zeta(s4, Budget(max_order=10))
         assert probabilistic_zeta(s4, Budget(max_subgroups=30)) == poly
