@@ -62,7 +62,6 @@ from .rationality import (
     FactorKind,
     GeometricExponents,
     LambdaPredicate,
-    ProductExperiment,
     PrimeSupport,
     ReplayReport,
     SmlReport,

@@ -43,6 +43,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .lattice import Budget
+from .numtheory import primes_up_to
 from .permgroup import PermGroup, builtin_group, parse_group_file
 from .rationality import (
     ArithmeticExponents,
@@ -265,8 +266,6 @@ def _cmd_wtable(args) -> int:
     if args.qs:
         qs = [int(tok) for tok in args.qs.split(",") if tok.strip()]
     else:
-        from .numtheory import primes_up_to
-
         qs = [q for q in primes_up_to(args.qmax) if q >= 5]
     variants = [v.strip().lower() for v in args.variants.split(",") if v.strip()]
     rows = minimal_odd_index_table(qs, variants, _budget(args))

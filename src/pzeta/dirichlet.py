@@ -37,8 +37,10 @@ coefficient that b meets within the bound); otherwise the same code
 runs on ``dtype=object`` columns of Python ints.  No
 floating point is used anywhere.
 
-Exact division eliminates by ascending index from a heap of pending
-remainder indices, popping each remainder entry once.
+Both quotients, exact division (:func:`divide_exact`) and the expansion
+of a :class:`RationalSeries` (:func:`expand_rational`), run one
+elimination, ``_eliminate``: by ascending index from a heap of pending
+remainder indices, popping each remainder entry once, up to a bound.
 
 Public constructors validate every term; results computed in this module
 skip that through ``DirichletPolynomial._trusted``, which only sorts the
@@ -62,6 +64,7 @@ from .errors import (
     NotDivisible,
     ZeroDivisor,
 )
+from .numtheory import is_prime
 
 TermMap = Mapping[int, int] | Iterable[tuple[int, int]]
 
@@ -406,8 +409,6 @@ def prime_projection(p: DirichletPolynomial, primes: Iterable[int]) -> Dirichlet
 
 
 def _checked_primes(primes: Iterable[int]) -> frozenset[int]:
-    from .numtheory import is_prime
-
     ps = frozenset(primes)
     for q in ps:
         if not isinstance(q, int) or not is_prime(q):
@@ -425,18 +426,17 @@ def power_shift(p: DirichletPolynomial, r: int) -> DirichletPolynomial:
     return DirichletPolynomial._trusted({n**r: a * n ** (r - 1) for n, a in p.items()})
 
 
-def divide_exact(
-    p: DirichletPolynomial,
-    d: DirichletPolynomial,
-    support_bound: int | None = None,
-) -> DirichletPolynomial:
-    """Exact quotient q with ``d * q == p``, or raise :class:`NotDivisible`.
+def _eliminate(
+    p: DirichletPolynomial, d: DirichletPolynomial, bound: int
+) -> tuple[dict[int, int], int | None]:
+    """Quotient terms of p by nonzero d, by ascending index, up to ``bound``.
 
-    Elimination runs by ascending index: the minimal remaining index of
-    the remainder must be a multiple of d's minimal index, and the
-    leading coefficient of d must divide there exactly.  Quotient
-    support is only searched up to ``support_bound`` (default: the
-    maximal support index of p), which makes failure decidable.
+    The minimal remaining index n of the remainder must be a multiple of
+    d's minimal index m0, and d's leading coefficient must divide there
+    exactly (else :class:`NotDivisible`); the quotient term sits at
+    k = n / m0.  Elimination stops at the first k past ``bound`` and
+    returns the terms found with that k, or with None once the remainder
+    is zero.
 
     The least remainder index never decreases (updates land at k*e >=
     k*m0 = n), so a heap of pending indices yields it: O(|q| * |d| * log),
@@ -446,12 +446,7 @@ def divide_exact(
     above n, and an entry they cancel is deleted, so a heap index whose
     entry is gone is skipped.
     """
-    if d.is_zero():
-        raise ZeroDivisor("division by the zero polynomial")
-    if p.is_zero():
-        return ZERO
     (m0, c0), *rest = d.items()
-    bound = support_bound if support_bound is not None else p.max_index
     rem = p.terms()
     heap = list(rem)  # ascending, so already a heap
     quo: dict[int, int] = {}
@@ -464,7 +459,7 @@ def divide_exact(
             raise NotDivisible(f"remainder index {n} not a multiple of {m0}")
         k = n // m0
         if k > bound:
-            raise NotDivisible(f"quotient support would exceed bound {bound}")
+            return quo, k
         if a % c0 != 0:
             raise NotDivisible(f"leading coefficient {c0} does not divide {a}")
         coeff = a // c0
@@ -479,6 +474,28 @@ def divide_exact(
                 del rem[idx]
             else:
                 rem[idx] = old - step
+    return quo, None
+
+
+def divide_exact(
+    p: DirichletPolynomial,
+    d: DirichletPolynomial,
+    support_bound: int | None = None,
+) -> DirichletPolynomial:
+    """Exact quotient q with ``d * q == p``, or raise :class:`NotDivisible`.
+
+    Runs ``_eliminate`` with quotient support searched only up to
+    ``support_bound`` (default: the maximal support index of p), which
+    makes failure decidable: a quotient term past it refuses.
+    """
+    if d.is_zero():
+        raise ZeroDivisor("division by the zero polynomial")
+    if p.is_zero():
+        return ZERO
+    bound = support_bound if support_bound is not None else p.max_index
+    quo, past = _eliminate(p, d, bound)
+    if past is not None:
+        raise NotDivisible(f"quotient support would exceed bound {bound}")
     return DirichletPolynomial._trusted(quo)
 
 
@@ -658,40 +675,11 @@ class RationalSeries:
 def expand_rational(f: RationalSeries, bound: int) -> TruncatedSeries:
     """Integer-coefficient expansion of A/B, exact up to ``bound``.
 
-    Back-substitution by ascending index: with u = B(1)-coefficient
-    (+-1), the n-th coefficient is
-    ``u * (A_n - sum_{d|n, d>1} B_d * t_{n/d})``, where d runs over the
-    sparse support of B only.
-
-    t_n = 0 outside S, the closure of supp A under multiplication by
-    supp B minus {1}, capped at the bound: there A_n = 0 and no n/d with
-    d | n in supp B lies in S.  So it runs over S alone, in
-    O(|S| * |supp B|), not O(bound * |supp B|).
+    ``_eliminate`` stopped at the bound: B's leading term is u / 1^s with
+    u = +-1, so no step refuses, and the n-th coefficient is
+    ``u * (A_n - sum_{d|n, d>1} B_d * t_{n/d})``.  Only indices reached
+    from supp A through supp B are visited, not every n <= bound.
     """
     _check_bound(bound)
-    num, den = f.numerator, f.denominator
-    u = den.coefficient(1)
-    if u not in (1, -1):
-        raise NonUnitDenominator("denominator constant coefficient is not a unit")
-    rest = [(d, b) for d, b in den.items() if d > 1]  # ascending
-    reach = [n for n in num.support() if n <= bound]
-    seen = set(reach)
-    for n in reach:  # grows while it is walked, into S
-        for d, _ in rest:
-            m = n * d
-            if m > bound:
-                break
-            if m not in seen:
-                seen.add(m)
-                reach.append(m)
-    out: dict[int, int] = {}
-    for n in sorted(reach):
-        acc = num.coefficient(n)
-        for d, b in rest:
-            if d > n:
-                break
-            if n % d == 0:
-                acc -= b * out.get(n // d, 0)
-        if acc:
-            out[n] = acc * u
-    return _series(bound, DirichletPolynomial._trusted(out))
+    quo, _ = _eliminate(f.numerator, f.denominator, bound)
+    return _series(bound, DirichletPolynomial._trusted(quo))

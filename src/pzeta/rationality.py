@@ -29,6 +29,7 @@ from .dirichlet import (
     int_from_json,
     list_from_json,
     object_from_json,
+    power_shift,
 )
 from .errors import EmptyInput, HypothesisViolated, InvalidParameter
 from .numtheory import (
@@ -46,7 +47,6 @@ __all__ = [
     "LambdaPredicate",
     "FactorKind",
     "FactorDescriptor",
-    "ProductExperiment",
     "WitnessExtraction",
     "extract_witness_product",
     "ConstantExponents",
@@ -88,8 +88,12 @@ class LambdaPredicate:
             return False
         if self.odd and n % 2 == 0:
             return False
-        if self.bounded_primes and strip_primes_up_to(n, self.q) != 1:
-            return False
+        if self.bounded_primes:
+            # q is allowed, so its powers go first: a cofactor such as q^2
+            # past 3.3 * 10^24 would otherwise reach prime_factors and refuse
+            m = n // self.q ** padic_valuation(n, self.q)
+            if strip_primes_up_to(m, self.q) != 1:
+                return False
         return True
 
     def describe(self) -> dict:
@@ -263,8 +267,6 @@ def descriptor_from_supplement_poly(
     the odd indices agree."""
     if supplement_poly.coefficient(1) != 1:
         raise InvalidParameter("supplement polynomial must have constant term 1")
-    from .dirichlet import power_shift
-
     shifted = power_shift(supplement_poly, multiplicity)
     coeffs = {n: b for n, b in shifted.items() if n != 1}
     return FactorDescriptor.make(ident, kind, multiplicity, coeffs)
@@ -280,19 +282,6 @@ def cyclic_descriptor(ident: int, q: int, multiplicity: int, complements: int) -
 # ---------------------------------------------------------------------------
 # witness extraction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductExperiment:
-    factors: tuple[FactorDescriptor, ...]
-    q: int
-    lambda_def: LambdaPredicate
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise InvalidParameter(f"{self.q} is not prime")
-        if self.lambda_def.q != self.q:
-            raise InvalidParameter("lambda predicate must use the experiment's prime")
 
 
 @dataclass
@@ -315,12 +304,13 @@ class WitnessExtraction:
 
 
 def _validate_shape(
-    factors: Sequence[FactorDescriptor], q: int, lam: LambdaPredicate
+    factors: Sequence[FactorDescriptor], lam: LambdaPredicate
 ) -> list[tuple[int, FactorDescriptor]]:
     """Check the extraction hypothesis on every in-window index and
     return the candidate witnesses (m, factor): indices n in Lambda
     with nonzero coefficient must be exact r_i-th powers with
-    q-adic valuation exactly r_i."""
+    q-adic valuation exactly r_i (q = ``lam.q``)."""
+    q = lam.q
     candidates = []
     for f in factors:
         for n, b in f.coeffs:
@@ -341,18 +331,20 @@ def _validate_shape(
     return candidates
 
 
-def extract_witness_product(exp: ProductExperiment) -> WitnessExtraction:
-    """Minimal witness w with v_q(w) = 1 and some nonzero b_{i,w^{r_i}},
-    plus the induced finite product over the contributing factors.
-    Raises HypothesisViolated when the data does not have the required
-    power shape; an empty candidate set is reported, not raised."""
-    candidates = _validate_shape(exp.factors, exp.q, exp.lambda_def)
+def extract_witness_product(
+    factors: Sequence[FactorDescriptor], lam: LambdaPredicate
+) -> WitnessExtraction:
+    """Minimal witness w with v_q(w) = 1 (q = ``lam.q``) and some nonzero
+    b_{i,w^{r_i}}, plus the induced finite product over the contributing
+    factors.  Raises HypothesisViolated when the data does not have the
+    required power shape; an empty candidate set is reported, not raised."""
+    candidates = _validate_shape(factors, lam)
     if not candidates:
         return WitnessExtraction(None, (), ())
     w = min(m for m, _ in candidates)
     contributing = []
     polys = []
-    for f in exp.factors:
+    for f in factors:
         b = f.coefficient(w**f.multiplicity)
         if b != 0:
             contributing.append(f.ident)
@@ -579,9 +571,7 @@ def replay_finiteness_argument(
     lam = LambdaPredicate(q, odd=True, bounded_primes=False)
     lam_gamma = LambdaPredicate(q, odd=True, bounded_primes=True)
 
-    extraction = extract_witness_product(
-        ProductExperiment(factors, q, lam)
-    )
+    extraction = extract_witness_product(factors, lam)
     w = extraction.witness
     i_star = extraction.contributing_ids
 

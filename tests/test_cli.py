@@ -52,6 +52,9 @@ GOLDEN_COMMANDS = {
     "replay_mixed_factors.json": ("replay", str(DEMO_DATA / "mixed_factors.json")),
     # constant, arithmetic and geometric families; the witness 10009 lies past 10^4
     "smlcheck_mixed.json": ("smlcheck", str(GOLDEN_INPUTS / "smlcheck_mixed.json")),
+    # the paper's w(X) table: MATCH rows through q = 23 (psl), the rest SKIPPED with
+    # the default budget's notes
+    "wtable_qmax31.json": ("wtable", "--qmax", "31"),
 }
 
 

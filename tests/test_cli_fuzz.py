@@ -280,6 +280,10 @@ PINNED = [
                   "probe_bound": 4611686018427387904}, 0),
     ("replay", {"factors": [{"id": 0, "kind": {"psl2": {"q": 10**20 + 39, "variant": "pgl"}},
                              "r": 1, "coeffs": [{"n": 10**20 + 39, "b": "-2"}]}]}, 0),
+    # beta = (3q)^2: q^2 is past what prime_factors decides
+    ("replay", {"factors": [{"id": 0, "kind": {"psl2": {"q": 10**20 + 39, "variant": "pgl"}},
+                             "r": 2, "coeffs": [{"n": str((3 * (10**20 + 39))**2), "b": "-2"}]}]},
+     0),
 ]
 
 

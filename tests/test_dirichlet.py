@@ -741,6 +741,21 @@ def test_expand_rational_matches_dense_oracle(num, den, bound):
     assert repr(expand_rational(f, bound)) == repr(_oracle_expand_rational(f, bound))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(lambda u, pairs: D([(1, u)] + pairs), st.sampled_from([1, -1]), _pairs_st(2, 700, 6)),
+    st.builds(D, _pairs_st(1, 300, 6)),
+    st.integers(0, 400),
+)
+def test_expand_rational_and_divide_exact_agree_on_a_product(d, q, extra):
+    """Both quotients give q back from d * q: the expansion of d * q / d at
+    any bound B >= max q is q's window at B, and the exact division is q."""
+    bound = (q.max_index or 1) + extra
+    p = d * q
+    assert expand_rational(RationalSeries(p, d), bound) == TruncatedSeries(bound, q.terms())
+    assert divide_exact(p, d) == q
+
+
 @pytest.mark.parametrize("bound", [0, -3, 1.5, "10"])
 @pytest.mark.parametrize("factors", [[], [P({1: 1, 2: -1})], [P({1: 2})]])
 def test_truncated_product_rejects_bad_bound(factors, bound):

@@ -18,7 +18,6 @@ from pzeta import (
     HypothesisViolated,
     InvalidParameter,
     LambdaPredicate,
-    ProductExperiment,
     TruncatedSeries,
     check_sml_conditions,
     cyclic_descriptor,
@@ -131,26 +130,26 @@ class TestExtractWitness:
         f1 = FactorDescriptor.make(1, FactorKind.psl2(5, "psl"), 1, {15: -2})
         f2 = FactorDescriptor.make(2, FactorKind.psl2(5, "psl"), 2, {225: -3})
         f3 = FactorDescriptor.make(3, FactorKind.psl2(5, "psl"), 1, {35: -1})
-        got = extract_witness_product(ProductExperiment((f1, f2, f3), 5, LambdaPredicate(5)))
+        got = extract_witness_product((f1, f2, f3), LambdaPredicate(5))
         assert got.witness == 15
         assert got.contributing_ids == (1, 2)
         assert got.factors == (D({1: 1, 15: -2}), D({1: 1, 225: -3}))
 
     def test_single_cyclic_factor(self):
         f = cyclic_descriptor(0, 5, 1, 1)
-        got = extract_witness_product(ProductExperiment((f,), 5, LambdaPredicate(5)))
+        got = extract_witness_product((f,), LambdaPredicate(5))
         assert got.witness == 5
         assert got.factors == (D({1: 1, 5: -1}),)
 
     def test_no_witness_reported_not_raised(self):
         f = cyclic_descriptor(0, 5, 1, 0)
-        got = extract_witness_product(ProductExperiment((f,), 5, LambdaPredicate(5)))
+        got = extract_witness_product((f,), LambdaPredicate(5))
         assert got.witness is None and got.status == "no-witness"
 
     def test_hypothesis_violation_on_wrong_valuation(self):
         f = FactorDescriptor.make(0, FactorKind.psl2(5, "psl"), 1, {75: -1})
         with pytest.raises(HypothesisViolated):
-            extract_witness_product(ProductExperiment((f,), 5, LambdaPredicate(5)))
+            extract_witness_product((f,), LambdaPredicate(5))
 
     def test_hypothesis_violation_on_non_power(self):
         # descriptor validation only constrains odd indices, so an even
@@ -158,9 +157,7 @@ class TestExtractWitness:
         # by the extraction then rejects it
         f = FactorDescriptor.make(0, FactorKind.psl2(5, "psl"), 2, {5625: -1, 50: -1})
         with pytest.raises(HypothesisViolated):
-            extract_witness_product(
-                ProductExperiment((f,), 5, LambdaPredicate(5, odd=False))
-            )
+            extract_witness_product((f,), LambdaPredicate(5, odd=False))
 
     def test_minimal_index_coefficient_of_expanded_product(self):
         # at w^(min r) the expanded F* coefficient is exactly the sum of
@@ -181,9 +178,7 @@ class TestExtractWitness:
                 )
             if not factors:
                 continue
-            got = extract_witness_product(
-                ProductExperiment(tuple(factors), q, LambdaPredicate(q))
-            )
+            got = extract_witness_product(factors, LambdaPredicate(q))
             if got.witness is None:
                 continue
             w = got.witness
@@ -300,12 +295,14 @@ class TestReplay:
         assert rep.min_psl_multiplicity is None and rep.beta is None
 
     def test_beta_under_a_huge_q(self):
-        # beta's "no prime above q" test must not scan the primes up to q
+        # beta's "no prime above q" test must not scan the primes up to q,
+        # nor hand q^2, past what prime_factors decides, to the smoothness test
         q = 10**20 + 39
-        rep = replay_finiteness_argument(
-            [FactorDescriptor.make(0, FactorKind.psl2(q, "pgl"), 1, {q: -2})]
-        )
-        assert rep.beta == rep.witness == q and rep.c_beta == -2
+        for r, w in ((1, q), (2, 3 * q)):
+            rep = replay_finiteness_argument(
+                [FactorDescriptor.make(0, FactorKind.psl2(q, "pgl"), r, {w**r: -2})]
+            )
+            assert rep.beta == w**r and rep.witness == w and rep.c_beta == -2
 
     def test_mixed_cyclic_and_psl2(self):
         pgl7 = supplement_zeta(psl2(7, "pgl"))
