@@ -26,7 +26,11 @@ So K is extended by one prime-power cyclic generator per orbit that
 meets the candidates c outside K with c^p in K, the least one, and the
 final node list contains every subgroup exactly once.  K's normalizer
 costs nothing when K is normal (G's generators) or self-normalizing
-(K's own), since its order is |G| divided by the size of K's class.
+(K's own), since its order is |G| divided by the size of K's class;
+otherwise its generators are drawn from the Schreier generators of the
+tree that found K's class (Schreier's lemma), and all of K's surviving
+candidates are closed in one batch (``_Engine.closure`` with
+``lasts``).
 
 One poset type serves the full lattice and the overgroup family: the
 walk is the constructor of ``_NodePoset``, which starts from a seed
@@ -47,8 +51,8 @@ maximality, Hasse covers, intervals, chief series) reads one cached row
 per node, the ascending ids of its proper overgroups
 (``_NodePoset._overgroups``).  Conjugation by a group generator
 permutes the nodes and preserves inclusion, so rows and Hasse covers
-are computed once per class, for its representative, and relabelled to
-the other members.  The chief series walk one map of normal covers,
+are computed once per class, for the root of the walk's tree of that
+class, and relabelled along the tree to the other members.  The chief series walk one map of normal covers,
 read once per lattice off the normal nodes' rows.
 """
 
@@ -59,7 +63,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -128,6 +132,7 @@ def _conjugators(
     k_ids: np.ndarray,
     in_k: np.ndarray,
     n_size: int,
+    schreier: Callable[[], np.ndarray],
 ) -> tuple[int, ...]:
     """Elements whose conjugations, together with x -> x*k (k in K),
     generate a group whose orbits are the N_G(K)-orbits of the double
@@ -137,24 +142,53 @@ def _conjugators(
       coset, so G's generators outside K suffice.
     * Otherwise K's own generators (conjugation by k, then x -> x*k, is
       x -> k^-1*x), and, unless K is self-normalizing, generators of
-      N_G(K) = {g : [k, g] in K for every generator k}: picked
-      greedily, smallest index first, outside the closure so far (so
-      none lies in K), until that closure has the known order; each
-      closure resumes from the one before."""
+      N_G(K) picked from its Schreier generators (``schreier()``, made
+      only here): the first one outside the closure so far (so none
+      lies in K), until that closure has the known order; each closure
+      resumes from the one before."""
     if n_size == engine.order:
         return tuple(g for g in engine.gen_indices if not in_k[g])
     if n_size == len(k_ids):
         return kgens
     gens, member, closed = kgens, in_k, k_ids
-    normalizes = engine.commutes_into(kgens, in_k)
+    pool = schreier()
     while True:
-        gens += (int(np.argmax(normalizes & ~member)),)
+        gens += (int(pool[np.argmax(~member[pool])]),)
         tracker.closures["normalizer"] += 1
         closed = engine.closure(gens, known=closed)
         if len(closed) == n_size:
             return gens
         member = np.zeros(engine.order, dtype=bool)
         member[closed] = True
+
+
+def _schreier_generators(
+    engine: _Engine,
+    mul_table: np.ndarray,
+    images: list[np.ndarray],
+    parent: np.ndarray,
+    via: np.ndarray,
+    ends: Sequence[int],
+) -> np.ndarray:
+    """Schreier generators of N_G(K), the stabilizer of K in G's
+    conjugation action on K's class (Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4), from the class's own search tree.
+
+    Member u of the class (local ids, K = 0) was found as
+    ``parent[u]`` conjugated by G-generator ``via[u]``, one
+    breadth-first layer ``ends[i]:ends[i + 1]`` at a time, and
+    ``images[k][u]`` is u conjugated by G-generator k.  So the
+    transversal t_u, with K^(t_u) = u, is t_parent * g_via, one gather
+    of ``mul_table`` (G-generators' ``mul`` columns) per layer, and each
+    edge (u, k) -> v that is not a tree edge gives the generator
+    t_u * g_k * t_v^-1, which maps K to itself."""
+    t = np.empty(ends[-1], dtype=np.int64)
+    t[0] = engine.id_idx
+    for a, b in zip(ends, ends[1:]):
+        t[a:b] = mul_table[via[a:b], t[parent[a:b]]]
+    v = np.asarray(images)
+    k, u = np.nonzero((parent[v] != np.arange(v.shape[1])) | (via[v] != np.arange(len(v))[:, None]))
+    return engine.mul_pairs(mul_table[k, t[u]], engine.inv[t[v[k, u]]])
 
 
 class _NodePoset:
@@ -168,21 +202,24 @@ class _NodePoset:
     sideways), a representative K by the least prime-power cyclic
     generator c (``pp_cyclic_generator_reps``) outside K with c^p in K
     (``pp_rep_pth_powers``) in each orbit of x -> x*k (k in K),
-    conjugation by N_G(K) and the engine's power maps.  A new subgroup
-    is registered with its whole conjugacy class, one breadth-first
-    layer of conjugates at a time.  ``classes`` hold
-    ascending node ids and are ordered by their smallest id.  The walk
-    keys a subgroup by its sorted element tuple; the frozensets ``_fs``
-    that containment reads are built once per node, after the walk.
+    conjugation by N_G(K) and the engine's power maps; conjugation by
+    a central element is the identity map, so central elements are
+    dropped from those conjugations.  All of K's remaining candidates
+    are closed in one batch.  A new subgroup is registered with its
+    whole conjugacy class, one breadth-first layer of conjugates at a
+    time, and each new member records the tree edge that found it: its
+    parent and the G-generator.  N_G(K), when it is needed, comes from
+    that tree (``_schreier_generators``).  ``classes`` hold ascending
+    node ids and are ordered by their smallest id.  The walk keys a
+    subgroup by its sorted element tuple; the frozensets ``_fs`` that
+    containment reads are built once per node, after the walk.
 
     Conjugation by a group generator is an automorphism of the poset,
     and ``_perms[k]`` is its action on node ids.  So a row is scanned
-    only for a class representative (the class's smallest id).  Every
-    other node has a parent (p, k), with node = node p conjugated by
-    generator k, and its row is p's row relabelled by ``_perms[k]``.  A
-    class's parents come from one breadth-first search from its
-    representative, run on the first relabel inside the class: most
-    queries read representatives' rows only.
+    only for a class's root ``_roots[c]``, the member the walk found
+    first.  Every other node has a parent (p, k) in the same tree, with
+    node = node p conjugated by generator k, and its row is p's row
+    relabelled by ``_perms[k]``: most queries read roots' rows only.
 
     ``stats`` holds the walk's counts: subgroups, classes, closures by
     purpose (``candidate`` extensions and ``normalizer`` growth) and
@@ -202,40 +239,53 @@ class _NodePoset:
         nodes: list[tuple[int, ...]] = []
         node_gens: list[tuple[int, ...]] = []
         node_ids: dict[tuple[int, ...], int] = {}
-        classes: list[list[int]] = []
+        # the walk's tree: node i was found as node parents[i]
+        # conjugated by g_gens[vias[i]]; -1 for the first member of each
+        # class
+        parents: list[int] = []
+        vias: list[int] = []
+        classes: list[range] = []
+        layers: list[list[int]] = []  # each class's breadth-first layer ends, local ids
         rep_ids: list[np.ndarray] = []  # each class representative's elements
 
         g_gens = engine.gen_indices
         # images[k][i]: the id of node i conjugated by g_gens[k]
         images: list[list[int]] = [[] for _ in g_gens]
-        conj_table = engine.conj_table(g_gens)
+        conj_table = engine.column_table("conj", g_gens)
+        # conjugation by a central element is the identity map
+        central = (conj_table == np.arange(order)).all(axis=0)
+        mul_table: list[np.ndarray] = []  # G-generators' mul columns, made on first use
 
-        def add(elements: tuple[int, ...], gens: tuple[int, ...]):
+        def add(elements: tuple[int, ...], gens: tuple[int, ...], parent: int, via: int):
             tracker.subgroups += 1
             tracker.check()
             node_ids[elements] = len(nodes)
             nodes.append(elements)
             node_gens.append(gens)
+            parents.append(parent)
+            vias.append(via)
 
         def register(rep: tuple[int, ...], gens: tuple[int, ...]) -> int:
             """Add a new subgroup and all its conjugates as one class, and
-            record each member's image under every generator.  The class
-            grows one breadth-first layer at a time.  A layer is one array
-            of rows, each a member's elements followed by its generators;
-            one gather conjugates it by every G-generator, one row-wise
-            sort of the element columns and one ``tolist`` make every key,
-            and the rows of the members found are the next layer."""
+            record each member's image under every generator and the
+            tree edge that found it.  The class grows one breadth-first
+            layer at a time.  A layer is one array of rows, each a
+            member's elements followed by its generators; one gather
+            conjugates it by every G-generator, one row-wise sort of the
+            element columns and one ``tolist`` make every key, and the
+            rows of the members found are the next layer."""
             cid = len(classes)
-            members = [len(nodes)]
-            add(rep, gens)
+            first = len(nodes)
+            add(rep, gens, -1, -1)
             size = len(rep)
             layer = np.asarray([rep + gens], dtype=np.int64)
             rep_ids.append(layer[0, :size])
+            ends = [1]
             start = 0
             # over all classes, members are visited in id order, so each
             # image list is indexed by id
-            while start < len(members):
-                stop = len(members)
+            while start < ends[-1]:
+                stop = ends[-1]
                 n = stop - start
                 # conj[k, r]: layer row r conjugated by g_gens[k]
                 conj = conj_table.take(layer, axis=1)
@@ -247,18 +297,31 @@ class _NodePoset:
                         j = node_ids.get(key)
                         if j is None:
                             j = len(nodes)
-                            members.append(j)
-                            add(key, ())
+                            add(key, (), first + start + r, k)
                             found.append(k * n + r)
                         image.append(j)
                 if found:
                     layer = conj.reshape(-1, layer.shape[1]).take(found, axis=0)
-                    for j, row in zip(members[stop:], layer[:, size:].tolist()):
+                    for j, row in zip(range(stop + first, len(nodes)), layer[:, size:].tolist()):
                         node_gens[j] = tuple(row)
+                    ends.append(len(nodes) - first)
                 start = stop
-            classes.append(members)
+            classes.append(range(first, len(nodes)))
+            layers.append(ends)
             tracker.classes = len(classes)
             return cid
+
+        def schreier(cid: int) -> np.ndarray:
+            """``_schreier_generators`` of class cid's representative."""
+            if not mul_table:
+                mul_table.append(engine.column_table("mul", g_gens))
+            first, stop = classes[cid].start, classes[cid].stop
+            v = [image[first:stop] for image in images]
+            parent = np.asarray(parents[first:stop]) - first
+            return _schreier_generators(
+                engine, mul_table[0], np.subtract(v, first), parent, np.asarray(vias[first:stop]),
+                layers[cid],
+            )
 
         cid = register(tuple(sorted(int(x) for x in seed)), tuple(seed_gens))
         heap = [(len(nodes[classes[cid][0]]), cid)]
@@ -282,13 +345,18 @@ class _NodePoset:
             outside = candidates[in_k[pth] & ~in_k[candidates]]
             if len(outside) > 1:
                 n_size = order // len(classes[cid])
-                conj = _conjugators(engine, tracker, kgens, k_ids, in_k, n_size)
+                conj = _conjugators(
+                    engine, tracker, kgens, k_ids, in_k, n_size, lambda: schreier(cid)
+                )
                 # <K, y> is conjugate to <K, x> for every y in the orbit of x
-                outside = engine.orbit_minima(outside, kgens, conj)
-            for e in outside.tolist():
-                tracker.check()
-                tracker.closures["candidate"] += 1
-                res = engine.closure(kgens + (e,), bail_half=True, known=k_ids)
+                outside = engine.orbit_minima(outside, kgens, [c for c in conj if not central[c]])
+            if not len(outside):
+                continue
+            tracker.check()
+            tracker.closures["candidate"] += len(outside)
+            outside = outside.tolist()
+            closed = engine.closure(kgens, bail_half=True, known=k_ids, lasts=outside)
+            for e, res in zip(outside, closed):
                 if res is None:
                     continue  # generated the whole group; top is preseeded
                 new_rep = tuple(res.tolist())
@@ -313,7 +381,16 @@ class _NodePoset:
         self._perms = [[inv[image[old]] for old in perm] for image in images]
         self._sizes = [len(fs) for fs in self._fs]
         self._rows: list[list[int] | None] = [None] * len(nodes)
-        self._parent: list[tuple[int, int] | None] = [None] * len(nodes)
+        # the walk's tree in canonical ids: node i is node p conjugated by
+        # generator k for _parent[i] = (p, k), and None at each class's
+        # root, _roots[class]
+        self._parent: list[tuple[int, int] | None] = [
+            None if parents[old] < 0 else (inv[parents[old]], vias[old]) for old in perm
+        ]
+        self._roots = [0] * len(classes)
+        for members in classes:
+            root = inv[members.start]
+            self._roots[self._class_of[root]] = root
         self.top_id = len(nodes) - 1
         self.stats = tracker.stats()
         self.stats["rows"] = {"scanned": 0, "relabelled": 0}
@@ -330,34 +407,19 @@ class _NodePoset:
         return self._class_of[i]
 
     def is_maximal(self, i: int) -> bool:
-        """Whether node i is a maximal subgroup: its row of proper
-        overgroups (exact, as the family is upward closed) is the top
-        alone."""
-        return self._overgroups(i) == [self.top_id]
-
-    def _parent_of(self, i: int) -> tuple[int, int] | None:
-        """Node i's parent (p, k), or None for a class representative;
-        the first call inside a class finds the parents of all its
-        members."""
-        rep = self.classes[self._class_of[i]][0]
-        if i != rep and self._parent[i] is None:
-            queue = [rep]
-            for u in queue:
-                for k, perm in enumerate(self._perms):
-                    v = perm[u]
-                    if v != rep and self._parent[v] is None:
-                        self._parent[v] = (u, k)
-                        queue.append(v)
-        return self._parent[i]
+        """Whether node i is a maximal subgroup: the row of proper
+        overgroups (exact, as the family is upward closed) of its class
+        root is the top alone."""
+        return self._overgroups(self._roots[self._class_of[i]]) == [self.top_id]
 
     def _from_class(self, cache: list, i: int, scan) -> int:
-        """Fill ``cache[i]``: ``scan`` the class representative unless
-        an entry on the parent chain is already cached, then relabel
-        down the chain to node i.  The chain is walked iteratively: a
-        class of the dihedral group D_2n can be about n/2 steps deep.
-        Returns the number of entries relabelled."""
+        """Fill ``cache[i]``: ``scan`` the class root unless an entry on
+        the tree path to it is already cached, then relabel down the
+        path to node i.  The path is walked iteratively: a class of the
+        dihedral group D_2n can be about n/2 steps deep.  Returns the
+        number of entries relabelled."""
         chain = []
-        while cache[i] is None and (parent := self._parent_of(i)) is not None:
+        while cache[i] is None and (parent := self._parent[i]) is not None:
             chain.append((i, parent))
             i = parent[0]
         if cache[i] is None:
@@ -466,9 +528,8 @@ class SubgroupLattice(_NodePoset):
         # classes are ordered by their smallest id, so in reverse every
         # proper overgroup of a representative is already done
         mu = [0] * self.node_count
-        for members in reversed(self.classes):
-            rep = members[0]
-            value = 1 if rep == self.top_id else -sum(mu[j] for j in self._overgroups(rep))
+        for members, root in zip(reversed(self.classes), reversed(self._roots)):
+            value = 1 if root == self.top_id else -sum(mu[j] for j in self._overgroups(root))
             for i in members:
                 mu[i] = value
         return mu

@@ -15,11 +15,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pzeta import Budget, BudgetExceeded, PermGroup, symmetric
-from pzeta import cli
-from pzeta.lattice import overgroups_of_seed
+from pzeta import cli, lattice
+from pzeta.lattice import _NodePoset, overgroups_of_seed
 from pzeta.numtheory import prime_factors
 from pzeta.permgroup import _min_labels
-from helpers import group, psl2
+from helpers import CORPUS_NAMES, group, psl2
 
 
 def _reference_walk(engine, seed, seed_gens):
@@ -221,13 +221,93 @@ class TestCandidateCuts:
         assert len(eng.orbit_minima(thirteen, (), eng.gen_indices)) == 1
 
 
+def _check_normalizers(grp, monkeypatch):
+    """For every class representative K that the walk extends by more
+    than one candidate, K and the Schreier generators of its class tree
+    generate the normalizer mask of ``commutes_into``: the x with
+    [k, x] in K for every generator k of K.  The generators are taken
+    for every such class, normal and self-normalizing ones included."""
+    seen = []
+    original = lattice._conjugators
+
+    def spy(engine, tracker, kgens, k_ids, in_k, n_size, schreier):
+        seen.append((kgens, in_k.copy(), schreier()))
+        return original(engine, tracker, kgens, k_ids, in_k, n_size, schreier)
+
+    monkeypatch.setattr(lattice, "_conjugators", spy)
+    eng = grp.engine
+    _NodePoset(eng, Budget(), (eng.id_idx,), ())
+    for kgens, in_k, pool in seen:
+        expected = np.flatnonzero(eng.commutes_into(kgens, in_k))
+        assert eng.closure(tuple(kgens) + tuple(pool.tolist())).tolist() == expected.tolist()
+    return len(seen)
+
+
+def _check_batch(eng, rng, bail_half):
+    """One batched closure against one call per candidate."""
+    order = eng.order
+    kgens = tuple(rng.randrange(order) for _ in range(rng.randint(0, 2)))
+    known = eng.closure(kgens)
+    lasts = [rng.randrange(order) for _ in range(rng.randint(1, 6))]
+    batch = eng.closure(kgens, bail_half=bail_half, known=known, lasts=lasts)
+    singles = [eng.closure(kgens + (e,), bail_half=bail_half, known=known) for e in lasts]
+    assert [None if b is None else b.tolist() for b in batch] == [
+        None if s is None else s.tolist() for s in singles
+    ]
+    for e, b in zip(lasts, batch):
+        full = eng.closure(kgens + (e,))
+        assert (b is None) == (bail_half and len(full) > order // 2)
+
+
+class TestClassBatch:
+    """The walk's two per-class pieces against their oracles: the
+    normalizer from the class's conjugation tree, and the batched
+    closure of all of a class's candidates."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES + ["S4xS3", "PGL(2,7)", "A4xC2"])
+    def test_schreier_generators_give_the_normalizer(self, name, monkeypatch):
+        _check_normalizers(group(name), monkeypatch)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @given(GROUPS)
+    def test_schreier_generators_on_random_groups(self, data):
+        degree, gens = data
+        grp = PermGroup(degree, gens)
+        assume(grp.order <= 360)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _check_normalizers(grp, monkeypatch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(GROUPS, st.randoms(use_true_random=False), st.booleans())
+    def test_batched_closure_is_one_call_per_candidate(self, data, rng, bail_half):
+        degree, gens = data
+        grp = PermGroup(degree, gens)
+        assume(grp.order <= 720)
+        for _ in range(3):
+            _check_batch(grp.engine, rng, bail_half)
+
+    @pytest.mark.parametrize("name", ["S6", "PSL(2,13)"])
+    def test_batched_closure_on_larger_groups(self, name):
+        import random
+
+        eng = group(name).engine
+        rng = random.Random(11)
+        for _ in range(20):
+            _check_batch(eng, rng, True)
+
+
 class TestClosureCounts:
     # Deterministic counts of the builtin groups (element indexing and
-    # the walk do not depend on the run): the walk makes 458, 115, 460
-    # and 65 closures for S6, PGL(2,7), S4xS3 and PSL(2,13).  Before
-    # the power maps and the c^p in K rule it made 622, 187, 477 and
-    # 228, and the K-conjugation loop it replaced made 3568, 934 and
-    # 1812 for the first three.
+    # the walk do not depend on the run): the walk makes 385, 92, 372
+    # and 53 candidate closures for S6, PGL(2,7), S4xS3 and PSL(2,13),
+    # and 72, 22, 85 and 13 normalizer closures with generators drawn
+    # from the classes' Schreier generators (73, 23, 88 and 12 when
+    # they were drawn from commutator masks), 457, 114, 457 and 66 in
+    # all.  Before the power maps and the c^p in K rule it made 622,
+    # 187, 477 and 228, and the K-conjugation loop it replaced made
+    # 3568, 934 and 1812 for the first three.
     CEILINGS = {"S6": 480, "PGL(2,7)": 120, "S4xS3": 483, "PSL(2,13)": 68}
 
     @pytest.mark.parametrize("name", list(CEILINGS))

@@ -439,6 +439,8 @@ class TestPosetQueries:
         "S4xS3": "f1af90361d156c988a4c746789e8987d046aa8eec553b19b3b66a2d7067b0a50",
         "PGL(2,7)": "ad6ddd7a18441488b2b44df61f014b92ac70b5ed05fded43003200535369720b",
         "A5xC2": "9132a537dbdf17e3a8a8d6f1e66264ab372c77b406dffef1705f4485cceddbca",
+        "S6": "bf5c57bc3e9ca5f6a951af0c54b9944b4bcb58661eb49229b2f8c4170acafe6e",
+        "PSL(2,13)": "ac21e8886a7c2006ce8a0b80a695f7c59b16a2a991e6ff963de3ba6d4aa7e170",
     }
 
     @pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
@@ -469,13 +471,23 @@ class TestPosetQueries:
         lat.hasse_edges()
         assert lat.stats["rows"] == rows
 
-    def test_parents_are_found_on_the_first_relabel_in_a_class(self):
-        lat = subgroup_lattice(group("PGL(2,7)"))
-        lat.maximal_node_ids(), lat.frattini_node_id()
-        assert lat._parent == [None] * lat.node_count  # representatives only
-        members = next(c for c in lat.conjugacy_classes if len(c) > 2)
-        lat.strict_overgroups(members[-1])
-        assert [i for i, p in enumerate(lat._parent) if p is not None] == list(members[1:])
+    @pytest.mark.parametrize("name", ["PGL(2,7)", "S4xS3", "D12"])
+    def test_each_class_is_one_tree_of_the_walk(self, name):
+        # the tree edges the walk recorded, in canonical ids: node i is
+        # its parent conjugated by a generator, and every path ends at
+        # the class's one root, the only member without a parent
+        lat = subgroup_lattice(group(name))
+        for ci, members in enumerate(lat.conjugacy_classes):
+            root = lat._roots[ci]
+            assert [i for i in members if lat._parent[i] is None] == [root]
+            for i in members:
+                depth = 0
+                while lat._parent[i] is not None:
+                    p, k = lat._parent[i]
+                    assert lat._perms[k][p] == i and lat.class_of(p) == ci
+                    i, depth = p, depth + 1
+                    assert depth < len(members)
+                assert i == root
 
     @pytest.mark.parametrize(
         "q,variant,include_even",
