@@ -28,9 +28,7 @@ final node list contains every subgroup exactly once.  K's normalizer
 costs nothing when K is normal (G's generators) or self-normalizing
 (K's own), since its order is |G| divided by the size of K's class;
 otherwise its generators are drawn from the Schreier generators of the
-tree that found K's class (Schreier's lemma), and all of K's surviving
-candidates are closed in one batch (``_Engine.closure`` with
-``lasts``).
+tree that found K's class (Schreier's lemma).
 
 One poset type serves the full lattice and the overgroup family: the
 walk is the constructor of ``_NodePoset``, which starts from a seed
@@ -52,8 +50,9 @@ per node, the ascending ids of its proper overgroups
 (``_NodePoset._overgroups``).  Conjugation by a group generator
 permutes the nodes and preserves inclusion, so rows and Hasse covers
 are computed once per class, for the root of the walk's tree of that
-class, and relabelled along the tree to the other members.  The chief series walk one map of normal covers,
-read once per lattice off the normal nodes' rows.
+class, and relabelled along the tree to the other members.  The chief
+series walk one map of normal covers, read once per lattice off the
+normal nodes' rows.
 """
 
 from __future__ import annotations
@@ -165,7 +164,7 @@ def _conjugators(
 def _schreier_generators(
     engine: _Engine,
     mul_table: np.ndarray,
-    images: list[np.ndarray],
+    images: np.ndarray,
     parent: np.ndarray,
     via: np.ndarray,
     ends: Sequence[int],
@@ -186,9 +185,10 @@ def _schreier_generators(
     t[0] = engine.id_idx
     for a, b in zip(ends, ends[1:]):
         t[a:b] = mul_table[via[a:b], t[parent[a:b]]]
-    v = np.asarray(images)
-    k, u = np.nonzero((parent[v] != np.arange(v.shape[1])) | (via[v] != np.arange(len(v))[:, None]))
-    return engine.mul_pairs(mul_table[k, t[u]], engine.inv[t[v[k, u]]])
+    tree = np.zeros(images.shape, dtype=bool)
+    tree[via[1:], parent[1:]] = True
+    k, u = np.nonzero(~tree)
+    return engine.mul_pairs(mul_table[k, t[u]], engine.inv[t[images[k, u]]])
 
 
 class _NodePoset:
@@ -204,11 +204,10 @@ class _NodePoset:
     (``pp_rep_pth_powers``) in each orbit of x -> x*k (k in K),
     conjugation by N_G(K) and the engine's power maps; conjugation by
     a central element is the identity map, so central elements are
-    dropped from those conjugations.  All of K's remaining candidates
-    are closed in one batch.  A new subgroup is registered with its
-    whole conjugacy class, one breadth-first layer of conjugates at a
-    time, and each new member records the tree edge that found it: its
-    parent and the G-generator.  N_G(K), when it is needed, comes from
+    dropped from those conjugations.  A new subgroup is registered with
+    its whole conjugacy class, one breadth-first layer of conjugates at
+    a time, and each new member records the tree edge that found it:
+    its parent and the G-generator.  N_G(K), when it is needed, comes from
     that tree (``_schreier_generators``).  ``classes`` hold ascending
     node ids and are ordered by their smallest id.  The walk keys a
     subgroup by its sorted element tuple; the frozensets ``_fs`` that
@@ -252,8 +251,9 @@ class _NodePoset:
         # images[k][i]: the id of node i conjugated by g_gens[k]
         images: list[list[int]] = [[] for _ in g_gens]
         conj_table = engine.column_table("conj", g_gens)
-        # conjugation by a central element is the identity map
-        central = (conj_table == np.arange(order)).all(axis=0)
+        # central[x]: x is fixed by every row of conj_table, so
+        # conjugation by x is the identity map; made on first use
+        central = None
         mul_table: list[np.ndarray] = []  # G-generators' mul columns, made on first use
 
         def add(elements: tuple[int, ...], gens: tuple[int, ...], parent: int, via: int):
@@ -348,15 +348,14 @@ class _NodePoset:
                 conj = _conjugators(
                     engine, tracker, kgens, k_ids, in_k, n_size, lambda: schreier(cid)
                 )
+                if central is None:
+                    central = (conj_table == np.arange(order)).all(axis=0)
                 # <K, y> is conjugate to <K, x> for every y in the orbit of x
                 outside = engine.orbit_minima(outside, kgens, [c for c in conj if not central[c]])
-            if not len(outside):
-                continue
-            tracker.check()
-            tracker.closures["candidate"] += len(outside)
-            outside = outside.tolist()
-            closed = engine.closure(kgens, bail_half=True, known=k_ids, lasts=outside)
-            for e, res in zip(outside, closed):
+            for e in outside.tolist():
+                tracker.check()
+                tracker.closures["candidate"] += 1
+                res = engine.closure(kgens + (e,), bail_half=True, known=k_ids)
                 if res is None:
                     continue  # generated the whole group; top is preseeded
                 new_rep = tuple(res.tolist())

@@ -642,7 +642,6 @@ class _Engine:
         gen_idx: Sequence[int],
         bail_half: bool = False,
         known: np.ndarray | None = None,
-        lasts: Sequence[int] | None = None,
     ):
         """Sorted element indices of the subgroup generated by gen_idx.
 
@@ -654,94 +653,44 @@ class _Engine:
         letter e, so every element of <K, e> outside K is reached from
         K*e, and K itself is not rebuilt.
 
-        With ``lasts`` = (e_1, ..., e_m) it closes <gen_idx, e_r> for
-        every r in lockstep and returns the list of the m results
-        (``known`` then holds <gen_idx>).  Row r of one flat member
-        array holds element x at r*s + x, s the least power of two not
-        below |G|, so each breadth-first layer takes one gather per
-        generator for all rows at once; e_r's gather reads the rows'
-        ``mul`` columns laid end to end at the same flat positions.  A
-        call without ``lasts`` is the batch of one, e = gen_idx[-1].
-
-        With ``bail_half=True`` a result is None as soon as it is known
-        to be the whole group (more than half of its row seen), which is
-        the common case during lattice extension, and its row stops
-        growing.  Rows are counted only once the elements added since
-        the last count could have taken one past half, so a batch of one
-        stops exactly where a lone search would.
+        With ``bail_half=True`` returns None as soon as the subgroup is
+        known to be the whole group (more than half the elements seen),
+        which is the common case during lattice extension.
         """
-        single = lasts is None
-        if single:
-            if not len(gen_idx):
-                return np.asarray([self.id_idx], dtype=np.int64)
-            gen_idx, lasts = gen_idx[:-1], gen_idx[-1:]
-        n, m = self.order, len(lasts)
-        # rows are ``stride`` apart, a power of two, so that a flat
-        # position splits into row and element by bit masks
-        shift = (n - 1).bit_length()
-        stride, mask = 1 << shift, (1 << shift) - 1
-        maps = [self._column("mul", int(g)) for g in dict.fromkeys(gen_idx) if g != self.id_idx]
-        # e_r's column at row r's positions; the gaps between rows are
-        # never read
-        last = [np.zeros(stride - n, dtype=np.int32)] * (2 * m - 1)
-        last[::2] = [self._column("mul", int(e)) for e in lasts]
-        last = np.concatenate(last)
-        member = np.zeros(m << shift, dtype=bool)
+        gens = [int(g) for g in dict.fromkeys(gen_idx) if g != self.id_idx]
+        if not gens:
+            return np.asarray([self.id_idx], dtype=np.int64)
+        cols = [self._column("mul", g) for g in gens]
+        # unseen[x]: x not reached yet, so a gather's new elements are
+        # picked without inverting a membership mask
+        unseen = np.empty(self.order, dtype=bool)
+        unseen.fill(True)
         if known is None:
-            frontier, size = np.arange(self.id_idx, m << shift, stride), 0
+            frontier = np.asarray([self.id_idx])
+            count = 1
         else:
-            marked = (np.arange(0, m << shift, stride)[:, None] + known).ravel()
-            member[marked] = True
-            frontier = last[marked] + (marked & ~mask)
-            frontier, size = frontier[~member[frontier]], len(known)
-        member[frontier] = True
-        half = n // 2 if bail_half else n
-        # Rows are counted only when the elements added since the last
-        # count (pending) could have taken one past half.  counts stays
-        # None until then; a row is past half once its count is, and
-        # with one row left growing the slack was its own.
-        counts, live, dropped = None, m, False
-        pending, added, slack = [frontier], frontier.size, half - size
-        maps.append(last)
-        new, j = [frontier], len(maps)
-        while True:
-            if added > slack:
-                if live == 1 and not dropped:
-                    return None if single else [None] * m
-                grown = np.bincount(np.concatenate(pending) >> shift, minlength=m).tolist()
-                counts = [c + g for c, g in zip(counts or [size] * m, grown)]
-                pending, added = [], 0
-                alive = [c for c in counts if c <= half]
-                if not alive:
-                    return None if single else [None] * m
-                dropped, live = dropped or len(alive) < live, len(alive)
-                slack = half - max(alive)
-            if j == len(maps):  # the next layer
-                frontier = np.concatenate(new)
-                if dropped:  # rows past half stop growing
-                    past = np.asarray(counts) > half
-                    frontier, dropped = frontier[~past[frontier >> shift]], False
-                if not frontier.size:
-                    break
-                x = frontier & mask
-                row = frontier - x
-                new, j = [], 0
-            # right multiplication is a bijection of each row and member
-            # is updated per generator, so ix holds no duplicates;
-            # ``last`` is read at flat positions
-            col = maps[j]
-            ix = col[frontier if col is last else x] + row
-            ix = ix[~member[ix]]
-            member[ix] = True
-            new.append(ix)
-            pending.append(ix)
-            added += ix.size
-            j += 1
-        out = [
-            np.flatnonzero(member[r << shift:(r << shift) + n]) if c <= half else None
-            for r, c in enumerate(counts or [size] * m)
-        ]
-        return out[0] if single else out
+            unseen[known] = False
+            frontier = self._column("mul", int(gen_idx[-1]))[known].astype(np.intp)
+            frontier = frontier[unseen[frontier]]
+            count = len(known) + frontier.size
+        unseen[frontier] = False
+        half = self.order // 2
+        if bail_half and count > half:
+            return None
+        while frontier.size:
+            new = []
+            for col in cols:
+                # right multiplication is a bijection and unseen is
+                # updated per generator, so ix holds no duplicates
+                ix = col[frontier].astype(np.intp)
+                ix = ix[unseen[ix]]
+                unseen[ix] = False
+                count += ix.size
+                new.append(ix)
+                if bail_half and count > half:
+                    return None
+            frontier = np.concatenate(new)
+        return np.flatnonzero(~unseen)
 
     def orbit_minima(
         self, ids: np.ndarray, right: Sequence[int], conj: Sequence[int]

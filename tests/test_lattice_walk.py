@@ -243,26 +243,9 @@ def _check_normalizers(grp, monkeypatch):
     return len(seen)
 
 
-def _check_batch(eng, rng, bail_half):
-    """One batched closure against one call per candidate."""
-    order = eng.order
-    kgens = tuple(rng.randrange(order) for _ in range(rng.randint(0, 2)))
-    known = eng.closure(kgens)
-    lasts = [rng.randrange(order) for _ in range(rng.randint(1, 6))]
-    batch = eng.closure(kgens, bail_half=bail_half, known=known, lasts=lasts)
-    singles = [eng.closure(kgens + (e,), bail_half=bail_half, known=known) for e in lasts]
-    assert [None if b is None else b.tolist() for b in batch] == [
-        None if s is None else s.tolist() for s in singles
-    ]
-    for e, b in zip(lasts, batch):
-        full = eng.closure(kgens + (e,))
-        assert (b is None) == (bail_half and len(full) > order // 2)
-
-
-class TestClassBatch:
-    """The walk's two per-class pieces against their oracles: the
-    normalizer from the class's conjugation tree, and the batched
-    closure of all of a class's candidates."""
+class TestClassNormalizer:
+    """The normalizer from the class's conjugation tree against its
+    oracle, the commutator mask."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES + ["S4xS3", "PGL(2,7)", "A4xC2"])
     def test_schreier_generators_give_the_normalizer(self, name, monkeypatch):
@@ -278,24 +261,6 @@ class TestClassBatch:
         assume(grp.order <= 360)
         with pytest.MonkeyPatch.context() as monkeypatch:
             _check_normalizers(grp, monkeypatch)
-
-    @settings(max_examples=60, deadline=None)
-    @given(GROUPS, st.randoms(use_true_random=False), st.booleans())
-    def test_batched_closure_is_one_call_per_candidate(self, data, rng, bail_half):
-        degree, gens = data
-        grp = PermGroup(degree, gens)
-        assume(grp.order <= 720)
-        for _ in range(3):
-            _check_batch(grp.engine, rng, bail_half)
-
-    @pytest.mark.parametrize("name", ["S6", "PSL(2,13)"])
-    def test_batched_closure_on_larger_groups(self, name):
-        import random
-
-        eng = group(name).engine
-        rng = random.Random(11)
-        for _ in range(20):
-            _check_batch(eng, rng, True)
 
 
 class TestClosureCounts:
