@@ -176,7 +176,7 @@ def _schreier_generators(
     Member u of the class (local ids, K = 0) was found as
     ``parent[u]`` conjugated by G-generator ``via[u]``, one
     breadth-first layer ``ends[i]:ends[i + 1]`` at a time, and
-    ``images[k][u]`` is u conjugated by G-generator k.  So the
+    ``images[k, u]`` is u conjugated by G-generator k.  So the
     transversal t_u, with K^(t_u) = u, is t_parent * g_via, one gather
     of ``mul_table`` (G-generators' ``mul`` columns) per layer, and each
     edge (u, k) -> v that is not a tree edge gives the generator
