@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import re
+from functools import cached_property
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -534,10 +535,6 @@ class _Engine:
         )
         self._columns: dict[tuple[str, int], np.ndarray] = {}
         self._column_bytes = 0
-        self._orders: np.ndarray | None = None
-        self._pp_reps: tuple[int, ...] | None = None
-        self._pp_pth: np.ndarray | None = None
-        self._power_maps: tuple[np.ndarray, ...] | None = None
 
     # -- element lookup ---------------------------------------------------
 
@@ -589,7 +586,7 @@ class _Engine:
 
     def mul(self, i: int, j: int) -> int:
         """Index of "apply i, then j"."""
-        return int(self._lookup(self.rows[j][self._base_rows[i]]))
+        return int(self.mul_pairs(i, j))
 
     def conj_elem(self, x: int, g: int) -> int:
         """Index of g^-1 * x * g."""
@@ -603,10 +600,6 @@ class _Engine:
 
     # -- batched ops ----------------------------------------------------
 
-    def mul_batch(self, ids: np.ndarray, g: int) -> np.ndarray:
-        """Indices of "apply i, then g" for each i in ids."""
-        return self._lookup(self.rows[g][self._base_rows[ids]])
-
     def conj_set(self, ids: np.ndarray, g: int) -> np.ndarray:
         """Indices of g^-1 * i * g for each i in ids."""
         return self._column("conj", g)[ids]
@@ -618,24 +611,12 @@ class _Engine:
         cols = [self._column(kind, g) for g in gens]
         return np.array(cols, dtype=np.int32).reshape(len(gens), self.order)
 
-    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Indices of a[i] * b[i] ("apply a[i], then b[i]") for every i."""
-        return self._lookup(self.rows[b[:, None], self._base_rows[a]])
-
-    def commutators_with(self, n: int) -> np.ndarray:
-        """Index of the commutator [n, x] = n^-1 * x^-1 * n * x for every
-        element x."""
-        pts = self.rows[self.inv[n]][self._base_pts]
-        imgs = self.rows[n][self.rows[self.inv[:, None], pts]]
-        return self._lookup(np.take_along_axis(self.rows, imgs.astype(np.intp), axis=1))
-
-    def commutes_into(self, gens: Iterable[int], member: np.ndarray) -> np.ndarray:
-        """Boolean mask of the elements x with [g, x] in ``member`` (a
-        boolean mask over the elements) for every g in ``gens``."""
-        mask = np.ones(self.order, dtype=bool)
-        for g in gens:
-            mask &= member[self.commutators_with(g)]
-        return mask
+    def mul_pairs(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
+        """Indices of the products a * b ("apply a, then b") of element
+        indices, broadcast over a and b (ints or index arrays): the
+        result has their broadcast shape.  Uncached, so one call forms
+        any set of products without building a column."""
+        return self._lookup(self.rows[np.asarray(b)[..., None], self._base_rows[a]])
 
     def closure(
         self,
@@ -715,26 +696,11 @@ class _Engine:
 
     # -- element statistics ---------------------------------------------
 
-    def _base_powers(self, ids: np.ndarray):
-        """Yield (m, base images of i^m for each i in ids), m = 1, 2, ..."""
-        pts = self._base_rows[ids]
-        col = np.asarray(ids)[:, None]
-        m = 1
-        while True:
-            yield m, pts
-            pts = self.rows[col, pts]
-            m += 1
-
-    def _cyclic_structure(self) -> None:
-        """Element orders, one generator per cyclic subgroup of prime-power
-        order with its p-th power, and the power maps, from one walk over
+    @cached_property
+    def _cyclic(self):
+        """(element orders, ``pp_cyclic_generator_reps()``,
+        ``pp_rep_pth_powers()``, ``power_maps()``), from one walk over
         the powers of every element.
-
-        The generators of <i> are its powers i^m with gcd(m, |i|) = 1.
-        When |i| is a power of p, those are the i^m with p not dividing m
-        over any |i| consecutive exponents, so a running minimum per
-        prime p finds the smallest index among them; that element
-        represents the subgroup.
 
         A power map x -> x^j(|x|), with j(n) a unit mod n, permutes the
         elements and sends each x to a generator of <x>.  The first map
@@ -746,25 +712,28 @@ class _Engine:
         mod 2^a) and j(n) = 1 otherwise.  The walk keeps i^m for every
         step m that is a prime of |G| or a g_p, before its early stop:
         the last step, m = exponent, may be one of them (C2 x C2 stops at
-        m = 2)."""
+        m = 2).
+
+        The maps join the generators of a cyclic p-subgroup (p < 40487)
+        into one orbit, so the least of them is the p-element whose min
+        label over the maps (``_min_labels``, as in ``orbit_minima``) is
+        itself."""
         ids = np.arange(self.order)
         orders = np.zeros(self.order, dtype=np.int64)
         primes = prime_factors(self.order)
-        low = {p: ids.copy() for p in primes}
         roots = {p: _primitive_root(p) for p in primes if p > 2}
         steps = set(primes).union(roots.values(), [3])
         powers = {}
-        for m, pts in self._base_powers(ids):
+        pts = self._base_rows  # base images of i^m for every i
+        for m in range(1, self.order + 1):  # the exponent divides |G|
             idx = self._lookup(pts)
             if m in steps:
                 powers[m] = idx
             orders[(orders == 0) & (idx == self.id_idx)] = m
             if orders.all():
                 break
-            for p in primes:
-                if m % p:
-                    np.minimum(low[p], idx, out=low[p])
-        reps = np.zeros(self.order, dtype=bool)
+            pts = self.rows[ids[:, None], pts]
+        p_elements = np.zeros(self.order, dtype=bool)
         pth = np.zeros(self.order, dtype=np.int64)
         maps = [self.inv.copy()]
         for p in primes:
@@ -773,23 +742,18 @@ class _Engine:
                 p_part *= p
             # |i| divides |G|, so it is a power of p iff it divides p_part
             p_power = p_part % orders == 0
-            reps |= p_power & (low[p] == ids)
+            p_elements |= p_power
             np.copyto(pth, powers[p], where=p_power)
             if p > 2:
                 np.copyto(maps[0], powers[roots[p]], where=p_power)
             elif self.order % 8 == 0 and orders.max(initial=1, where=p_power) >= 8:
                 maps.append(np.where(p_power, powers[3], ids))
-        reps[self.id_idx] = False
-        self._orders = orders
-        rep_ids = np.flatnonzero(reps)
-        self._pp_reps = tuple(rep_ids.tolist())
-        self._pp_pth = pth[rep_ids]
-        self._power_maps = tuple(maps)
+        p_elements[self.id_idx] = False
+        reps = np.flatnonzero(p_elements & (_min_labels(ids, maps) == ids))
+        return orders, tuple(reps.tolist()), pth[reps], tuple(maps)
 
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
-            self._cyclic_structure()
-        return self._orders
+        return self._cyclic[0]
 
     def pp_cyclic_generator_reps(self) -> tuple[int, ...]:
         """One generator per distinct cyclic subgroup of prime-power
@@ -799,25 +763,19 @@ class _Engine:
         generated by K and any generator of one of them whose p-th power
         lies in K (lattice.py tries only one per orbit of K's double
         cosets, its normalizer and the power maps)."""
-        if self._pp_reps is None:
-            self._cyclic_structure()
-        return self._pp_reps
+        return self._cyclic[1]
 
     def pp_rep_pth_powers(self) -> np.ndarray:
         """c^p for each c of ``pp_cyclic_generator_reps()``, in the same
         order, where |c| is a power of the prime p."""
-        if self._pp_pth is None:
-            self._cyclic_structure()
-        return self._pp_pth
+        return self._cyclic[2]
 
     def power_maps(self) -> tuple[np.ndarray, ...]:
         """One or two permutations x -> x^j(|x|) of the element indices,
-        j(n) a unit mod n (see ``_cyclic_structure``).  Each keeps every
-        cyclic subgroup; together they join the generators of a cyclic
+        j(n) a unit mod n (see ``_cyclic``).  Each keeps every cyclic
+        subgroup; together they join the generators of a cyclic
         subgroup of order p^a, p < 40487, into one orbit."""
-        if self._power_maps is None:
-            self._cyclic_structure()
-        return self._power_maps
+        return self._cyclic[3]
 
     # -- structural helpers ----------------------------------------------
 
@@ -866,14 +824,11 @@ class _Engine:
         grown by adjoining the least-index 2-element outside the current
         2-subgroup P that normalizes it; such an element exists below
         full Sylow order because normalizers grow in 2-groups.  The
-        normalizer is read from one mask, the x with [g, x] in P for
-        every generator g of P (``commutes_into``).
+        normalizer is read from one mask, the x with x^-1 * g * x in P
+        for every generator g of P: the products of x^-1 * g (the
+        ``mul`` column of g at x^-1) with x, one ``mul_pairs`` per g.
         """
-        target = 1
-        n = self.order
-        while n % 2 == 0:
-            target *= 2
-            n //= 2
+        target = self.order & -self.order  # the 2-part of |G|
         if target == 1:
             return (self.id_idx,), ()
         orders = self.element_orders()
@@ -883,10 +838,13 @@ class _Engine:
         seed = int(np.argmax(two_power & (orders == best)))
         gens = [seed]
         arr = self.closure(gens)
+        ids = np.arange(self.order)
         while len(arr) < target:
             member = np.zeros(self.order, dtype=bool)
             member[arr] = True
-            candidates = two_power & self.commutes_into(gens, member) & ~member
+            candidates = two_power & ~member
+            for g in gens:
+                candidates &= member[self.mul_pairs(self._column("mul", g)[self.inv], ids)]
             if not candidates.any():
                 raise RuntimeError("Sylow 2-subgroup growth stalled")
             gens.append(int(np.argmax(candidates)))
@@ -908,12 +866,12 @@ class _Engine:
                 continue
             cid = len(reps)
             reps.append(x)
-            coset[self.mul_batch(narr, x)] = cid
+            coset[self.mul_pairs(narr, x)] = cid
         degree = len(reps)
         reps_arr = np.asarray(reps, dtype=np.int64)
 
         def image_of(e: int) -> list[int]:
-            return coset[self.mul_batch(reps_arr, e)].tolist()
+            return coset[self.mul_pairs(reps_arr, e)].tolist()
 
         gen_rows = [image_of(g) for g in self.gen_indices]
         return degree, gen_rows, image_of
@@ -1350,6 +1308,8 @@ def builtin_group(name: str, p: int | None = None) -> PermGroup:
     explicit prime parameter.  A degree above ``DEFAULT_MAX_GROUP_ORDER``
     is rejected before any permutation is built."""
     factors = [_builtin_factor(part, p) for part in name.split("x")]
+    if None in factors:
+        raise ValueError(f"unknown builtin group {name!r}")
     degree = sum(d for d, _ in factors)
     if degree > DEFAULT_MAX_GROUP_ORDER:
         raise ValueError(f"builtin {name!r}: degree {degree} exceeds {DEFAULT_MAX_GROUP_ORDER}")
@@ -1359,9 +1319,9 @@ def builtin_group(name: str, p: int | None = None) -> PermGroup:
     return grp
 
 
-def _builtin_factor(name: str, p: int | None) -> tuple[int, Callable[[], PermGroup]]:
+def _builtin_factor(name: str, p: int | None) -> tuple[int, Callable[[], PermGroup]] | None:
     """The degree of the builtin group ``name`` (not a product) and a
-    function that builds it."""
+    function that builds it, or None for an unknown name."""
     s = name.strip()
     if s in ("Cp", "Cn"):
         if p is None:
@@ -1381,7 +1341,7 @@ def _builtin_factor(name: str, p: int | None) -> tuple[int, Callable[[], PermGro
             return (4, klein_four) if n == 4 else (n // 2, lambda: dihedral(n))
         build = {"S": symmetric, "A": alternating, "C": cyclic}[m.group(1)]
         return max(n, 1), lambda: build(n)
-    raise ValueError(f"unknown builtin group {name!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------

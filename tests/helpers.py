@@ -10,6 +10,8 @@ from itertools import product as iter_product
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
+from hypothesis import strategies as st
+
 from pzeta import (
     AlmostSimpleSpec,
     DirichletPolynomial,
@@ -25,6 +27,11 @@ CORPUS_NAMES = [
     "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
     "S3", "S4", "A4", "A5", "D8", "Q8", "C2xC2", "PSL(2,5)",
 ]
+
+# a permutation group of degree <= 7 on up to 3 generators
+GROUPS = st.integers(1, 7).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+)
 
 
 @lru_cache(maxsize=None)

@@ -116,6 +116,11 @@ class TestPg:
         code, _, err = run(capsys, "pg", "--builtin", "nonsense")
         assert code == 2 and "input error" in err
 
+    @pytest.mark.parametrize("name", ["x", "C2x", "xC2"])
+    def test_empty_product_factor_names_the_input(self, capsys, name):
+        code, _, err = run(capsys, "pg", "--builtin", name)
+        assert (code, err) == (2, f"input error: unknown builtin group {name!r}\n")
+
     def test_huge_file_degree_exits_2(self, capsys, tmp_path):
         path = tmp_path / "huge.grp"
         path.write_text("degree 1000000000000\n(0 1)\n")

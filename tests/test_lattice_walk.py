@@ -12,14 +12,13 @@ import heapq
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
 from pzeta import Budget, BudgetExceeded, PermGroup, symmetric
 from pzeta import cli, lattice
 from pzeta.lattice import _NodePoset, overgroups_of_seed
 from pzeta.numtheory import prime_factors
 from pzeta.permgroup import _min_labels
-from helpers import CORPUS_NAMES, group, psl2
+from helpers import CORPUS_NAMES, GROUPS, group, psl2
 
 
 def _reference_walk(engine, seed, seed_gens):
@@ -117,12 +116,6 @@ def _check_family(eng, seed, seed_gens):
     assert [fam.class_of(i) for i in range(fam.node_count)] == class_of
 
 
-# a permutation group of degree <= 7 on up to 3 generators
-GROUPS = st.integers(1, 7).flatmap(
-    lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3))
-)
-
-
 class TestAgainstReferenceWalk:
     @pytest.mark.parametrize(
         "name", ["C12", "Q8", "D12", "S4", "A4xC2", "S5", "A5xC2", "S4xS3", "PGL(2,7)"]
@@ -205,6 +198,14 @@ class TestCandidateCuts:
                         orbit.add(m[x])
                         frontier.append(m[x])
             assert orbit == {y for y in cyclic[c] if orders[y] == orders[c]}
+        # c is the least generator of <c>, and every nontrivial cyclic
+        # p-subgroup has one: the walk and _reference_walk draw from these
+        least = {
+            min(y for y in cyclic[x] if orders[y] == orders[x])
+            for x in range(eng.order)
+            if len(prime_factors(orders[x])) == 1
+        }
+        assert reps == tuple(sorted(least))
 
     def test_psl2_13_tries_one_candidate_for_its_order_13_subgroups(self):
         # its 14 cyclic subgroups of order 13 are conjugate, but their
@@ -224,8 +225,8 @@ class TestCandidateCuts:
 def _check_normalizers(grp, monkeypatch):
     """For every class representative K that the walk extends by more
     than one candidate, K and the Schreier generators of its class tree
-    generate the normalizer mask of ``commutes_into``: the x with
-    [k, x] in K for every generator k of K.  The generators are taken
+    generate the normalizer: the x with x^-1 * k * x in K for every
+    generator k of K (``conj_set`` by each x).  The generators are taken
     for every such class, normal and self-normalizing ones included."""
     seen = []
     original = lattice._conjugators
@@ -238,14 +239,15 @@ def _check_normalizers(grp, monkeypatch):
     eng = grp.engine
     _NodePoset(eng, Budget(), (eng.id_idx,), ())
     for kgens, in_k, pool in seen:
-        expected = np.flatnonzero(eng.commutes_into(kgens, in_k))
-        assert eng.closure(tuple(kgens) + tuple(pool.tolist())).tolist() == expected.tolist()
+        k = np.asarray(kgens, dtype=np.int64)
+        expected = [x for x in range(eng.order) if in_k[eng.conj_set(k, x)].all()]
+        assert eng.closure(tuple(kgens) + tuple(pool.tolist())).tolist() == expected
     return len(seen)
 
 
 class TestClassNormalizer:
     """The normalizer from the class's conjugation tree against its
-    oracle, the commutator mask."""
+    oracle, the conjugates of K's generators by every element."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES + ["S4xS3", "PGL(2,7)", "A4xC2"])
     def test_schreier_generators_give_the_normalizer(self, name, monkeypatch):

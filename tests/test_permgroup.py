@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pzeta import (
@@ -56,7 +56,7 @@ from pzeta.permgroup import (
     format_group_file,
 )
 from pzeta.zeta import chief_factorization
-from helpers import group, psl2, tuple_schreier_sims
+from helpers import GROUPS, group, psl2, tuple_schreier_sims
 
 
 class TestPermutation:
@@ -779,6 +779,17 @@ class TestSylow2:
         eng = grp.engine
         assert eng.sylow2() == _reference_sylow2(eng)
 
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @given(GROUPS)
+    def test_matches_conjugation_loop_on_random_groups(self, data):
+        degree, gens = data
+        grp = PermGroup(degree, gens)
+        assume(grp.order <= 360)
+        eng = grp.engine
+        assert eng.sylow2() == _reference_sylow2(eng)
+
     def test_odd_order_gives_trivial_subgroup(self):
         eng = cyclic(15).engine
         assert eng.sylow2() == ((eng.id_idx,), ())
@@ -881,8 +892,12 @@ class TestElementIndex:
             assert perm[eng.conj_elem(i, j)] == perm[j].inverse() * perm[i] * perm[j]
             assert perm[int(eng.inv[i])] == perm[i].inverse()
         ids = np.asarray(sorted({i for i, _ in pairs}))
+        table = eng.mul_pairs(ids[:, None], ids)  # broadcast: every product of two ids
+        assert [[perm[x] for x in row] for row in table] == [
+            [perm[i] * perm[j] for j in ids] for i in ids
+        ]
         for g in {j for _, j in pairs[:8]}:
-            assert [perm[x] for x in eng.mul_batch(ids, g)] == [perm[i] * perm[g] for i in ids]
+            assert [perm[x] for x in eng.mul_pairs(ids, g)] == [perm[i] * perm[g] for i in ids]
             assert [perm[x] for x in eng.conj_set(ids, g)] == [
                 perm[g].inverse() * perm[i] * perm[g] for i in ids
             ]
@@ -1167,8 +1182,10 @@ def _table_verdict(group: PermGroup, socle: PermGroup) -> str | None:
         return "socle must be nonabelian"
     if len(_derived_subgroup(eng, socle_gen_ids)) != socle.order:
         return "socle is not perfect"
-    trivial = np.arange(eng.order) == eng.id_idx
-    if eng.commutes_into(socle_gen_ids, trivial).sum() != 1:
+    # x centralizes the socle when s^-1 * x * s = x for every generator s
+    ids = np.arange(eng.order)
+    centralizer = np.logical_and.reduce([eng.conj_set(ids, s) == ids for s in socle_gen_ids])
+    if centralizer.sum() != 1:
         return "socle has nontrivial centralizer"
     return None
 
@@ -1423,8 +1440,8 @@ class TestNormalClosure:
         lat = builtin_group(name).subgroup_lattice()
         eng = lat.engine
         for members in lat.conjugacy_classes:
-            elems = np.asarray(lat.node_elements(members[0]))
-            commutators = {int(c) for a in elems for c in eng.commutators_with(a)[elems]}
+            elems = lat.node_elements(members[0])
+            commutators = {eng.commutator(a, b) for a in elems for b in elems}
             expected = eng.closure(sorted(commutators)).tolist()
             gens = lat.node_generators(members[0])
             assert _derived_subgroup(eng, gens).tolist() == expected
